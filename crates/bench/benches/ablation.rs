@@ -13,12 +13,13 @@ use ir::{FragmentedIndex, ScoreModel, TextIndex};
 use acoi::{Fde, Token, Version};
 use feagram::FeatureValue;
 
-fn fragmented(docs: usize, fragments: usize) -> FragmentedIndex {
+fn text_index(docs: usize) -> TextIndex {
     let mut index = TextIndex::new(ScoreModel::TfIdf);
     for (url, body) in bench::text_corpus(docs) {
         index.index_document(&url, &body).unwrap();
     }
-    FragmentedIndex::build(&mut index, fragments).unwrap()
+    index.commit().unwrap();
+    index
 }
 
 fn bench_topn_strategies(c: &mut Criterion) {
@@ -26,7 +27,8 @@ fn bench_topn_strategies(c: &mut Criterion) {
     group.sample_size(30);
 
     let docs = 3000;
-    let index = fragmented(docs, 16);
+    let flat = text_index(docs);
+    let index = FragmentedIndex::build(&flat, 16).unwrap();
     const QUERY: &str = "extraordinary winner tennis";
 
     group.bench_function(BenchmarkId::new("full_exact", docs), |b| {

@@ -14,12 +14,13 @@ use ir::{FragmentedIndex, ScoreModel, TextIndex};
 
 const QUERY: &str = "extraordinary champion winner tennis";
 
-fn build_fragmented(docs: usize, fragments: usize) -> FragmentedIndex {
+fn build_index(docs: usize) -> TextIndex {
     let mut index = TextIndex::new(ScoreModel::TfIdf);
     for (url, body) in bench::text_corpus(docs) {
         index.index_document(&url, &body).unwrap();
     }
-    FragmentedIndex::build(&mut index, fragments).unwrap()
+    index.commit().unwrap();
+    index
 }
 
 fn bench_fragmentation(c: &mut Criterion) {
@@ -27,8 +28,9 @@ fn bench_fragmentation(c: &mut Criterion) {
     group.sample_size(30);
 
     let docs = if std::env::var("BENCH_SMOKE").is_ok() { 300 } else { 2000 };
+    let mut flat = build_index(docs);
     for fragments in [4usize, 16] {
-        let index = build_fragmented(docs, fragments);
+        let index = FragmentedIndex::build(&flat, fragments).unwrap();
         // Budgets: everything, half, just the high-idf head.
         for budget in [fragments, fragments / 2, 1] {
             group.bench_function(
@@ -44,11 +46,6 @@ fn bench_fragmentation(c: &mut Criterion) {
     }
 
     // Unfragmented baseline.
-    let mut flat = TextIndex::new(ScoreModel::TfIdf);
-    for (url, body) in bench::text_corpus(docs) {
-        flat.index_document(&url, &body).unwrap();
-    }
-    flat.commit().unwrap();
     group.bench_function("unfragmented_full_scan", |b| {
         b.iter(|| {
             let (hits, work) = flat.query(QUERY, 10).unwrap();
@@ -58,7 +55,7 @@ fn bench_fragmentation(c: &mut Criterion) {
     group.finish();
 
     // Print the quality/cost trade-off once, as the table E4 reports.
-    let index = build_fragmented(docs, 16);
+    let index = FragmentedIndex::build(&flat, 16).unwrap();
     let full = index.query_with_cutoff(QUERY, 10, 16);
     println!("\nE4 quality/cost trade-off ({docs} docs, 16 fragments):");
     println!("budget  tuples  quality  top1_stable");

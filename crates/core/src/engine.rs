@@ -1087,9 +1087,10 @@ impl Engine {
             m.recovery_fell_back.set(i64::from(r.fell_back));
         }
         // Data-plane footprint, aggregated over every BAT catalog the
-        // engine holds: the view store, the meta-index store and each
-        // text shard.
-        let mut bytes = 0usize;
+        // engine holds — the view store, the meta-index store and each
+        // text shard — plus the posting index every text copy derives
+        // from its relations.
+        let mut bytes = self.text.posting_index_bytes();
         let mut dict = monet::DictStats::default();
         for db in [self.views.db(), self.meta.store().db()]
             .into_iter()
@@ -1913,9 +1914,8 @@ impl Engine {
     ) -> Result<Vec<EngineHit>> {
         let mut out = Vec::new();
         for row in rows {
-            let first = row.chain.first().expect("non-empty chain").clone();
             let score = match scores {
-                Some(map) => match map.get(&first) {
+                Some(map) => match map.get(row.chain.first().expect("non-empty chain")) {
                     Some(s) => *s,
                     None => continue, // outside the ranked top-N
                 },

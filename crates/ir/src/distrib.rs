@@ -107,6 +107,7 @@ use monet::wal::WalHandle;
 use crate::error::{Error, Result};
 use crate::index::{DocExport, QueryWork, ScoreModel, SearchHit, TextIndex};
 use crate::rebalance::RebalanceReport;
+use crate::text::tokenize_and_stem;
 
 /// Number of routing slots on the hash ring. URLs hash to a slot once
 /// and forever; layouts only remap slots to servers. 64 slots keep the
@@ -1215,6 +1216,17 @@ impl DistributedIndex {
         self.shards.iter().map(TextIndex::document_count).collect()
     }
 
+    /// Estimated heap bytes of the derived posting indexes of **every**
+    /// copy (primaries and replicas) — what ranked retrieval holds
+    /// resident beyond the relations.
+    pub fn posting_index_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .chain(self.replicas.iter().flatten())
+            .map(TextIndex::posting_index_bytes)
+            .sum()
+    }
+
     /// Serial evaluation: local top-`k` on each server in turn, then the
     /// master merge. No isolation — any server error fails the query —
     /// so a serial answer is always complete (`quality == 1.0`).
@@ -1222,9 +1234,10 @@ impl DistributedIndex {
         let sizes = self.shard_sizes();
         let mut locals = Vec::with_capacity(self.shards.len());
         let mut elapsed = Vec::with_capacity(self.shards.len());
+        let stems = tokenize_and_stem(text);
         for shard in &mut self.shards {
             let start = Instant::now();
-            locals.push(Some(shard.query(text, k)?));
+            locals.push(Some(shard.top_k(&stems, k, None)?));
             elapsed.push(start.elapsed());
         }
         let served = vec![Some(0); self.shards.len()];
@@ -1263,13 +1276,14 @@ impl DistributedIndex {
         let sizes = self.shard_sizes();
         let mut locals = Vec::with_capacity(self.shards.len());
         let mut elapsed = Vec::with_capacity(self.shards.len());
+        let stems = tokenize_and_stem(text);
         for (answered, shard) in self.shards.iter_mut().enumerate() {
             budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
                 shards_answered: answered,
                 cause,
             })?;
             let start = Instant::now();
-            locals.push(Some(shard.query_restricted(text, k, candidates)?));
+            locals.push(Some(shard.top_k(&stems, k, Some(candidates))?));
             elapsed.push(start.elapsed());
         }
         let served = vec![Some(0); self.shards.len()];
@@ -1346,9 +1360,17 @@ impl DistributedIndex {
                 *cursor = (*cursor + 1) % copies;
             }
         }
-        let labels: Vec<Vec<String>> = (0..n)
-            .map(|g| (0..copies).map(|c| self.copy_label(g, c)).collect())
-            .collect();
+        // The central node stems and stops the query once; the servers
+        // get the term identification along with the top-N request.
+        let stems = tokenize_and_stem(text);
+        let stems = stems.as_slice();
+        // Fault labels exist only for a fault plan to look up.
+        let labels: Vec<Vec<String>> = match plan {
+            Some(_) => (0..n)
+                .map(|g| (0..copies).map(|c| self.copy_label(g, c)).collect())
+                .collect(),
+            None => Vec::new(),
+        };
         let mut slots: Vec<Vec<Option<ShardAnswer>>> = vec![vec![None; copies]; n];
         let mut took: Vec<Vec<Duration>> = vec![vec![window; copies]; n];
         let mut spawned = vec![vec![false; copies]; n];
@@ -1382,11 +1404,11 @@ impl DistributedIndex {
                     return false;
                 };
                 let tx = tx.clone();
-                let plan = plan.clone();
-                let label = labels[g][c].clone();
+                let fault = plan.clone().map(|plan| (plan, labels[g][c].as_str()));
                 scope.spawn(move |_| {
                     let start = Instant::now();
-                    let answer = run_shard(shard, text, k, &label, plan.as_deref(), hang);
+                    let fault = fault.as_ref().map(|(plan, label)| (plan.as_ref(), *label));
+                    let answer = run_shard(shard, stems, k, fault, hang);
                     // The central node may have stopped listening; the
                     // answer is then simply dropped.
                     let _ = tx.send((g, c, answer, start.elapsed()));
@@ -1396,7 +1418,7 @@ impl DistributedIndex {
             // First wave: every copy under Primary routing, exactly one
             // selected copy per group under RoundRobin.
             let mut pending = 0usize;
-            #[allow(clippy::needless_range_loop)] // `g` also indexes `labels` inside `launch`
+            #[allow(clippy::needless_range_loop)] // `g` also indexes `pool` inside `launch`
             for g in 0..n {
                 if routed {
                     if launch(g, preferred[g]) {
@@ -1843,18 +1865,18 @@ fn decode_shard_envelope(bytes: &[u8]) -> std::result::Result<(ShardEnvelope, &[
     ))
 }
 
-/// One server's side of the query: consult the fault plan (latency
-/// first — a slow server is still expected to answer — then the
-/// fault action), then run the local top-`k` with panics contained.
+/// One server's side of the query: consult the fault plan under the
+/// copy's label (latency first — a slow server is still expected to
+/// answer — then the fault action), then run the local top-`k` with
+/// panics contained.
 fn run_shard(
     shard: &mut TextIndex,
-    text: &str,
+    stems: &[String],
     k: usize,
-    label: &str,
-    plan: Option<&FaultPlan>,
+    fault: Option<(&FaultPlan, &str)>,
     hang: Duration,
 ) -> ShardAnswer {
-    if let Some(plan) = plan {
+    if let Some((plan, label)) = fault {
         let delay = plan.decide_delay(label);
         if !delay.is_zero() {
             std::thread::sleep(delay);
@@ -1866,7 +1888,7 @@ fn run_shard(
             FaultAction::Hang => std::thread::sleep(hang),
         }
     }
-    match catch_unwind(AssertUnwindSafe(|| shard.query(text, k))) {
+    match catch_unwind(AssertUnwindSafe(|| shard.top_k(stems, k, None))) {
         Ok(Ok(local)) => Ok(local),
         Ok(Err(e)) => Err(e.to_string()),
         Err(_) => Err("server thread panicked".into()),

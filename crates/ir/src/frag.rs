@@ -15,19 +15,16 @@
 //! evaluated ("estimate the quality degrade resulting from a-priori
 //! ignoring fragments with lower idf").
 
-use std::collections::HashMap;
-
-use monet::Oid;
-
 use crate::error::{Error, Result};
-use crate::index::{QueryWork, ScoreModel, SearchHit, TextIndex};
+use crate::index::{QueryWork, SearchHit, TextIndex};
 use crate::text::tokenize_and_stem;
 
-/// One fragment: the postings of a contiguous band of terms in the
-/// descending-idf order.
+/// One fragment: a contiguous band of terms in the descending-idf
+/// order. The postings stay where they are, in the index's posting
+/// lists; the fragment records only its shape.
 pub struct Fragment {
-    /// stem → (idf, postings as `(doc, tf)`).
-    postings: HashMap<String, (f64, Vec<(Oid, i64)>)>,
+    /// Terms in the band.
+    pub terms: usize,
     /// Largest idf in the fragment.
     pub max_idf: f64,
     /// Smallest idf in the fragment.
@@ -39,13 +36,26 @@ pub struct Fragment {
     pub max_tf: i64,
 }
 
-/// The fragmented index (a read-optimised derivation of a [`TextIndex`]).
-pub struct FragmentedIndex {
+impl Fragment {
+    fn empty() -> Fragment {
+        Fragment {
+            terms: 0,
+            max_idf: 0.0,
+            min_idf: f64::INFINITY,
+            tuples: 0,
+            max_tf: 0,
+        }
+    }
+}
+
+/// The fragmented index: a view that cuts a committed [`TextIndex`]'s
+/// term order into idf bands, evaluated over the index's own posting
+/// lists, document lengths and URLs.
+pub struct FragmentedIndex<'a> {
+    index: &'a TextIndex,
     fragments: Vec<Fragment>,
-    urls: HashMap<Oid, String>,
-    doc_lens: HashMap<Oid, f64>,
-    model: ScoreModel,
-    avg_dl: f64,
+    /// Term ordinal → the fragment holding the term.
+    fragment_of: Vec<u32>,
 }
 
 /// Result of a cut-off query.
@@ -62,87 +72,49 @@ pub struct CutoffResult {
     pub work: QueryWork,
 }
 
-impl FragmentedIndex {
-    /// Splits `index` into `n` fragments balanced by *posting tuples*
-    /// (not by term count): because low-idf terms carry most tuples,
-    /// equal-tuple fragments put very few, expensive terms in the last
-    /// fragments — the shape the paper's argument depends on.
-    pub fn build(index: &mut TextIndex, n: usize) -> Result<FragmentedIndex> {
+impl<'a> FragmentedIndex<'a> {
+    /// Splits the (committed) `index` into `n` fragments balanced by
+    /// *posting tuples* (not by term count): because low-idf terms
+    /// carry most tuples, equal-tuple fragments put very few, expensive
+    /// terms in the last fragments — the shape the paper's argument
+    /// depends on.
+    pub fn build(index: &'a TextIndex, n: usize) -> Result<FragmentedIndex<'a>> {
         if n == 0 {
             return Err(Error::Config("at least one fragment required".into()));
         }
-        index.commit()?;
-        let terms = index.terms_by_desc_idf();
-
-        // Gather all postings (and the total tuple count) first.
-        type GatheredTerm = (String, f64, Vec<(Oid, i64)>);
-        let mut gathered: Vec<GatheredTerm> = Vec::with_capacity(terms.len());
-        let mut total_tuples = 0usize;
-        for (stem, oid, df) in terms {
-            let postings = index.postings(oid)?;
-            total_tuples += postings.len();
-            let idf = 1.0 / (df.max(1)) as f64;
-            gathered.push((stem, idf, postings));
+        if !index.is_committed() {
+            return Err(Error::Config("commit the index before fragmenting it".into()));
         }
+        let postings = index.postings();
+        let mut terms: Vec<(f64, String, usize)> = index
+            .stems()
+            .map(|(stem, ord)| (postings.idf(ord).unwrap_or(0.0), stem, ord))
+            .collect();
+        terms.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        let total_tuples: usize = terms.iter().map(|t| postings.df(t.2)).sum();
 
         let per_fragment = (total_tuples / n).max(1);
         let mut fragments = Vec::with_capacity(n);
-        let mut current = Fragment {
-            postings: HashMap::new(),
-            max_idf: 0.0,
-            min_idf: f64::INFINITY,
-            tuples: 0,
-            max_tf: 0,
-        };
-        for (stem, idf, postings) in gathered {
+        let mut fragment_of = vec![0u32; postings.term_count()];
+        let mut current = Fragment::empty();
+        for (idf, _, ord) in terms {
             if current.tuples >= per_fragment && fragments.len() + 1 < n {
-                fragments.push(std::mem::replace(
-                    &mut current,
-                    Fragment {
-                        postings: HashMap::new(),
-                        max_idf: 0.0,
-                        min_idf: f64::INFINITY,
-                        tuples: 0,
-                        max_tf: 0,
-                    },
-                ));
+                fragments.push(std::mem::replace(&mut current, Fragment::empty()));
             }
-            current.tuples += postings.len();
+            fragment_of[ord] = fragments.len() as u32;
+            current.terms += 1;
+            current.tuples += postings.df(ord);
             current.max_idf = current.max_idf.max(idf);
             current.min_idf = current.min_idf.min(idf);
-            current.max_tf = current
-                .max_tf
-                .max(postings.iter().map(|(_, tf)| *tf).max().unwrap_or(0));
-            current.postings.insert(stem, (idf, postings));
+            current.max_tf = current.max_tf.max(postings.max_tf(ord));
         }
-        if !current.postings.is_empty() || fragments.is_empty() {
+        if current.terms > 0 || fragments.is_empty() {
             fragments.push(current);
         }
-
-        // Snapshot document metadata for scoring.
-        let mut urls = HashMap::new();
-        let mut doc_lens = HashMap::new();
-        if let Ok(d) = index.db().get(crate::index::D) {
-            for (doc, v) in d.iter() {
-                if let Some(u) = v.as_str() {
-                    urls.insert(doc, u.to_owned());
-                }
-            }
-        }
-        if let Ok(dl) = index.db().get(crate::index::DL) {
-            for (doc, v) in dl.iter() {
-                if let Some(l) = v.as_int() {
-                    doc_lens.insert(doc, l as f64);
-                }
-            }
-        }
-
         Ok(FragmentedIndex {
+            index,
             fragments,
-            urls,
-            doc_lens,
-            model: index.model(),
-            avg_dl: index.avg_doc_len(),
+            fragment_of,
         })
     }
 
@@ -160,14 +132,17 @@ impl FragmentedIndex {
             .collect()
     }
 
-    fn term_score(&self, tf: i64, idf: f64, dl: f64) -> f64 {
-        match self.model {
-            ScoreModel::TfIdf => tf as f64 * idf,
-            ScoreModel::Hiemstra { lambda } => {
-                let norm = if dl > 0.0 { self.avg_dl.max(1.0) / dl } else { 1.0 };
-                (1.0 + (lambda / (1.0 - lambda)) * tf as f64 * idf * norm).ln()
-            }
-        }
+    /// The query's terms as `(term ordinal, fragment, idf)`, in stem
+    /// order; stems outside the vocabulary drop out.
+    fn query_terms(&self, text: &str) -> Vec<(usize, usize, f64)> {
+        let postings = self.index.postings();
+        tokenize_and_stem(text)
+            .iter()
+            .filter_map(|stem| {
+                let ord = self.index.term_ordinal(stem)?;
+                Some((ord, *self.fragment_of.get(ord)? as usize, postings.idf(ord)?))
+            })
+            .collect()
     }
 
     /// Evaluates `text` fragment by fragment and **stops as soon as the
@@ -182,116 +157,89 @@ impl FragmentedIndex {
     /// Unlike [`Self::query_with_cutoff`], the result is *exactly* the
     /// full top-k (quality 1), only cheaper.
     pub fn query_top_k_early(&self, text: &str, k: usize) -> CutoffResult {
-        let stems = tokenize_and_stem(text);
+        let terms = self.query_terms(text);
+        let mut acc = self.index.accumulator(None);
         // Max score any document can still gain from fragment i onward.
+        let avg_dl = self.index.avg_doc_len().max(1.0);
         let mut remaining_gain = vec![0.0f64; self.fragments.len() + 1];
         for i in (0..self.fragments.len()).rev() {
-            let fragment = &self.fragments[i];
             let mut gain = 0.0;
-            for stem in &stems {
-                if let Some((idf, _)) = fragment.postings.get(stem) {
+            for &(_, fragment, idf) in &terms {
+                if fragment == i {
                     // tf upper bound × idf; length norm ≤ avg/min_dl is
                     // conservatively ignored for TfIdf (norm = 1) and
                     // bounded by avg_dl for Hiemstra.
-                    gain += self.term_score(fragment.max_tf, *idf, self.avg_dl.max(1.0));
+                    gain += acc.scorer().score(self.fragments[i].max_tf, idf, avg_dl);
                 }
             }
             remaining_gain[i] = remaining_gain[i + 1] + gain;
         }
 
-        let mut scores: HashMap<Oid, f64> = HashMap::new();
-        let mut work = QueryWork::default();
         let mut used = 0usize;
-        for (i, fragment) in self.fragments.iter().enumerate() {
+        for (i, &gain) in remaining_gain[..self.fragments.len()].iter().enumerate() {
             // Termination check: can anything outside the current top-k
             // still reach it?
             if i > 0 {
-                let mut sorted: Vec<f64> = scores.values().copied().collect();
+                let mut sorted: Vec<f64> = acc.scores().collect();
                 sorted.sort_by(|a, b| b.total_cmp(a));
                 if sorted.len() >= k {
                     let kth = sorted[k - 1];
                     let best_below = sorted.get(k).copied().unwrap_or(0.0);
-                    if kth >= best_below + remaining_gain[i] && kth >= remaining_gain[i] {
+                    if kth >= best_below + gain && kth >= gain {
                         break;
                     }
                 }
             }
             used = i + 1;
-            for stem in &stems {
-                if let Some((idf, postings)) = fragment.postings.get(stem) {
-                    work.matched_terms += 1;
-                    for (doc, tf) in postings {
-                        work.tuples += 1;
-                        let dl = self.doc_lens.get(doc).copied().unwrap_or(0.0);
-                        *scores.entry(*doc).or_insert(0.0) += self.term_score(*tf, *idf, dl);
-                    }
+            for &(ord, fragment, _) in &terms {
+                if fragment == i {
+                    acc.add_term(ord);
                 }
             }
         }
 
+        let work = acc.work;
         CutoffResult {
-            hits: self.ranked_hits(scores, k),
+            hits: acc.top_k(k),
             quality: 1.0,
             fragments_used: used,
             work,
         }
     }
 
-    /// Resolves scores to hits and ranks them with the same
-    /// score-then-url order [`TextIndex::query`] uses, so fragmented and
-    /// unfragmented evaluation agree byte-for-byte on tie order.
-    fn ranked_hits(&self, scores: HashMap<Oid, f64>, k: usize) -> Vec<SearchHit> {
-        let mut hits: Vec<SearchHit> = scores
-            .into_iter()
-            .map(|(doc, score)| SearchHit {
-                doc,
-                url: self.urls.get(&doc).cloned().unwrap_or_default(),
-                score,
-            })
-            .collect();
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url)));
-        hits.truncate(k);
-        hits
-    }
-
     /// Evaluates `text` over at most `max_fragments` fragments
-    /// (processed in descending-idf order) and returns the top `k`.
+    /// (processed in descending-idf order) and returns the top `k`,
+    /// ranked with the same score-then-url order [`TextIndex::query`]
+    /// uses.
     pub fn query_with_cutoff(
         &self,
         text: &str,
         k: usize,
         max_fragments: usize,
     ) -> CutoffResult {
-        let stems = tokenize_and_stem(text);
+        let terms = self.query_terms(text);
         let budget = max_fragments.min(self.fragments.len());
 
         // Total idf mass of the query across ALL fragments (denominator
         // of the quality estimate).
         let mut total_mass = 0.0;
         let mut evaluated_mass = 0.0;
-        let mut scores: HashMap<Oid, f64> = HashMap::new();
-        let mut work = QueryWork::default();
-
-        for (i, fragment) in self.fragments.iter().enumerate() {
-            for stem in &stems {
-                if let Some((idf, postings)) = fragment.postings.get(stem) {
+        let mut acc = self.index.accumulator(None);
+        for i in 0..self.fragments.len() {
+            for &(ord, fragment, idf) in &terms {
+                if fragment == i {
                     total_mass += idf;
                     if i < budget {
                         evaluated_mass += idf;
-                        work.matched_terms += 1;
-                        for (doc, tf) in postings {
-                            work.tuples += 1;
-                            let dl = self.doc_lens.get(doc).copied().unwrap_or(0.0);
-                            *scores.entry(*doc).or_insert(0.0) +=
-                                self.term_score(*tf, *idf, dl);
-                        }
+                        acc.add_term(ord);
                     }
                 }
             }
         }
 
+        let work = acc.work;
         CutoffResult {
-            hits: self.ranked_hits(scores, k),
+            hits: acc.top_k(k),
             quality: if total_mass > 0.0 {
                 evaluated_mass / total_mass
             } else {
@@ -307,6 +255,7 @@ impl FragmentedIndex {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::index::ScoreModel;
 
     /// A corpus with a deliberate idf skew: one rare term, one medium,
     /// one that appears everywhere.
@@ -330,8 +279,8 @@ mod tests {
 
     #[test]
     fn fragments_are_ordered_by_descending_idf() {
-        let mut idx = skewed_index(100);
-        let f = FragmentedIndex::build(&mut idx, 4).unwrap();
+        let idx = skewed_index(100);
+        let f = FragmentedIndex::build(&idx, 4).unwrap();
         let profile = f.fragment_profile();
         assert!(
             (2..=4).contains(&profile.len()),
@@ -348,8 +297,8 @@ mod tests {
 
     #[test]
     fn low_idf_fragments_carry_most_tuples() {
-        let mut idx = skewed_index(100);
-        let f = FragmentedIndex::build(&mut idx, 4).unwrap();
+        let idx = skewed_index(100);
+        let f = FragmentedIndex::build(&idx, 4).unwrap();
         let profile = f.fragment_profile();
         // The last fragment (lowest idf) should not be smaller than the
         // first (highest idf, rare terms).
@@ -360,7 +309,7 @@ mod tests {
     fn full_budget_equals_unfragmented_ranking() {
         let mut idx = skewed_index(60);
         let (exact, _) = idx.query("rareword medium common", 10).unwrap();
-        let f = FragmentedIndex::build(&mut idx, 4).unwrap();
+        let f = FragmentedIndex::build(&idx, 4).unwrap();
         let cut = f.query_with_cutoff("rareword medium common", 10, 4);
         assert_eq!(cut.quality, 1.0);
         let exact_docs: Vec<_> = exact.iter().map(|h| h.doc).collect();
@@ -370,8 +319,8 @@ mod tests {
 
     #[test]
     fn cutoff_reduces_work_with_bounded_quality_loss() {
-        let mut idx = skewed_index(200);
-        let f = FragmentedIndex::build(&mut idx, 8).unwrap();
+        let idx = skewed_index(200);
+        let f = FragmentedIndex::build(&idx, 8).unwrap();
         let full = f.query_with_cutoff("rareword medium common", 10, 8);
         let cut = f.query_with_cutoff("rareword medium common", 10, 2);
         assert!(cut.work.tuples < full.work.tuples, "cutoff must save work");
@@ -386,7 +335,7 @@ mod tests {
     fn early_termination_returns_the_exact_top_k_set() {
         let mut idx = skewed_index(300);
         let (exact, _) = idx.query("rareword medium common", 10).unwrap();
-        let f = FragmentedIndex::build(&mut idx, 8).unwrap();
+        let f = FragmentedIndex::build(&idx, 8).unwrap();
         let early = f.query_top_k_early("rareword medium common", 10);
         assert_eq!(early.quality, 1.0);
         // Membership is exact (internal order may differ: members'
@@ -400,8 +349,8 @@ mod tests {
 
     #[test]
     fn early_termination_saves_work_on_skewed_queries() {
-        let mut idx = skewed_index(500);
-        let f = FragmentedIndex::build(&mut idx, 16).unwrap();
+        let idx = skewed_index(500);
+        let f = FragmentedIndex::build(&idx, 16).unwrap();
         let full = f.query_with_cutoff("rareword common", 1, 16);
         let early = f.query_top_k_early("rareword common", 1);
         // The single "rareword" document dominates; the common tail
@@ -418,14 +367,14 @@ mod tests {
 
     #[test]
     fn zero_fragments_is_a_config_error() {
-        let mut idx = skewed_index(10);
-        assert!(FragmentedIndex::build(&mut idx, 0).is_err());
+        let idx = skewed_index(10);
+        assert!(FragmentedIndex::build(&idx, 0).is_err());
     }
 
     #[test]
     fn quality_is_one_for_vocabulary_misses() {
-        let mut idx = skewed_index(10);
-        let f = FragmentedIndex::build(&mut idx, 2).unwrap();
+        let idx = skewed_index(10);
+        let f = FragmentedIndex::build(&idx, 2).unwrap();
         let r = f.query_with_cutoff("zzzmissing", 5, 1);
         assert!(r.hits.is_empty());
         assert_eq!(r.quality, 1.0);

@@ -20,14 +20,21 @@
 //! XML storage manager has parsed a certain number of document bodies.
 //! … Using these three basic relations the TF and IDF relations are
 //! updated incrementally."
+//!
+//! The relations are the logical, durable state. Ranked retrieval does
+//! not probe them: every publish point ([`TextIndex::commit`],
+//! [`TextIndex::apply_global_df`], [`TextIndex::restore`]) folds what
+//! they gained into the derived posting index (`postings.rs`), and
+//! [`TextIndex::ranked`] is one kernel over that structure.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use monet::wal::WalHandle;
-use monet::{ColumnKind, Db, Oid, Value};
+use monet::{Column, ColumnKind, Db, Oid, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
+use crate::postings::{Accumulator, PostingIndex, Scorer};
 use crate::text::tokenize_and_stem;
 
 /// Relation names.
@@ -105,15 +112,20 @@ impl DocExport {
 pub struct TextIndex {
     db: Db,
     model: ScoreModel,
-    /// In-memory mirror of T for O(1) term lookup, keyed by the
-    /// catalog's **dictionary code** for the stem rather than an owned
-    /// copy of the string — the T relation, the catalog's string pool
-    /// and this mirror share one term dictionary (rebuilt on restore).
-    vocab: HashMap<u32, Oid>,
-    /// df per term (mirror, drives incremental IDF updates).
-    df: HashMap<Oid, usize>,
-    /// Terms touched since the last commit.
-    dirty_terms: Vec<Oid>,
+    /// In-memory mirror of T for O(1) term lookup: the catalog's
+    /// **dictionary code** for the stem (rather than an owned copy of
+    /// the string) to the term's ordinal, its row in T — the T
+    /// relation, the catalog's string pool and this mirror share one
+    /// term dictionary (rebuilt on restore).
+    vocab: HashMap<u32, u32>,
+    /// T's head column: term ordinal → term oid (ascending).
+    term_oids: Vec<Oid>,
+    /// df per term ordinal (mirror, drives incremental IDF updates).
+    df: Vec<usize>,
+    /// Term ordinals touched since the last commit.
+    dirty_terms: Vec<u32>,
+    /// What queries read, derived from the relations at every publish.
+    postings: PostingIndex,
     /// Total token count, for avgdl.
     total_tokens: usize,
     committed: bool,
@@ -135,8 +147,10 @@ impl TextIndex {
             db: Db::new(),
             model,
             vocab: HashMap::new(),
-            df: HashMap::new(),
+            term_oids: Vec::new(),
+            df: Vec::new(),
             dirty_terms: Vec::new(),
+            postings: PostingIndex::default(),
             total_tokens: 0,
             committed: true,
             epoch: 0,
@@ -204,8 +218,8 @@ impl TextIndex {
     }
 
     /// Restores an index from a [`Self::snapshot`]. The in-memory
-    /// mirrors (vocabulary, df counts, token totals) are rebuilt from
-    /// the T / DT / DL relations.
+    /// mirrors (vocabulary, df counts, token totals) and the derived
+    /// posting index are rebuilt from the relations.
     pub fn restore(bytes: &[u8]) -> Result<TextIndex> {
         if bytes.len() < 9 {
             return Err(Error::Document("text snapshot shorter than header".into()));
@@ -218,39 +232,33 @@ impl TextIndex {
                 return Err(Error::Document(format!("bad score-model tag {other}")));
             }
         };
-        let mut db = monet::persist::restore(&bytes[9..])?;
+        let db = monet::persist::restore(&bytes[9..])?;
         let mut vocab = HashMap::new();
-        if let Ok(t) = db.get(T) {
-            let codes: Vec<(Oid, u32)> = t
-                .iter()
-                .filter_map(|(oid, v)| {
-                    v.as_str()
-                        .and_then(|s| db.pool().lookup(s))
-                        .map(|code| (oid, code))
-                })
-                .collect();
-            vocab.extend(codes.into_iter().map(|(oid, code)| (code, oid)));
+        let mut term_oids = Vec::new();
+        if db.contains(T) {
+            let t = db.get(T)?;
+            if let Column::Str(stems) = t.tail() {
+                vocab.extend(stems.codes().iter().zip(0u32..).map(|(&code, ord)| (code, ord)));
+            }
+            term_oids.extend(t.heads());
         }
-        let mut df: HashMap<Oid, usize> = HashMap::new();
-        if let Ok(dt) = db.get(DT_TERM) {
-            for (term, _) in dt.iter() {
-                *df.entry(term).or_insert(0) += 1;
+        let mut total_tokens = 0usize;
+        if db.contains(DL) {
+            if let Column::Int(lens) = db.get(DL)?.tail() {
+                total_tokens = lens.iter().map(|&n| n.max(0) as usize).sum();
             }
         }
-        let total_tokens = match db.get_mut(DL) {
-            Ok(bat) => bat
-                .iter()
-                .filter_map(|(_, v)| v.as_int())
-                .map(|n| n.max(0) as usize)
-                .sum(),
-            Err(_) => 0,
-        };
+        let mut postings = PostingIndex::default();
+        postings.absorb(&db, &term_oids, 0..term_oids.len() as u32)?;
+        let df = (0..term_oids.len()).map(|ord| postings.df(ord)).collect();
         Ok(TextIndex {
             db,
             model,
             vocab,
+            term_oids,
             df,
             dirty_terms: Vec::new(),
+            postings,
             total_tokens,
             committed: true,
             epoch: 0,
@@ -278,15 +286,21 @@ impl TextIndex {
         self.vocab.len()
     }
 
+    /// Estimated heap bytes of the whole index: the relations (with
+    /// their dictionary) plus the derived posting index.
+    pub fn resident_bytes(&self) -> usize {
+        self.db.resident_bytes() + self.posting_index_bytes()
+    }
+
+    /// Estimated heap bytes of the derived posting index alone.
+    pub fn posting_index_bytes(&self) -> usize {
+        self.postings.resident_bytes()
+    }
+
     /// Indexes one document body; returns its doc oid. Call
     /// [`TextIndex::commit`] before querying.
     pub fn index_document(&mut self, url: &str, text: &str) -> Result<Oid> {
-        if !self
-            .db
-            .get(D)
-            .map(|bat| bat.select_str_eq(url).is_empty())
-            .unwrap_or(true)
-        {
+        if self.contains_url(url) {
             return Err(Error::Document(format!("`{url}` already indexed")));
         }
         // Log before any relation mutates; a failed append aborts the
@@ -294,17 +308,7 @@ impl TextIndex {
         if let Some(wal) = &self.wal {
             wal.log(WAL_OP_INDEX, &[url.as_bytes(), text.as_bytes()])?;
         }
-        let doc = self.db.mint();
-        self.db
-            .get_or_create(D, ColumnKind::Str)
-            .append_str(doc, url)?;
-
         let terms = tokenize_and_stem(text);
-        self.total_tokens += terms.len();
-        self.db
-            .get_or_create(DL, ColumnKind::Int)
-            .append_int(doc, terms.len() as i64)?;
-
         // Count per-term occurrences.
         let mut counts: HashMap<&str, i64> = HashMap::new();
         for t in &terms {
@@ -312,20 +316,41 @@ impl TextIndex {
         }
         let mut sorted: Vec<(&str, i64)> = counts.into_iter().collect();
         sorted.sort_unstable();
+        self.insert(url, terms.len() as i64, sorted)
+    }
 
-        for (term, tf) in sorted {
+    /// Appends one document's rows to D, DL, T and — one row each per
+    /// `(stem, tf)` pair, in lockstep — DT_doc, DT_term and TF.
+    fn insert<'a>(
+        &mut self,
+        url: &str,
+        len: i64,
+        terms: impl IntoIterator<Item = (&'a str, i64)>,
+    ) -> Result<Oid> {
+        let doc = self.db.mint();
+        self.db
+            .get_or_create(D, ColumnKind::Str)
+            .append_str(doc, url)?;
+        self.total_tokens += len as usize;
+        self.db
+            .get_or_create(DL, ColumnKind::Int)
+            .append_int(doc, len)?;
+        for (term, tf) in terms {
             // Intern once into the catalog dictionary; T's string column
             // stores the same code, so the stem bytes live exactly once.
             let code = self.db.pool().intern(term);
-            let term_oid = match self.vocab.get(&code) {
-                Some(o) => *o,
+            let ord = match self.vocab.get(&code) {
+                Some(ord) => *ord,
                 None => {
                     let o = self.db.mint();
                     self.db
                         .get_or_create(T, ColumnKind::Str)
                         .append_str(o, term)?;
-                    self.vocab.insert(code, o);
-                    o
+                    let ord = self.term_oids.len() as u32;
+                    self.vocab.insert(code, ord);
+                    self.term_oids.push(o);
+                    self.df.push(0);
+                    ord
                 }
             };
             let pair = self.db.mint();
@@ -334,12 +359,12 @@ impl TextIndex {
                 .append_oid(pair, doc)?;
             self.db
                 .get_or_create(DT_TERM, ColumnKind::Oid)
-                .append_oid(term_oid, pair)?;
+                .append_oid(self.term_oids[ord as usize], pair)?;
             self.db
                 .get_or_create(TF, ColumnKind::Int)
                 .append_int(pair, tf)?;
-            *self.df.entry(term_oid).or_insert(0) += 1;
-            self.dirty_terms.push(term_oid);
+            self.df[ord as usize] += 1;
+            self.dirty_terms.push(ord);
         }
         self.committed = false;
         self.epoch += 1;
@@ -361,7 +386,7 @@ impl TextIndex {
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
         let docs: Vec<(&str, &str)> = docs.into_iter().collect();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for (url, _) in &docs {
             if self.contains_url(url) || !seen.insert(*url) {
                 return Err(Error::Document(format!("`{url}` already indexed")));
@@ -386,47 +411,38 @@ impl TextIndex {
     }
 
     /// Derives IDF entries for the terms touched since the last commit
-    /// (`idf = 1/df`, per the paper). Idempotent.
+    /// (`idf = 1/df`, per the paper) and publishes the new rows to the
+    /// derived posting index. Idempotent.
     pub fn commit(&mut self) -> Result<()> {
         if self.committed {
             return Ok(());
         }
-        let dirty = std::mem::take(&mut self.dirty_terms);
+        let mut dirty = std::mem::take(&mut self.dirty_terms);
         let idf_bat = self.db.get_or_create(IDF, ColumnKind::Flt);
-        for term in dirty {
-            let df = self.df.get(&term).copied().unwrap_or(0).max(1);
-            idf_bat.upsert(term, Value::Flt(1.0 / df as f64))?;
+        for &term in &dirty {
+            let df = self.df[term as usize].max(1);
+            idf_bat.upsert(self.term_oids[term as usize], Value::Flt(1.0 / df as f64))?;
         }
+        dirty.sort_unstable();
+        dirty.dedup();
+        self.postings.absorb(&self.db, &self.term_oids, dirty)?;
         self.committed = true;
         self.epoch += 1;
         Ok(())
     }
 
-    /// The idf of a (stemmed) term, if in the vocabulary.
+    /// The published idf of a (stemmed) term — what the IDF relation
+    /// held for it at the last commit — if in the vocabulary.
     pub fn idf(&self, stem: &str) -> Option<f64> {
-        let term = self.term_oid(stem)?;
-        self.db
-            .get(IDF)
-            .ok()?
-            .iter()
-            .find(|(h, _)| *h == term)
-            .and_then(|(_, v)| v.as_flt())
+        self.postings.idf(self.term_ordinal(stem)?)
     }
 
-    /// The oid of a stemmed term. Probes through the catalog dictionary
-    /// with a **non-inserting** lookup, so querying never grows the pool.
-    pub fn term_oid(&self, stem: &str) -> Option<Oid> {
+    /// The ordinal (T row) of a stemmed term. Probes through the
+    /// catalog dictionary with a **non-inserting** lookup, so querying
+    /// never grows the pool.
+    pub(crate) fn term_ordinal(&self, stem: &str) -> Option<usize> {
         let code = self.db.pool().lookup(stem)?;
-        self.vocab.get(&code).copied()
-    }
-
-    /// The URL of a document oid.
-    pub fn url_of(&mut self, doc: Oid) -> Option<String> {
-        self.db
-            .get_mut(D)
-            .ok()?
-            .first_tail_of(doc)
-            .and_then(|v| v.as_str().map(str::to_owned))
+        self.vocab.get(&code).map(|&ord| ord as usize)
     }
 
     /// Average document length (tokens).
@@ -439,59 +455,34 @@ impl TextIndex {
         }
     }
 
-    /// Postings of one term: `(doc, tf)` pairs. Exposed for the
-    /// fragmentation and distribution layers.
-    pub fn postings(&mut self, term: Oid) -> Result<Vec<(Oid, i64)>> {
-        let pairs: Vec<Oid> = self
-            .db
-            .get_mut(DT_TERM)?
-            .tails_of(term)
-            .into_iter()
-            .filter_map(|v| v.as_oid())
-            .collect();
-        let mut out = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            let doc = self
-                .db
-                .get_mut(DT_DOC)?
-                .first_tail_of(pair)
-                .and_then(|v| v.as_oid())
-                .ok_or_else(|| Error::Document(format!("pair {pair} lost its document")))?;
-            let tf = self
-                .db
-                .get_mut(TF)?
-                .first_tail_of(pair)
-                .and_then(|v| v.as_int())
-                .unwrap_or(0);
-            out.push((doc, tf));
-        }
-        Ok(out)
+    /// The derived posting index (what the fragment view evaluates).
+    pub(crate) fn postings(&self) -> &PostingIndex {
+        &self.postings
     }
 
-    /// Per-term contribution to a document's score under the model.
-    pub fn term_score(&self, tf: i64, idf: f64, dl: f64) -> f64 {
-        match self.model {
-            ScoreModel::TfIdf => tf as f64 * idf,
-            ScoreModel::Hiemstra { lambda } => {
-                let avg = self.avg_doc_len().max(1.0);
-                let norm = if dl > 0.0 { avg / dl } else { 1.0 };
-                (1.0 + (lambda / (1.0 - lambda)) * tf as f64 * idf * norm).ln()
-            }
-        }
-    }
-
-    fn doc_len(&mut self, doc: Oid) -> f64 {
-        self.db
-            .get_mut(DL)
-            .ok()
-            .and_then(|bat| bat.first_tail_of(doc))
-            .and_then(|v| v.as_int())
-            .unwrap_or(0) as f64
+    /// An empty accumulator over the published state, scoring under
+    /// this index's model.
+    pub(crate) fn accumulator(&self, candidates: Option<&HashSet<String>>) -> Accumulator<'_> {
+        let scorer = Scorer::new(self.model, self.avg_doc_len());
+        Accumulator::new(&self.postings, self.db.pool(), scorer, candidates)
     }
 
     /// Evaluates a free-text query and returns the top `k` documents.
     pub fn query(&mut self, text: &str, k: usize) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.query_impl(text, k, None)
+        self.top_k(&tokenize_and_stem(text), k, None)
+    }
+
+    /// Publishes anything pending, then runs the ranking kernel: what
+    /// every `&mut self` query entry point (here and in the
+    /// distribution layer) comes down to.
+    pub(crate) fn top_k(
+        &mut self,
+        stems: &[String],
+        k: usize,
+        candidates: Option<&HashSet<String>>,
+    ) -> Result<(Vec<SearchHit>, QueryWork)> {
+        self.commit()?;
+        Ok(self.ranked(stems, k, candidates))
     }
 
     /// Evaluates a free-text query **restricted to a candidate set** of
@@ -506,66 +497,34 @@ impl TextIndex {
         &mut self,
         text: &str,
         k: usize,
-        candidates: &std::collections::HashSet<String>,
+        candidates: &HashSet<String>,
     ) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.commit()?;
-        // Translate candidate URLs to oids once.
-        let mut allowed = std::collections::HashSet::new();
-        if let Ok(d) = self.db.get(D) {
-            for (doc, v) in d.iter() {
-                if v.as_str().map(|u| candidates.contains(u)).unwrap_or(false) {
-                    allowed.insert(doc);
-                }
-            }
-        }
-        self.query_impl(text, k, Some(&allowed))
+        self.top_k(&tokenize_and_stem(text), k, Some(candidates))
     }
 
-    fn query_impl(
-        &mut self,
-        text: &str,
+    /// The ranking kernel: the top `k` documents for the stemmed query
+    /// terms over the **published** state (what the last commit
+    /// derived — pending documents are invisible until the next one),
+    /// optionally restricted to candidate URLs. Term at a time in the
+    /// query's stem order and each posting list in doc order, so a
+    /// score is the same sum in the same order on every evaluation;
+    /// the candidate set becomes a doc bitmap (restricted-out postings
+    /// cost no scoring work); only the `k` winners get a URL string.
+    /// Reads only — nothing is built, interned or bumped here.
+    pub fn ranked(
+        &self,
+        stems: &[String],
         k: usize,
-        allowed: Option<&std::collections::HashSet<Oid>>,
-    ) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.commit()?;
-        let mut work = QueryWork::default();
-        let stems = tokenize_and_stem(text);
-        let mut scores: HashMap<Oid, f64> = HashMap::new();
+        candidates: Option<&HashSet<String>>,
+    ) -> (Vec<SearchHit>, QueryWork) {
+        let mut acc = self.accumulator(candidates);
         for stem in stems {
-            let Some(term) = self.term_oid(&stem) else {
-                continue;
-            };
-            work.matched_terms += 1;
-            let idf = self.idf(&stem).unwrap_or(0.0);
-            for (doc, tf) in self.postings(term)? {
-                if let Some(allowed) = allowed {
-                    if !allowed.contains(&doc) {
-                        continue; // restricted out before any scoring work
-                    }
-                }
-                work.tuples += 1;
-                let dl = self.doc_len(doc);
-                *scores.entry(doc).or_insert(0.0) += self.term_score(tf, idf, dl);
+            if let Some(term) = self.term_ordinal(stem) {
+                acc.add_term(term);
             }
         }
-        // Resolve URLs *before* ranking: ties order by URL, which —
-        // unlike shard-local doc oids — survives shard splits, merges
-        // and migrations, so a merged ranking is byte-identical at any
-        // distribution layout. One pass over D covers all scored docs.
-        let mut hits: Vec<SearchHit> = Vec::with_capacity(scores.len());
-        if !scores.is_empty() {
-            if let Ok(d) = self.db.get(D) {
-                for (doc, v) in d.iter() {
-                    if let Some(score) = scores.remove(&doc) {
-                        let url = v.as_str().unwrap_or_default().to_owned();
-                        hits.push(SearchHit { doc, url, score });
-                    }
-                }
-            }
-        }
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url)));
-        hits.truncate(k);
-        Ok((hits, work))
+        let work = acc.work;
+        (acc.top_k(k), work)
     }
 
     /// The vocabulary with local document frequencies: `stem → df`.
@@ -573,12 +532,7 @@ impl TextIndex {
         let pool = self.db.pool();
         self.vocab
             .iter()
-            .map(|(code, o)| {
-                (
-                    pool.get(*code).unwrap_or_default(),
-                    self.df.get(o).copied().unwrap_or(0),
-                )
-            })
+            .map(|(code, ord)| (pool.get(*code).unwrap_or_default(), self.df[*ord as usize]))
             .collect()
     }
 
@@ -590,34 +544,24 @@ impl TextIndex {
     pub fn apply_global_df(&mut self, global: &HashMap<String, usize>) -> Result<()> {
         self.commit()?;
         for (stem, df) in global {
-            if let Some(term) = self.term_oid(stem) {
+            if let Some(term) = self.term_ordinal(stem) {
                 let df = (*df).max(1);
                 self.db
                     .get_or_create(IDF, ColumnKind::Flt)
-                    .upsert(term, Value::Flt(1.0 / df as f64))?;
+                    .upsert(self.term_oids[term], Value::Flt(1.0 / df as f64))?;
             }
         }
+        self.postings.absorb(&self.db, &self.term_oids, [])?;
         self.epoch += 1;
         Ok(())
     }
 
-    /// All `(stem, term oid, df)` triples, sorted by **descending idf**
-    /// (ascending df) — the fragmentation order of the paper.
-    pub fn terms_by_desc_idf(&self) -> Vec<(String, Oid, usize)> {
+    /// Every published term as `(stem, term ordinal)`.
+    pub(crate) fn stems(&self) -> impl Iterator<Item = (String, usize)> + '_ {
         let pool = self.db.pool();
-        let mut terms: Vec<(String, Oid, usize)> = self
-            .vocab
+        self.vocab
             .iter()
-            .map(|(code, o)| {
-                (
-                    pool.get(*code).unwrap_or_default(),
-                    *o,
-                    self.df.get(o).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        terms.sort_by(|a, b| a.2.cmp(&b.2).then(a.0.cmp(&b.0)));
-        terms
+            .map(move |(code, ord)| (pool.get(*code).unwrap_or_default(), *ord as usize))
     }
 
     /// Exports every document in relation-level form, in D (insertion)
@@ -632,7 +576,12 @@ impl TextIndex {
         let name_of: HashMap<Oid, String> = self
             .vocab
             .iter()
-            .map(|(code, o)| (*o, pool.get(*code).unwrap_or_default()))
+            .map(|(code, ord)| {
+                (
+                    self.term_oids[*ord as usize],
+                    pool.get(*code).unwrap_or_default(),
+                )
+            })
             .collect();
         let mut pair_term: HashMap<Oid, Oid> = HashMap::new();
         if let Ok(dt) = self.db.get(DT_TERM) {
@@ -686,40 +635,8 @@ impl TextIndex {
         if self.contains_url(&doc.url) {
             return Err(Error::Document(format!("`{}` already indexed", doc.url)));
         }
-        let oid = self.db.mint();
-        self.db
-            .get_or_create(D, ColumnKind::Str)
-            .append_str(oid, &doc.url)?;
-        let dl = doc.token_count().max(0);
-        self.total_tokens += dl as usize;
-        self.db.get_or_create(DL, ColumnKind::Int).append_int(oid, dl)?;
-        for (stem, tf) in &doc.terms {
-            let code = self.db.pool().intern(stem);
-            let term_oid = match self.vocab.get(&code) {
-                Some(o) => *o,
-                None => {
-                    let o = self.db.mint();
-                    self.db.get_or_create(T, ColumnKind::Str).append_str(o, stem)?;
-                    self.vocab.insert(code, o);
-                    o
-                }
-            };
-            let pair = self.db.mint();
-            self.db
-                .get_or_create(DT_DOC, ColumnKind::Oid)
-                .append_oid(pair, oid)?;
-            self.db
-                .get_or_create(DT_TERM, ColumnKind::Oid)
-                .append_oid(term_oid, pair)?;
-            self.db
-                .get_or_create(TF, ColumnKind::Int)
-                .append_int(pair, *tf)?;
-            *self.df.entry(term_oid).or_insert(0) += 1;
-            self.dirty_terms.push(term_oid);
-        }
-        self.committed = false;
-        self.epoch += 1;
-        Ok(oid)
+        let terms = doc.terms.iter().map(|(stem, tf)| (stem.as_str(), *tf));
+        self.insert(&doc.url, doc.token_count().max(0), terms)
     }
 }
 
@@ -824,7 +741,7 @@ mod tests {
     #[test]
     fn restricted_query_ranks_only_candidates() {
         let mut idx = small_corpus();
-        let all: std::collections::HashSet<String> =
+        let all: HashSet<String> =
             ["hingis-history.html".to_owned()].into_iter().collect();
         let (hits, work) = idx.query_restricted("australian open", 10, &all).unwrap();
         assert_eq!(hits.len(), 1);
@@ -838,7 +755,7 @@ mod tests {
     #[test]
     fn restricted_query_with_empty_candidates_returns_nothing() {
         let mut idx = small_corpus();
-        let none = std::collections::HashSet::new();
+        let none = HashSet::new();
         let (hits, _) = idx.query_restricted("open", 10, &none).unwrap();
         assert!(hits.is_empty());
     }
@@ -871,13 +788,43 @@ mod tests {
     }
 
     #[test]
-    fn terms_sorted_by_descending_idf() {
+    fn a_query_reads_only() {
+        let mut idx = small_corpus();
+        let (epoch, pool) = (idx.epoch(), idx.db().pool().len());
+        let only: HashSet<String> = ["news.html".to_owned(), "nowhere.html".to_owned()]
+            .into_iter()
+            .collect();
+        idx.query("open zzzzunknown winner", 10).unwrap();
+        idx.query_restricted("open neverseen", 10, &only).unwrap();
+        assert_eq!(idx.epoch(), epoch, "a query must not bump the epoch");
+        assert_eq!(
+            idx.db().pool().len(),
+            pool,
+            "a query must not intern its words or candidate URLs"
+        );
+    }
+
+    #[test]
+    fn pending_documents_are_invisible_until_the_next_commit() {
+        let mut idx = small_corpus();
+        idx.index_document("more.html", "another winner emerges").unwrap();
+        let stems = tokenize_and_stem("winner emerges");
+        let (before, work) = idx.ranked(&stems, 10, None);
+        assert_eq!(before.len(), 1, "the kernel reads the published state");
+        assert_eq!(work.matched_terms, 2, "both stems are in the vocabulary");
+        idx.commit().unwrap();
+        let (after, _) = idx.ranked(&stems, 10, None);
+        assert_eq!(after.len(), 2);
+        assert_eq!(after[0].url, "more.html");
+    }
+
+    #[test]
+    fn the_derived_index_is_counted_and_small() {
         let idx = small_corpus();
-        let terms = idx.terms_by_desc_idf();
-        for w in terms.windows(2) {
-            assert!(w[0].2 <= w[1].2, "df must ascend: {:?}", w);
-        }
-        // The most frequent term ("open", df 3) comes last.
-        assert_eq!(terms.last().unwrap().0, "open");
+        assert!(idx.posting_index_bytes() > 0);
+        assert_eq!(
+            idx.resident_bytes(),
+            idx.db().resident_bytes() + idx.posting_index_bytes()
+        );
     }
 }

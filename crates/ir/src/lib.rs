@@ -6,7 +6,10 @@
 //! transparently integrate the necessary relations into our database":
 //! the **T** (vocabulary), **D** (documents), **DT** (document/term
 //! pairs), **TF** (pair frequencies) and **IDF** (`idf = 1/df`)
-//! relations, all BATs in a [`monet::Db`] ([`index`]).
+//! relations, all BATs in a [`monet::Db`] ([`index`]). They are the
+//! logical, durable state; ranked retrieval reads a typed posting index
+//! derived from them at every commit (`postings`), through one
+//! read-only kernel ([`TextIndex::ranked`]).
 //!
 //! The two scalability mechanisms the paper describes are both here:
 //!
@@ -39,6 +42,7 @@ pub mod error;
 pub mod frag;
 pub mod index;
 pub mod lang;
+mod postings;
 pub mod rebalance;
 pub mod text;
 

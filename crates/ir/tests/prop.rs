@@ -1,21 +1,29 @@
 //! Property tests for retrieval invariants.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::{BTreeMap, HashMap, HashSet};
+
 use faults::{FaultAction, FaultPlan};
+use ir::index::{D, DL, DT_DOC, DT_TERM, IDF, T, TF};
 use ir::{DistributedIndex, FragmentedIndex, Rebalancer, ScoreModel, TextIndex};
+use monet::{Oid, Value};
 use proptest::prelude::*;
 
-/// Random small corpora over a closed vocabulary (so terms collide).
+/// A closed vocabulary (so terms collide).
+const VOCAB: [&str; 10] = [
+    "tennis", "winner", "champion", "match", "court", "serve", "rally", "title", "crowd",
+    "melbourne",
+];
+
+/// Random documents over the closed vocabulary.
+fn arb_doc() -> impl Strategy<Value = Vec<&'static str>> {
+    prop::collection::vec(0usize..VOCAB.len(), 1..20)
+        .prop_map(|ids| ids.into_iter().map(|i| VOCAB[i]).collect::<Vec<_>>())
+}
+
+/// Random small corpora.
 fn arb_corpus() -> impl Strategy<Value = Vec<Vec<&'static str>>> {
-    const VOCAB: [&str; 10] = [
-        "tennis", "winner", "champion", "match", "court", "serve", "rally", "title", "crowd",
-        "melbourne",
-    ];
-    prop::collection::vec(
-        prop::collection::vec(0usize..VOCAB.len(), 1..20)
-            .prop_map(|ids| ids.into_iter().map(|i| VOCAB[i]).collect::<Vec<_>>()),
-        1..20,
-    )
+    prop::collection::vec(arb_doc(), 1..20)
 }
 
 fn build(corpus: &[Vec<&str>]) -> TextIndex {
@@ -26,6 +34,125 @@ fn build(corpus: &[Vec<&str>]) -> TextIndex {
     }
     idx.commit().unwrap();
     idx
+}
+
+/// One step of a random index history.
+#[derive(Debug, Clone)]
+enum Op {
+    /// `index_document`.
+    Index(Vec<&'static str>),
+    /// `index_documents`.
+    IndexBatch(Vec<Vec<&'static str>>),
+    /// `commit`.
+    Commit,
+    /// `export_documents` → `import_document` into a fresh index.
+    Migrate,
+    /// `snapshot` → `restore`.
+    Reopen,
+    /// `apply_global_df` over `(word, df)`; word 10 is in no document.
+    GlobalDf(Vec<(usize, usize)>),
+    /// Compare the kernel with the oracle: query words (10 and 11 are
+    /// in no document), `k`, and which URLs of every three to allow
+    /// (`None`: unrestricted; `Some(3)`: the empty candidate set).
+    Check(Vec<usize>, usize, Option<usize>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let check = (
+        prop::collection::vec(0usize..VOCAB.len() + 2, 1..5),
+        0usize..6,
+        prop_oneof![Just(None), (0usize..4).prop_map(Some)],
+    )
+        .prop_map(|(words, k, restrict)| Op::Check(words, k, restrict));
+    prop_oneof![
+        arb_doc().prop_map(Op::Index),
+        arb_doc().prop_map(Op::Index),
+        prop::collection::vec(arb_doc(), 1..4).prop_map(Op::IndexBatch),
+        Just(Op::Commit),
+        Just(Op::Migrate),
+        Just(Op::Reopen),
+        prop::collection::vec((0usize..VOCAB.len() + 1, 1usize..40), 1..6).prop_map(Op::GlobalDf),
+        check.clone(),
+        check,
+    ]
+}
+
+fn word(i: usize) -> &'static str {
+    VOCAB.get(i).copied().unwrap_or(if i == VOCAB.len() { "zebra" } else { "quokka" })
+}
+
+/// Ranked retrieval the slow way, straight off the logical relations:
+/// T for the term, IDF for its idf (0 when it has none), DT_term →
+/// DT_doc / TF for the postings in relation order, DL for the length, D
+/// for the URL. Scores accumulate term by term in the query's stem
+/// order; the ranking is `(score desc, url asc)`, cut at `k`.
+fn oracle(
+    idx: &TextIndex,
+    text: &str,
+    k: usize,
+    candidates: Option<&HashSet<String>>,
+) -> (Vec<(Oid, String, u64)>, usize, usize) {
+    let rows = |name: &str| -> Vec<(Oid, Value)> {
+        idx.db().get(name).map(|bat| bat.iter().collect()).unwrap_or_default()
+    };
+    let first = |rows: &[(Oid, Value)], head: Oid| -> Option<Value> {
+        rows.iter().find(|(h, _)| *h == head).map(|(_, v)| v.clone())
+    };
+    let (t, d, dl, idf) = (rows(T), rows(D), rows(DL), rows(IDF));
+    let (dt_term, dt_doc, tf) = (rows(DT_TERM), rows(DT_DOC), rows(TF));
+    let tokens: i64 = dl.iter().filter_map(|(_, v)| v.as_int()).map(|n| n.max(0)).sum();
+    let avg = if d.is_empty() { 0.0 } else { tokens as usize as f64 / d.len() as f64 };
+
+    let (mut tuples, mut matched) = (0usize, 0usize);
+    let mut scores: BTreeMap<Oid, f64> = BTreeMap::new();
+    for stem in ir::tokenize_and_stem(text) {
+        let Some(term) = t.iter().find(|(_, v)| v.as_str() == Some(&stem)).map(|(o, _)| *o)
+        else {
+            continue;
+        };
+        matched += 1;
+        let idf = first(&idf, term).and_then(|v| v.as_flt()).unwrap_or(0.0);
+        for pair in dt_term.iter().filter(|(h, _)| *h == term).filter_map(|(_, v)| v.as_oid()) {
+            let doc = first(&dt_doc, pair).and_then(|v| v.as_oid()).unwrap();
+            let url = first(&d, doc).unwrap();
+            if candidates.is_some_and(|c| !c.contains(url.as_str().unwrap())) {
+                continue;
+            }
+            tuples += 1;
+            let tf = first(&tf, pair).and_then(|v| v.as_int()).unwrap_or(0);
+            let dl = first(&dl, doc).and_then(|v| v.as_int()).unwrap_or(0) as f64;
+            *scores.entry(doc).or_insert(0.0) += match idx.model() {
+                ScoreModel::TfIdf => tf as f64 * idf,
+                ScoreModel::Hiemstra { lambda } => {
+                    let norm = if dl > 0.0 { avg.max(1.0) / dl } else { 1.0 };
+                    (1.0 + (lambda / (1.0 - lambda)) * tf as f64 * idf * norm).ln()
+                }
+            };
+        }
+    }
+    let mut hits: Vec<(Oid, String, f64)> = scores
+        .into_iter()
+        .map(|(doc, score)| (doc, first(&d, doc).unwrap().as_str().unwrap().to_owned(), score))
+        .collect();
+    hits.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.1.cmp(&b.1)));
+    hits.truncate(k);
+    let hits = hits.into_iter().map(|(doc, url, score)| (doc, url, score.to_bits())).collect();
+    (hits, tuples, matched)
+}
+
+/// The kernel's answer in the oracle's shape (scores as bit patterns).
+fn kernel(
+    idx: &mut TextIndex,
+    text: &str,
+    k: usize,
+    candidates: Option<&HashSet<String>>,
+) -> (Vec<(Oid, String, u64)>, usize, usize) {
+    let (hits, work) = match candidates {
+        Some(c) => idx.query_restricted(text, k, c).unwrap(),
+        None => idx.query(text, k).unwrap(),
+    };
+    let hits = hits.into_iter().map(|h| (h.doc, h.url, h.score.to_bits())).collect();
+    (hits, work.tuples, work.matched_terms)
 }
 
 proptest! {
@@ -77,7 +204,7 @@ proptest! {
         let k = corpus.len() + 1;
         let mut idx = build(&corpus);
         let (flat, _) = idx.query("winner court serve", k).unwrap();
-        let frag = FragmentedIndex::build(&mut idx, nfrag).unwrap();
+        let frag = FragmentedIndex::build(&idx, nfrag).unwrap();
         let cut = frag.query_with_cutoff("winner court serve", k, nfrag);
         prop_assert!((cut.quality - 1.0).abs() < 1e-12);
         let sorted = |hits: &[ir::SearchHit]| {
@@ -97,8 +224,8 @@ proptest! {
 
     #[test]
     fn cutoff_quality_is_monotone_in_budget(corpus in arb_corpus()) {
-        let mut idx = build(&corpus);
-        let frag = FragmentedIndex::build(&mut idx, 4).unwrap();
+        let idx = build(&corpus);
+        let frag = FragmentedIndex::build(&idx, 4).unwrap();
         let mut prev = -1.0;
         for budget in 0..=4 {
             let r = frag.query_with_cutoff("tennis winner rally", 10, budget);
@@ -248,6 +375,77 @@ proptest! {
             let primary = d.route(url);
             prop_assert!(primary < target);
             prop_assert!(d.shard(primary).contains_url(url));
+        }
+    }
+    #[test]
+    fn the_kernel_matches_a_brute_force_oracle_over_the_relations(
+        ops in prop::collection::vec(arb_op(), 1..24),
+        hiemstra in any::<bool>(),
+    ) {
+        let model = if hiemstra {
+            ScoreModel::Hiemstra { lambda: 0.35 }
+        } else {
+            ScoreModel::TfIdf
+        };
+        let mut idx = TextIndex::new(model);
+        // URLs in an order unrelated to insertion order, one extra
+        // candidate that is never indexed.
+        let mut urls: Vec<String> = Vec::new();
+        let fresh_url = |urls: &mut Vec<String>| {
+            let url = format!("d{:03}", (urls.len() * 37 + 11) % 101);
+            urls.push(url.clone());
+            url
+        };
+        let final_check = Op::Check(vec![0, 1, 1, 10, 4], 3, None);
+        for op in ops.into_iter().chain([final_check]) {
+            match op {
+                Op::Index(words) => {
+                    let url = fresh_url(&mut urls);
+                    idx.index_document(&url, &words.join(" ")).unwrap();
+                }
+                Op::IndexBatch(docs) => {
+                    let batch: Vec<(String, String)> = docs
+                        .iter()
+                        .map(|words| (fresh_url(&mut urls), words.join(" ")))
+                        .collect();
+                    idx.index_documents(batch.iter().map(|(u, b)| (u.as_str(), b.as_str())))
+                        .unwrap();
+                }
+                Op::Commit => idx.commit().unwrap(),
+                Op::Migrate => {
+                    let mut copy = TextIndex::new(model);
+                    for doc in idx.export_documents().unwrap() {
+                        copy.import_document(&doc).unwrap();
+                    }
+                    idx = copy;
+                }
+                Op::Reopen => idx = TextIndex::restore(&idx.snapshot().unwrap()).unwrap(),
+                Op::GlobalDf(dfs) => {
+                    let global: HashMap<String, usize> = dfs
+                        .into_iter()
+                        .map(|(w, df)| (ir::porter_stem(word(w)), df))
+                        .collect();
+                    idx.apply_global_df(&global).unwrap();
+                }
+                Op::Check(words, k, restrict) => {
+                    let text = words.iter().map(|w| word(*w)).collect::<Vec<_>>().join(" ");
+                    let candidates: Option<HashSet<String>> = restrict.map(|keep| {
+                        urls.iter()
+                            .enumerate()
+                            .filter(|(i, _)| i % 3 == keep)
+                            .map(|(_, u)| u.clone())
+                            .chain((keep < 3).then(|| "never-indexed".to_owned()))
+                            .collect()
+                    });
+                    for k in [k, usize::MAX] {
+                        // The query publishes pending rows first, so the
+                        // oracle reads the relations after it.
+                        let got = kernel(&mut idx, &text, k, candidates.as_ref());
+                        let want = oracle(&idx, &text, k, candidates.as_ref());
+                        prop_assert_eq!(got, want, "query {:?} k {} within {:?}", text, k, candidates);
+                    }
+                }
+            }
         }
     }
 }

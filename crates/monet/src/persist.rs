@@ -630,8 +630,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// LEB128 unsigned varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as a LEB128 unsigned varint — the codec the snapshot
+/// columns use, public so derived in-memory structures (the text tier's
+/// posting lists) code their integers the same way.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -643,12 +646,32 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Decodes one LEB128 varint from `buf` at `*pos` and advances `*pos`
+/// past it. `None` when the buffer ends mid-value or the value runs
+/// past ten bytes.
+#[inline]
+pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in 0..10 {
+        let byte = *buf.get(*pos)?;
+        *pos += 1;
+        v |= u64::from(byte & 0x7f) << (7 * shift);
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 /// Zigzag maps signed to unsigned so small-magnitude deltas stay short.
-fn zigzag(v: i64) -> u64 {
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(v: u64) -> i64 {
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -687,15 +710,14 @@ impl<'a> Cursor<'a> {
 
     /// LEB128 unsigned varint, at most 10 bytes.
     fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in 0..10 {
-            let byte = self.u8()?;
-            v |= u64::from(byte & 0x7f) << (7 * shift);
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(Error::Snapshot("varint longer than 10 bytes".into()))
+        let start = self.pos;
+        get_varint(self.buf, &mut self.pos).ok_or_else(|| {
+            Error::Snapshot(if self.pos - start == 10 {
+                "varint longer than 10 bytes".into()
+            } else {
+                "truncated snapshot".into()
+            })
+        })
     }
 
     fn string(&mut self) -> Result<String> {

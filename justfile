@@ -5,9 +5,11 @@
 # pass over the perf benches (tiny workload, no JSON rewrite) so the
 # harness itself cannot rot, and the crash-recovery suite.
 verify:
+    just manifest-paths
     cargo build --release --offline
     cargo test --offline -q
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    just bench-e2e-smoke
     BENCH_SMOKE=1 cargo bench --offline -p bench --bench ingest
     BENCH_SMOKE=1 cargo bench --offline -p bench --bench query_cache
     just recovery-smoke
@@ -18,6 +20,37 @@ verify:
     just maintenance-smoke
     just control-smoke
     just slo-smoke
+
+# Every path a workspace manifest names — each member the `crates/*`
+# and `shims/*` globs pick up, each `path = "…"` dependency or target —
+# must be a file git tracks. A path that exists here but is ignored or
+# untracked builds on this machine and nowhere else (how the criterion
+# shim went missing from every clean clone).
+manifest-paths:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for manifest in Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml; do
+        git ls-files --error-unmatch "$manifest" > /dev/null
+        dir=$(dirname "$manifest")
+        for path in $(sed -n 's/.*path *= *"\([^"]*\)".*/\1/p' "$manifest"); do
+            target="$dir/$path"
+            if [ -d "$target" ]; then target="$target/Cargo.toml"; fi
+            git ls-files --error-unmatch "$target" > /dev/null \
+                || { echo "$manifest names $path, which git does not track" >&2; exit 1; }
+        done
+    done
+
+# dlbench, the end-to-end benchmark with per-layer attribution
+# (benchmark/README.md): every end-to-end metric of all four workloads.
+bench-e2e:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all
+
+# The benchmark's quick pass (small library, every workload once,
+# answers checked against the oracle and `benchmark/expected/*.digest`)
+# plus the harness's own tests.
+bench-e2e-smoke:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke
+    cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Crash-point recovery: the durability harness (WAL + snapshot fault
 # sweeps) plus a smoke pass of the E13 recovery bench.
