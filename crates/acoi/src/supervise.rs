@@ -876,8 +876,12 @@ mod tests {
 
     #[test]
     fn panicking_detector_is_reported_unavailable() {
+        // With `RUST_BACKTRACE=1` the panic first symbolises its
+        // backtrace, which on a cold run outlasts the 40 ms of
+        // `fast_config` and is then reported as a timeout instead.
         let sup = Supervisor::new(SupervisorConfig {
             max_retries: 0,
+            deadline: Duration::from_secs(5),
             ..fast_config()
         });
         let wrapped = sup.wrap("bomb", Box::new(|_| panic!("kaboom")));

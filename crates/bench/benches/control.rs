@@ -76,7 +76,7 @@ fn main() {
     let mut routing = Vec::new();
     for &replicas in replica_grid {
         let mut d = build(servers, replicas, docs);
-        let clean = ranking(&d.query_serial(QUERY, 10).expect("clean").hits);
+        let clean = ranking(&d.query_serial(QUERY, 10).hits);
 
         let measure = |d: &mut DistributedIndex, routing: ReadRouting| -> (f64, usize) {
             d.set_read_routing(routing);
@@ -117,7 +117,7 @@ fn main() {
     let replicas = if smoke { 1 } else { 2 };
     let mut d = build(servers, replicas, docs);
     d.set_obs(&obs_handle);
-    let clean = ranking(&d.query_serial(QUERY, 10).expect("clean").hits);
+    let clean = ranking(&d.query_serial(QUERY, 10).hits);
 
     let mut healthy_lat = Vec::new();
     for _ in 0..iters.max(16) {

@@ -81,7 +81,7 @@ fn main() {
         let mut parallel = Vec::new();
         for _ in 0..iters {
             let start = Instant::now();
-            let r = d.query_serial(QUERY, 10).expect("serial");
+            let r = d.query_serial(QUERY, 10);
             serial.push(start.elapsed().as_secs_f64() * 1e3);
             assert!(!r.hits.is_empty());
             let start = Instant::now();
@@ -89,7 +89,7 @@ fn main() {
             parallel.push(start.elapsed().as_secs_f64() * 1e3);
             assert!(!r.hits.is_empty());
         }
-        let work = d.query_serial(QUERY, 10).expect("work probe");
+        let work = d.query_serial(QUERY, 10);
         let tuples: Vec<usize> = work.per_shard_work.iter().map(|w| w.tuples).collect();
         let point = ScalePoint {
             servers,
@@ -112,7 +112,7 @@ fn main() {
     let mut failover = Vec::new();
     for &replicas in replica_grid {
         let mut d = build(failover_servers, replicas, docs);
-        let clean = ranking(&d.query_serial(QUERY, 10).expect("clean").hits);
+        let clean = ranking(&d.query_serial(QUERY, 10).hits);
 
         let mut healthy = Vec::new();
         for _ in 0..iters {
@@ -172,7 +172,7 @@ fn main() {
     // -- Rebalancing: split 2 → 3, merge 3 → 2, answers pinned. --
     let mut d = build(2, 1, docs);
     d.set_obs(&obs_handle);
-    let before = ranking(&d.query_serial(QUERY, 10).expect("before").hits);
+    let before = ranking(&d.query_serial(QUERY, 10).hits);
     let r = Rebalancer::new();
 
     let start = Instant::now();
@@ -180,7 +180,7 @@ fn main() {
     let split_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(split.shards_after, 3);
     assert_eq!(
-        ranking(&d.query_serial(QUERY, 10).expect("after split").hits),
+        ranking(&d.query_serial(QUERY, 10).hits),
         before,
         "the split must be invisible to ranking"
     );
@@ -190,7 +190,7 @@ fn main() {
     let merge_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(merge.shards_after, 2);
     assert_eq!(
-        ranking(&d.query_serial(QUERY, 10).expect("after merge").hits),
+        ranking(&d.query_serial(QUERY, 10).hits),
         before,
         "the merge must be invisible to ranking"
     );

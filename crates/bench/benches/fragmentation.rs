@@ -28,7 +28,7 @@ fn bench_fragmentation(c: &mut Criterion) {
     group.sample_size(30);
 
     let docs = if std::env::var("BENCH_SMOKE").is_ok() { 300 } else { 2000 };
-    let mut flat = build_index(docs);
+    let flat = build_index(docs);
     for fragments in [4usize, 16] {
         let index = FragmentedIndex::build(&flat, fragments).unwrap();
         // Budgets: everything, half, just the high-idf head.
@@ -48,7 +48,7 @@ fn bench_fragmentation(c: &mut Criterion) {
     // Unfragmented baseline.
     group.bench_function("unfragmented_full_scan", |b| {
         b.iter(|| {
-            let (hits, work) = flat.query(QUERY, 10).unwrap();
+            let (hits, work) = flat.query(QUERY, 10);
             (work.tuples, hits.len())
         })
     });

@@ -2,8 +2,8 @@
 //!
 //! Times the flagship integrated query three ways on the same engine:
 //! with observability disabled (the default — no clock reads, no
-//! recording), with metrics and spans enabled, and through
-//! `query_traced` (full EXPLAIN ANALYZE assembly plus slow-log offer).
+//! recording), with metrics and spans enabled, and with
+//! `QueryOptions::trace` (full EXPLAIN ANALYZE assembly plus slow-log offer).
 //! Every variant must return byte-identical answers; the deltas are
 //! the layer's overhead. One `metrics_text()` scrape is timed too.
 //! Results land in `BENCH_obs.json` at the repository root.
@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use dlsearch::qlang;
+use dlsearch::{qlang, QueryOptions};
 use obs::report::{BenchReport, Json};
 use obs::Obs;
 
@@ -68,10 +68,14 @@ fn main() {
 
     // Traced: the full EXPLAIN ANALYZE path.
     let mut traced = Vec::new();
+    let opts = QueryOptions {
+        trace: true,
+        ..QueryOptions::default()
+    };
     for _ in 0..iters {
         engine.invalidate_query_cache();
         let start = Instant::now();
-        let out = engine.query_traced(&query).expect("traced query");
+        let out = engine.execute(&query, &opts).expect("traced query");
         traced.push(start.elapsed().as_secs_f64() * 1e6);
         assert_eq!(out.hits, reference, "tracing changed the answer");
         assert!(out.trace.is_some(), "enabled engine must collect a trace");

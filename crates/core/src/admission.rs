@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use faults::Budget;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, QueryOptions, TextQueryStatus};
 use crate::error::{Error, Result};
 use crate::query::{EngineHit, EngineQuery};
 
@@ -52,9 +52,10 @@ pub enum Priority {
 }
 
 /// The degradation ladder, in escalation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OverloadLevel {
     /// Nominal: full-fidelity answers.
+    #[default]
     Healthy,
     /// Queueing has started: answers still full-fidelity, but served
     /// from the answer cache whenever the epoch check allows it.
@@ -545,8 +546,9 @@ impl Drop for Permit {
 }
 
 /// One query answer with its honesty metadata: the hits, the ladder
-/// rung they were computed at, an estimated quality in `(0, 1]` and
-/// human-readable notes for every fidelity cut that was taken.
+/// rung they were computed at, an estimated quality in `(0, 1]`,
+/// human-readable notes for every fidelity cut that was taken, and how
+/// the text retrieval behind it went.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The (possibly truncated) answer.
@@ -559,6 +561,24 @@ pub struct QueryOutcome {
     pub level: OverloadLevel,
     /// One note per fidelity cut (empty for full-fidelity answers).
     pub degraded: Vec<String>,
+    /// Shard status of the ranked text retrieval behind the answer;
+    /// `None` for a query without a text part.
+    pub text: Option<TextQueryStatus>,
+    /// The measured phase tree (wall time, work units, outcome,
+    /// per-shard children) when [`QueryOptions::trace`] asked for it;
+    /// `None` otherwise and when observability is disabled.
+    pub trace: Option<obs::TraceNode>,
+}
+
+impl QueryOutcome {
+    /// Renders the trace as an EXPLAIN ANALYZE-style report.
+    pub fn explain_analyze(&self) -> String {
+        match &self.trace {
+            Some(t) => format!("EXPLAIN ANALYZE\n{}", t.render()),
+            None => "EXPLAIN ANALYZE\n(no trace collected: not requested, or observability disabled)\n"
+                .to_owned(),
+        }
+    }
 }
 
 /// The concurrent front door: a shared engine behind an admission
@@ -622,8 +642,12 @@ impl QueryService {
         budget: &Budget,
     ) -> Result<QueryOutcome> {
         let permit = self.gate.admit(priority)?;
-        let level = self.gate.level();
-        let outcome = self.engine().query_degraded(q, budget, level);
+        let opts = QueryOptions {
+            budget: Some(budget),
+            level: self.gate.level(),
+            trace: false,
+        };
+        let outcome = self.engine().execute(q, &opts);
         drop(permit);
         outcome
     }

@@ -11,8 +11,9 @@
 //!   the FDE, whose parse tree lands in the meta-index.
 //! * **Maintaining** — [`Engine::upgrade_detector`] delegates to the FDS:
 //!   incremental re-parses with memoised detector outputs.
-//! * **Querying** — [`Engine::query`] combines conceptual selection,
-//!   ranked text retrieval and media-event evidence into one answer.
+//! * **Querying** — [`Engine::execute`] (and [`Engine::query`], its
+//!   hits alone) combines conceptual selection, ranked text retrieval
+//!   and media-event evidence into one answer.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -158,9 +159,6 @@ pub struct Engine {
     text: ir::DistributedIndex,
     meta: MetaIndex,
     fds: Fds,
-    /// Shard status of the last text retrieval, for degraded-plan
-    /// reporting. `None` until a text query ran.
-    last_text_status: Option<TextQueryStatus>,
     /// Lazily computed media evidence per analysed location: the shot
     /// list and per-event verdicts. Loading a stored parse tree means
     /// reconstructing it from the Monet relations, so repeated queries
@@ -359,9 +357,9 @@ struct CachedAnswer {
     /// `(views, meta, text)` store epochs at compute time.
     epochs: (u64, u64, u64),
     hits: Vec<EngineHit>,
-    /// The [`TextQueryStatus`] the answer was produced with, restored
-    /// on a cache hit so degraded-plan reporting stays consistent.
-    text_status: Option<TextQueryStatus>,
+    /// The [`TextQueryStatus`] the answer was produced with; a cache
+    /// hit reports it again.
+    text: Option<TextQueryStatus>,
 }
 
 impl QueryCache {
@@ -475,8 +473,9 @@ impl MediaUndo {
     }
 }
 
-/// Shard status of the most recent text retrieval: how distributed (and
-/// how degraded) the ranking behind the current answer was.
+/// Shard status of the text retrieval behind an answer: how distributed
+/// (and how degraded) the ranking was. Travels in
+/// [`QueryOutcome::text`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextQueryStatus {
     /// Text servers whose local ranking made it into the merge.
@@ -499,27 +498,16 @@ pub struct TextQueryStatus {
     pub routed: bool,
 }
 
-/// One traced query: the answer plus the measured EXPLAIN ANALYZE
-/// tree, from [`Engine::query_traced`].
-#[derive(Debug, Clone)]
-pub struct QueryTrace {
-    /// The answer, identical to what [`Engine::query`] returns.
-    pub hits: Vec<EngineHit>,
-    /// The phase tree (wall time, work units, outcome, per-shard
-    /// children). `None` when observability is disabled.
-    pub trace: Option<obs::TraceNode>,
-}
-
-impl QueryTrace {
-    /// Renders the trace as an EXPLAIN ANALYZE-style report.
-    pub fn render(&self) -> String {
-        match &self.trace {
-            Some(t) => format!("EXPLAIN ANALYZE\n{}", t.render()),
-            None => {
-                "EXPLAIN ANALYZE\n(observability disabled: no trace collected)\n".to_owned()
-            }
-        }
-    }
+/// The per-call parameters of [`Engine::execute`]. The default is an
+/// unlimited budget, full fidelity and no trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryOptions<'a> {
+    /// The end-to-end budget; `None` is unlimited.
+    pub budget: Option<&'a Budget>,
+    /// The rung of the degradation ladder to answer at.
+    pub level: OverloadLevel,
+    /// Whether to collect the EXPLAIN ANALYZE phase tree.
+    pub trace: bool,
 }
 
 impl Engine {
@@ -550,7 +538,6 @@ impl Engine {
             text,
             meta: MetaIndex::new(),
             fds,
-            last_text_status: None,
             media_cache: HashMap::new(),
             faults_active,
             query_cache: QueryCache::new(QUERY_CACHE_CAPACITY),
@@ -916,11 +903,6 @@ impl Engine {
     /// Mutable full-text index access (deadline / fault-plan knobs).
     pub fn text_index_mut(&mut self) -> &mut ir::DistributedIndex {
         &mut self.text
-    }
-
-    /// Shard status of the last text retrieval, if any ran.
-    pub fn last_text_status(&self) -> Option<&TextQueryStatus> {
-        self.last_text_status.as_ref()
     }
 
     /// Per-shard-group health of the text tier — document counts,
@@ -1402,8 +1384,10 @@ impl Engine {
 
     /// Renders the evaluation plan of a query as text — how the query
     /// "breaks down to structured database searches" at the physical
-    /// layer.
-    pub fn explain(&self, q: &EngineQuery) -> String {
+    /// layer. With the outcome of an execution of `q` in `last`, the
+    /// plan is annotated with how its text retrieval went (READ-ROUTE /
+    /// FAILOVER / DEGRADED).
+    pub fn explain(&self, q: &EngineQuery, last: Option<&QueryOutcome>) -> String {
         let mut out = String::new();
         let mut step = 1usize;
         let mut push = |out: &mut String, line: String| {
@@ -1444,7 +1428,7 @@ impl Engine {
                     ),
                 );
             }
-            if let Some(st) = &self.last_text_status {
+            if let Some(st) = last.and_then(|o| o.text.as_ref()) {
                 if st.routed || st.served_by.iter().flatten().any(|&c| c != 0) {
                     let route: Vec<String> = st
                         .served_by
@@ -1513,42 +1497,68 @@ impl Engine {
         out
     }
 
-    /// Executes an integrated query.
+    /// Executes an integrated query with the default [`QueryOptions`]
+    /// and returns the hits alone.
+    pub fn query(&mut self, q: &EngineQuery) -> Result<Vec<EngineHit>> {
+        self.execute(q, &QueryOptions::default()).map(|o| o.hits)
+    }
+
+    /// Executes an integrated query — the one path every caller takes.
+    /// What varies per call is in `opts`:
+    ///
+    /// * **budget** — a wall-clock deadline, a work allowance or a
+    ///   cancellation flag, checked at loop granularity in every layer
+    ///   (conceptual join expansion, text scatter-gather, physical
+    ///   tuple scans, media-tree reconstruction). On expiry the query
+    ///   returns a typed [`Error::DeadlineExceeded`] whose
+    ///   [`PartialProgress`] says which stage was cut and how far it
+    ///   got.
+    /// * **level** — the rung of the degradation ladder to answer at.
+    ///   `Healthy` / `Pressured` evaluate at full fidelity. `Brownout`
+    ///   / `Shedding` evaluate the browned-out plan: the text ranking's
+    ///   top-N and the result limit are halved, and the media-event
+    ///   refinement — the most expensive stage, every candidate's parse
+    ///   tree reconstructed from the physical store — is skipped. Each
+    ///   cut is a note in [`QueryOutcome::degraded`] and is priced into
+    ///   [`QueryOutcome::quality`], which also folds in the text
+    ///   layer's shard survival (a degraded distributed ranking is a
+    ///   quality loss whatever the ladder says).
+    /// * **trace** — collect the measured EXPLAIN ANALYZE phase tree
+    ///   into [`QueryOutcome::trace`] and offer it to the slow-query
+    ///   log. Changes no answer; `None` when observability is disabled.
     ///
     /// Answers are cached under an epoch-keyed LRU: the key combines
     /// the normalized query (stemmed text terms, so `"winner"` and
     /// `"Winner"` share an entry) with the `(views, meta, text)` store
     /// epochs, and every mutation — populate, maintenance, source
-    /// refresh — bumps an epoch and clears the cache. Fault-injected
-    /// engines bypass the cache entirely: injection draws advance per
-    /// call, so a replayed answer would freeze the failure dynamics.
-    pub fn query(&mut self, q: &EngineQuery) -> Result<Vec<EngineHit>> {
-        self.query_budgeted(q, &Budget::unlimited())
-    }
-
-    /// [`Engine::query`] under an end-to-end budget: a wall-clock
-    /// deadline, a work budget, or a cancellation flag, checked at loop
-    /// granularity in every layer — conceptual join expansion, text
-    /// scatter-gather, physical tuple scans, media-tree reconstruction.
+    /// refresh — bumps an epoch and clears the cache. The cache is
+    /// consulted, and filled, only when no fault plan is wired in
+    /// (injection draws advance per call, so a replayed answer would
+    /// freeze the failure dynamics), the budget is unlimited (a limited
+    /// run must not publish possibly partial work) and the level is
+    /// below `Brownout` (degraded answers are never cached).
     ///
-    /// On expiry the query returns a typed [`Error::DeadlineExceeded`]
-    /// whose [`PartialProgress`] says which stage was cut and how far it
-    /// got, and the engine is left exactly as if the query never ran:
-    /// no answer is cached, memoised media evidence gathered by the
-    /// cancelled run is rolled back, and the last-text-status report is
-    /// restored. An unlimited budget is the plain [`Engine::query`]
-    /// path, byte for byte — same cache, same answers.
-    pub fn query_budgeted(&mut self, q: &EngineQuery, budget: &Budget) -> Result<Vec<EngineHit>> {
+    /// A failed query leaves the engine as if it never ran: nothing is
+    /// cached and the media evidence it memoised is rolled back.
+    pub fn execute(&mut self, q: &EngineQuery, opts: &QueryOptions) -> Result<QueryOutcome> {
+        let unlimited = Budget::unlimited();
+        let budget = opts.budget.unwrap_or(&unlimited);
+        if opts.trace {
+            self.obs.begin_trace();
+        }
         if let Some(m) = &self.metrics {
             m.queries.inc();
         }
         let mut sp = self.obs.span("engine.query");
-        let out = self.query_budgeted_inner(q, budget);
+        let mut out = self.answer(q, budget, opts.level);
         match &out {
-            Ok(hits) => {
-                sp.add_work(hits.len() as u64);
-                if self.last_text_status.as_ref().is_some_and(|s| s.shards_failed > 0) {
+            Ok(outcome) => {
+                sp.add_work(outcome.hits.len() as u64);
+                if !outcome.degraded.is_empty() {
                     sp.set_outcome(obs::Outcome::Degraded);
+                    if let Some(m) = &self.metrics {
+                        m.degraded_answers.inc();
+                    }
                 }
             }
             Err(Error::DeadlineExceeded { .. }) => {
@@ -1559,146 +1569,80 @@ impl Engine {
             }
             Err(_) => sp.set_outcome(obs::Outcome::Degraded),
         }
+        drop(sp);
+        if opts.trace {
+            let trace = self.obs.take_trace();
+            if let Some(t) = &trace {
+                self.obs.offer_slow(cache_key(q), t);
+            }
+            if let Ok(outcome) = &mut out {
+                outcome.trace = trace;
+            }
+        }
         out
     }
 
-    fn query_budgeted_inner(&mut self, q: &EngineQuery, budget: &Budget) -> Result<Vec<EngineHit>> {
-        if self.faults_active || !budget.is_unlimited() {
-            // Fault-injected runs must replay the failure dynamics;
-            // budget-limited runs must not publish (possibly partial)
-            // work into the shared answer cache. Both bypass it.
-            return self.query_uncached_budgeted(q, budget);
-        }
-        let key = cache_key(q);
-        let epochs = self.store_epochs();
-        if let Some(answer) = self.query_cache.lookup(&key, epochs) {
-            if let Some(m) = &self.metrics {
-                m.cache_hits.inc();
-            }
-            self.obs.annotate(|| "cache=hit".to_owned());
-            self.last_text_status = answer.text_status;
-            return Ok(answer.hits);
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_misses.inc();
-        }
-        self.obs.annotate(|| "cache=miss".to_owned());
-        let hits = self.query_uncached_budgeted(q, budget)?;
-        self.query_cache.insert(
-            key,
-            CachedAnswer {
-                epochs,
-                hits: hits.clone(),
-                text_status: self.last_text_status.clone(),
-            },
-        );
-        Ok(hits)
-    }
-
-    /// Executes `q` at the fidelity the degradation ladder asks for.
-    ///
-    /// * `Healthy` / `Pressured` — the full-fidelity path (Pressured
-    ///   changes nothing about evaluation; the answer cache, consulted
-    ///   on every unlimited-budget query, is what absorbs the repeat
-    ///   traffic).
-    /// * `Brownout` / `Shedding` — the browned-out plan: the text
-    ///   ranking's top-N and the result limit are halved, and the
-    ///   media-event refinement — the most expensive stage, every
-    ///   candidate's parse tree reconstructed from the physical store —
-    ///   is skipped. Each cut is recorded in
-    ///   [`QueryOutcome::degraded`] and priced into
-    ///   [`QueryOutcome::quality`], so a browned-out answer is honest
-    ///   about what it is. Degraded answers are never cached.
-    ///
-    /// The quality stamp also folds in the text layer's shard survival
-    /// (a degraded distributed ranking is a quality loss whatever the
-    /// ladder says).
-    pub fn query_degraded(
+    /// Plans, consults the answer cache, evaluates and stamps: what
+    /// [`Engine::execute`] wraps in its span and counters.
+    fn answer(
         &mut self,
         q: &EngineQuery,
         budget: &Budget,
         level: OverloadLevel,
     ) -> Result<QueryOutcome> {
-        if level < OverloadLevel::Brownout {
-            let hits = self.query_budgeted(q, budget)?;
-            let quality = self
-                .last_text_status
-                .as_ref()
-                .map(|s| s.quality)
-                .unwrap_or(1.0);
-            let degraded = match &self.last_text_status {
-                Some(s) if s.shards_failed > 0 => vec![format!(
-                    "DEGRADED: {} of {} text servers answered",
-                    s.shards_ok,
-                    s.shards_ok + s.shards_failed
-                )],
-                _ => Vec::new(),
-            };
-            if !degraded.is_empty() {
-                if let Some(m) = &self.metrics {
-                    m.degraded_answers.inc();
-                }
-            }
-            return Ok(QueryOutcome {
-                hits,
-                quality,
-                level,
-                degraded,
-            });
-        }
-
-        let mut plan = q.clone();
         let mut quality = 1.0_f64;
         let mut degraded = Vec::new();
-        if let Some(text) = &mut plan.text {
-            let wanted = text.top_n;
-            text.top_n = (wanted / 2).max(1);
-            if text.top_n < wanted {
-                quality *= text.top_n as f64 / wanted as f64;
-                degraded.push(format!(
-                    "DEGRADED: text ranking truncated to top-{} (asked top-{wanted})",
-                    text.top_n
-                ));
-            }
-        }
-        let wanted_limit = plan.limit;
-        plan.limit = (wanted_limit / 2).max(1);
-        if plan.limit < wanted_limit {
-            degraded.push(format!(
-                "DEGRADED: result limit cut to {} (asked {wanted_limit})",
-                plan.limit
-            ));
-        }
-        if plan.media.take().is_some() {
-            quality *= 0.5;
-            degraded.push(
-                "DEGRADED: media-event refinement skipped (candidates unverified)".to_owned(),
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.queries.inc();
-        }
-        let mut sp = self.obs.span("engine.query");
-        sp.note(|| format!("brownout plan at {level:?}"));
-        let hits = match self.query_uncached_budgeted(&plan, budget) {
-            Ok(hits) => hits,
-            Err(e) => {
-                sp.set_outcome(match &e {
-                    Error::DeadlineExceeded { .. } => obs::Outcome::Deadline,
-                    _ => obs::Outcome::Degraded,
-                });
-                if matches!(e, Error::DeadlineExceeded { .. }) {
-                    if let Some(m) = &self.metrics {
-                        m.query_deadlines.inc();
-                    }
+        let browned_out;
+        let plan = if level >= OverloadLevel::Brownout {
+            self.obs.annotate(|| format!("brownout plan at {level:?}"));
+            browned_out = brownout_plan(q, &mut quality, &mut degraded);
+            &browned_out
+        } else {
+            q
+        };
+
+        let cacheable =
+            !self.faults_active && budget.is_unlimited() && level < OverloadLevel::Brownout;
+        let slot = cacheable.then(|| (cache_key(q), self.store_epochs()));
+        let cached = slot
+            .as_ref()
+            .and_then(|(key, epochs)| self.query_cache.lookup(key, *epochs));
+        let (hits, text) = match cached {
+            Some(answer) => {
+                if let Some(m) = &self.metrics {
+                    m.cache_hits.inc();
                 }
-                return Err(e);
+                self.obs.annotate(|| "cache=hit".to_owned());
+                (answer.hits, answer.text)
+            }
+            None => {
+                if cacheable {
+                    if let Some(m) = &self.metrics {
+                        m.cache_misses.inc();
+                    }
+                    self.obs.annotate(|| "cache=miss".to_owned());
+                }
+                let mut undo = MediaUndo::default();
+                let evaluated = self.evaluate(plan, budget, &mut undo);
+                if evaluated.is_err() {
+                    undo.apply(&mut self.media_cache);
+                }
+                let (hits, text) = evaluated?;
+                if let Some((key, epochs)) = slot {
+                    self.query_cache.insert(
+                        key,
+                        CachedAnswer {
+                            epochs,
+                            hits: hits.clone(),
+                            text: text.clone(),
+                        },
+                    );
+                }
+                (hits, text)
             }
         };
-        sp.add_work(hits.len() as u64);
-        sp.set_outcome(obs::Outcome::Degraded);
-        drop(sp);
-        if let Some(status) = &self.last_text_status {
+
+        if let Some(status) = &text {
             quality *= status.quality;
             if status.shards_failed > 0 {
                 degraded.push(format!(
@@ -1708,33 +1652,14 @@ impl Engine {
                 ));
             }
         }
-        if !degraded.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.degraded_answers.inc();
-            }
-        }
         Ok(QueryOutcome {
             hits,
             quality,
             level,
             degraded,
+            text,
+            trace: None,
         })
-    }
-
-    /// [`Engine::query`] with EXPLAIN ANALYZE: the same answer (same
-    /// cache, same evaluation path), plus the measured phase tree —
-    /// which stages ran, how long each took, how much work each did,
-    /// which text shards answered. The trace is also offered to the
-    /// slow-query log. With observability disabled the query runs
-    /// exactly as untraced and the trace is `None`.
-    pub fn query_traced(&mut self, q: &EngineQuery) -> Result<QueryTrace> {
-        self.obs.begin_trace();
-        let out = self.query(q);
-        let trace = self.obs.take_trace();
-        if let Some(t) = &trace {
-            self.obs.offer_slow(cache_key(q), t);
-        }
-        Ok(QueryTrace { hits: out?, trace })
     }
 
     /// Hit/miss counters of the query-answer cache since engine
@@ -1759,41 +1684,15 @@ impl Engine {
         )
     }
 
-    /// The uncached execution path, with cancellation hygiene: when the
-    /// budget is limited, any error restores the engine's query-visible
-    /// state — memoised media evidence, the last-text-status report —
-    /// to what it was before the call, so a cancelled query is
-    /// indistinguishable from one that never ran. (Unlimited budgets
-    /// keep the historical behaviour: partial memoisation survives an
-    /// error, which is harmless because nothing partial is derived from
-    /// a *failed* unlimited query either.)
-    pub(crate) fn query_uncached_budgeted(
-        &mut self,
-        q: &EngineQuery,
-        budget: &Budget,
-    ) -> Result<Vec<EngineHit>> {
-        let saved_status = if budget.is_unlimited() {
-            None
-        } else {
-            Some(self.last_text_status.clone())
-        };
-        let mut undo = MediaUndo::default();
-        let out = self.query_core(q, budget, &mut undo);
-        if out.is_err() {
-            if let Some(saved) = saved_status {
-                self.last_text_status = saved;
-                undo.apply(&mut self.media_cache);
-            }
-        }
-        out
-    }
-
-    fn query_core(
+    /// The three stages of the plan — conceptual selection, ranked text,
+    /// media refinement — with nothing cached: the hits and the status
+    /// of the text retrieval behind them (`None` without a text part).
+    fn evaluate(
         &mut self,
         q: &EngineQuery,
         budget: &Budget,
         undo: &mut MediaUndo,
-    ) -> Result<Vec<EngineHit>> {
+    ) -> Result<(Vec<EngineHit>, Option<TextQueryStatus>)> {
         // A budget that is already spent (or cancelled) fails before
         // any work: the admission phase.
         budget.check().map_err(|cause| Error::DeadlineExceeded {
@@ -1827,26 +1726,21 @@ impl Engine {
         //    choice: global ranking merged afterwards, or ranking
         //    restricted a-priori to the conceptual candidates.
         let mut scores: Option<HashMap<String, f64>> = None;
-        if q.text.is_none() {
-            self.last_text_status = None;
-        }
+        let mut status = None;
         if let Some(text) = &q.text {
             let mut sp = self.obs.span("engine.query.text");
-            let queried = if text.rank_within {
-                let candidates: std::collections::HashSet<String> = rows
-                    .iter()
+            let candidates: Option<HashSet<String>> = text.rank_within.then(|| {
+                rows.iter()
                     .filter_map(|r| r.chain.first())
                     .map(|id| text_doc_key(id, &text.attr))
-                    .collect();
-                self.text
-                    .query_restricted_budgeted(&text.query, text.top_n, &candidates, budget)
-            } else {
-                // Parallel, isolated evaluation: failed servers drop
-                // out and the merge ranks the survivors; the per-shard
-                // deadline shrinks to the budget's remaining window.
-                self.text
-                    .query_parallel_budgeted(&text.query, text.top_n, budget)
-            };
+                    .collect()
+            });
+            // Isolated evaluation: failed servers drop out and the
+            // merge ranks the survivors; the per-shard deadline shrinks
+            // to the budget's remaining window.
+            let queried = self
+                .text
+                .search(&text.query, text.top_n, candidates.as_ref(), budget);
             let result = match queried {
                 Ok(r) => r,
                 Err(e) => {
@@ -1868,18 +1762,8 @@ impl Engine {
                     format!("replica failovers={failovers} shards_failed={failed}")
                 });
             }
-            self.last_text_status = Some(TextQueryStatus {
-                shards_ok: result.shards_ok,
-                shards_failed: result.shards_failed,
-                failed_shards: result.failed_shards.clone(),
-                failovers: result.failovers,
-                quality: result.quality,
-                served_by: result.served_by.clone(),
-                routed: self.text.read_routing() == ir::ReadRouting::RoundRobin,
-            });
-            let hits = result.hits;
             let mut map = HashMap::new();
-            for hit in hits {
+            for hit in result.hits {
                 if let Some((object_id, attr)) = split_text_doc_key(&hit.url) {
                     if attr == text.attr {
                         map.insert(object_id.to_owned(), hit.score);
@@ -1887,6 +1771,16 @@ impl Engine {
                 }
             }
             scores = Some(map);
+            status = Some(TextQueryStatus {
+                shards_ok: result.shards_ok,
+                shards_failed: result.shards_failed,
+                failed_shards: result.failed_shards,
+                failovers: result.failovers,
+                quality: result.quality,
+                served_by: result.served_by,
+                routed: self.text.read_routing() == ir::ReadRouting::RoundRobin
+                    && self.text.replication() > 0,
+            });
         }
 
         // 3. Media evidence on the final class.
@@ -1897,10 +1791,10 @@ impl Engine {
             Err(Error::DeadlineExceeded { .. }) => sp.set_outcome(obs::Outcome::Deadline),
             Err(_) => sp.set_outcome(obs::Outcome::Degraded),
         }
-        out
+        out.map(|hits| (hits, status))
     }
 
-    /// Step 3 of [`Engine::query_core`]: walks every conceptual
+    /// Step 3 of [`Engine::evaluate`]: walks every conceptual
     /// candidate, attaches its text score, verifies the media event
     /// against the stored parse tree (memoised), then ranks and
     /// truncates the answer.
@@ -2305,6 +2199,39 @@ impl Engine {
             .record_event("maintenance", move || format!("abort detector={detector}"));
         Ok(())
     }
+}
+
+/// The browned-out plan of `q`: the text ranking's top-N and the result
+/// limit halved, the media-event refinement dropped. Every cut taken is
+/// noted in `degraded` and priced into `quality`.
+fn brownout_plan(q: &EngineQuery, quality: &mut f64, degraded: &mut Vec<String>) -> EngineQuery {
+    let mut plan = q.clone();
+    if let Some(text) = &mut plan.text {
+        let wanted = text.top_n;
+        text.top_n = (wanted / 2).max(1);
+        if text.top_n < wanted {
+            *quality *= text.top_n as f64 / wanted as f64;
+            degraded.push(format!(
+                "DEGRADED: text ranking truncated to top-{} (asked top-{wanted})",
+                text.top_n
+            ));
+        }
+    }
+    let wanted_limit = plan.limit;
+    plan.limit = (wanted_limit / 2).max(1);
+    if plan.limit < wanted_limit {
+        degraded.push(format!(
+            "DEGRADED: result limit cut to {} (asked {wanted_limit})",
+            plan.limit
+        ));
+    }
+    if plan.media.take().is_some() {
+        *quality *= 0.5;
+        degraded.push(
+            "DEGRADED: media-event refinement skipped (candidates unverified)".to_owned(),
+        );
+    }
+    plan
 }
 
 /// Normalizes a query into its cache key. Text terms go through the

@@ -69,7 +69,7 @@ pub use admission::{
 };
 pub use control::{ControlOutcome, ControlPlane};
 pub use engine::{
-    Engine, EngineConfig, PopulateOptions, PopulateReport, QueryTrace, StageTimings,
+    Engine, EngineConfig, PopulateOptions, PopulateReport, QueryOptions, StageTimings,
     TextQueryStatus,
 };
 pub use error::{Error, PartialProgress, Result};

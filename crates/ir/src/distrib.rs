@@ -14,8 +14,10 @@
 //! rankings into a large ranking".
 //!
 //! Each logical server is a full [`TextIndex`] over its slice of the
-//! collection (shared-nothing: no cross-server state). The parallel
-//! evaluation path runs one scoped thread per server copy.
+//! collection (shared-nothing: no cross-server state). There is one
+//! scatter-gather, [`DistributedIndex::search`], which runs one scoped
+//! thread per consulted server copy; reads see the state the last
+//! [`DistributedIndex::commit`] published and never publish themselves.
 //!
 //! # Routing
 //!
@@ -31,8 +33,8 @@
 //! [`DistributedIndex::with_replication`] gives every shard group `R`
 //! replicas placed on the *next* `R` distinct virtual servers (so a
 //! whole-server loss never takes out every copy of a group). Writes fan
-//! out to all copies; under the default [`ReadRouting::Primary`] the
-//! parallel query path asks every copy and prefers the primary's
+//! out to all copies; under the default [`ReadRouting::Primary`] a
+//! query asks every copy and prefers the primary's
 //! answer, failing over to the lowest-numbered live replica — within
 //! the same collection window — before ever degrading the merge.
 //! [`DistributedResult::failovers`] counts how many groups were rescued
@@ -75,7 +77,7 @@
 //!
 //! Shared-nothing distribution also means shared-nothing *failure*: a
 //! server can crash, hang or answer garbage without taking the others
-//! down, so the central node must not either. [`query_parallel`]
+//! down, so the central node must not either. [`search`]
 //! isolates every server — panics are caught, answers are collected
 //! with a deadline — and merges whatever survived. The
 //! [`DistributedResult`] reports how many groups answered
@@ -93,10 +95,11 @@
 //! `migrate:shard:<group>`. [`fault_labels_for_server`] enumerates
 //! every label a whole-server kill must cover.
 //!
-//! [`query_parallel`]: DistributedIndex::query_parallel
+//! [`search`]: DistributedIndex::search
 //! [`Rebalancer`]: crate::rebalance::Rebalancer
 //! [`fault_labels_for_server`]: DistributedIndex::fault_labels_for_server
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -128,7 +131,7 @@ pub const WAL_OP_LAYOUT: u8 = 1;
 /// decision is on the durable record.
 pub const WAL_OP_CONTROL: u8 = 2;
 
-/// How the parallel query path routes each group's read.
+/// How [`DistributedIndex::search`] routes each group's read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadRouting {
     /// Ask every copy, prefer the primary's answer (the replication
@@ -141,7 +144,7 @@ pub enum ReadRouting {
     RoundRobin,
 }
 
-/// How many recent parallel-query critical paths feed
+/// How many recent query critical paths feed
 /// [`DistributedIndex::observed_shard_p99`].
 const SLOW_RING: usize = 64;
 
@@ -177,7 +180,7 @@ pub struct DistributedIndex {
     copy_health: Vec<Vec<bool>>,
     /// Epoch stamped on the primaries by the last layout cutover.
     last_cutover_epoch: u64,
-    /// Read-routing mode of the parallel path.
+    /// Read-routing mode.
     read_routing: ReadRouting,
     /// Per-group rotation cursor for [`ReadRouting::RoundRobin`].
     route_cursor: Vec<usize>,
@@ -193,14 +196,13 @@ pub struct DistributedIndex {
     /// copy `c` of group `g`. Reset to zero by a successful answer (or
     /// a re-replication replacing the copy); feeds loss declaration.
     copy_fail_streak: Vec<Vec<u32>>,
-    /// Ring of the most recent parallel-query critical paths (slowest
+    /// Ring of the most recent query critical paths (slowest
     /// shard per query), feeding the control plane's p99 trigger.
     recent_slow: std::collections::VecDeque<Duration>,
 }
 
-/// Metric handles for the scatter-gather layer. Every evaluation path
-/// (serial, restricted, parallel) reports through [`record_result`],
-/// so shard health is visible regardless of how the query ran.
+/// Metric handles for the scatter-gather layer. The scatter-gather and
+/// the serial reference both report through [`record_result`].
 ///
 /// [`record_result`]: DistributedIndex::record_result
 #[derive(Debug, Clone)]
@@ -292,7 +294,7 @@ impl IrMetrics {
 
 /// Health of one shard group, in the style of
 /// `Supervisor::detector_health`: a point-in-time snapshot of the last
-/// parallel query's copy liveness plus the group's durable identity.
+/// query's copy liveness plus the group's durable identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardHealth {
     /// Group index (== the primary's virtual host).
@@ -302,7 +304,7 @@ pub struct ShardHealth {
     /// Configured replicas per group.
     pub replicas: usize,
     /// Copies (out of `1 + replicas`) that answered the most recent
-    /// parallel query; `1 + replicas` when no parallel query ran yet.
+    /// query; `1 + replicas` when no query ran yet.
     pub healthy_copies: usize,
     /// Whether the primary itself answered that query.
     pub primary_healthy: bool,
@@ -335,13 +337,13 @@ pub struct DistributedResult {
     pub quality: f64,
     /// Wall-clock time each group's chosen copy took to answer (shard
     /// order). A group that never answered reports the full collection
-    /// window it was given; serial evaluations report the per-shard
+    /// window it was given; the serial reference reports the per-shard
     /// measurement. The brownout controller consumes these to spot
     /// slow-but-alive servers before they start missing deadlines.
     pub shard_elapsed: Vec<Duration>,
     /// Which copy (0 = primary) served each group's answer, in shard
-    /// order; `None` marks a group no copy answered for. Serial paths
-    /// always read the primary. Like `shard_elapsed`, this is excluded
+    /// order; `None` marks a group no copy answered for. The serial
+    /// reference always reads the primary. Like `shard_elapsed`, this is excluded
     /// from equality: routing is an execution detail, never part of the
     /// answer.
     pub served_by: Vec<Option<usize>>,
@@ -563,7 +565,7 @@ impl DistributedIndex {
         labels
     }
 
-    /// Selects how the parallel path routes group reads (default
+    /// Selects how queries route group reads (default
     /// [`ReadRouting::Primary`]). Routing never changes what a query
     /// answers, only which copy does the work.
     pub fn set_read_routing(&mut self, routing: ReadRouting) {
@@ -611,9 +613,9 @@ impl DistributedIndex {
             .collect()
     }
 
-    /// The 99th percentile of the last [`SLOW_RING`] parallel-query
+    /// The 99th percentile of the last [`SLOW_RING`] query
     /// critical paths (slowest shard per query) — the control plane's
-    /// latency trigger. Zero until a parallel query has run.
+    /// latency trigger. Zero until a query has run.
     pub fn observed_shard_p99(&self) -> Duration {
         if self.recent_slow.is_empty() {
             return Duration::ZERO;
@@ -623,7 +625,7 @@ impl DistributedIndex {
         paths[(paths.len() - 1) * 99 / 100]
     }
 
-    /// Records one parallel query's critical path into the p99 ring
+    /// Records one query's critical path into the p99 ring
     /// and the `ir_critical_path_seconds` histogram (from which the
     /// telemetry layer reconstructs windowed p99).
     fn note_critical_path(&mut self, path: Duration) {
@@ -708,8 +710,7 @@ impl DistributedIndex {
 
     /// Reports one merged result to the metrics registry and, when a
     /// trace is collecting, as per-shard child spans of the open span.
-    /// Shared by the serial, restricted and parallel paths so shard
-    /// accounting never depends on which evaluation strategy ran.
+    /// Shared by the scatter-gather and the serial reference.
     fn record_result(&self, result: &DistributedResult) {
         if let Some(m) = &self.metrics {
             m.queries.inc();
@@ -754,7 +755,7 @@ impl DistributedIndex {
     }
 
     /// Attaches a fault plan consulted before each server copy answers
-    /// a parallel query (labels `shard:<g>` / `replica:<host>:<g>`) and
+    /// a query (labels `shard:<g>` / `replica:<host>:<g>`) and
     /// before each migration stream of a rebalance
     /// (`migrate:shard:<g>`).
     pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
@@ -1227,105 +1228,83 @@ impl DistributedIndex {
             .sum()
     }
 
-    /// Serial evaluation: local top-`k` on each server in turn, then the
-    /// master merge. No isolation — any server error fails the query —
-    /// so a serial answer is always complete (`quality == 1.0`).
-    pub fn query_serial(&mut self, text: &str, k: usize) -> Result<DistributedResult> {
-        let sizes = self.shard_sizes();
+    /// The fault-blind **reference** evaluation: each primary's local
+    /// top-`k` in turn in the caller's thread, then the master merge. No
+    /// fault plan, no deadline, no routing, no health bookkeeping — a
+    /// serial answer is always complete (`quality == 1.0`), which is
+    /// what the tests and E5/E16 compare [`search`] against.
+    ///
+    /// [`search`]: DistributedIndex::search
+    pub fn query_serial(&self, text: &str, k: usize) -> DistributedResult {
+        let stems = tokenize_and_stem(text);
         let mut locals = Vec::with_capacity(self.shards.len());
         let mut elapsed = Vec::with_capacity(self.shards.len());
-        let stems = tokenize_and_stem(text);
-        for shard in &mut self.shards {
+        for shard in &self.shards {
             let start = Instant::now();
-            locals.push(Some(shard.top_k(&stems, k, None)?));
+            locals.push(Some(shard.ranked(&stems, k, None)));
             elapsed.push(start.elapsed());
         }
         let served = vec![Some(0); self.shards.len()];
-        let result = merge(locals, &sizes, k, elapsed, 0, served);
+        let result = merge(locals, &self.shard_sizes(), k, elapsed, 0, served);
         self.record_result(&result);
-        Ok(result)
+        result
     }
 
-    /// Candidate-restricted evaluation: each server ranks only the
-    /// candidate documents it holds ("a very interesting a-priori
-    /// restriction of the ranking candidate set"), then the master
-    /// merge. Serial and unisolated, like [`query_serial`].
+    /// [`search`] with no restriction and no budget.
     ///
-    /// [`query_serial`]: DistributedIndex::query_serial
+    /// [`search`]: DistributedIndex::search
+    pub fn query_parallel(&mut self, text: &str, k: usize) -> Result<DistributedResult> {
+        self.search(text, k, None, &Budget::unlimited())
+    }
+
+    /// [`search`] restricted to `candidates`, with no budget.
+    ///
+    /// [`search`]: DistributedIndex::search
     pub fn query_restricted(
         &mut self,
         text: &str,
         k: usize,
-        candidates: &std::collections::HashSet<String>,
+        candidates: &HashSet<String>,
     ) -> Result<DistributedResult> {
-        self.query_restricted_budgeted(text, k, candidates, &Budget::unlimited())
+        self.search(text, k, Some(candidates), &Budget::unlimited())
     }
 
-    /// [`query_restricted`] under a caller budget: one work unit per
-    /// server, with a typed [`Error::DeadlineExceeded`] the moment the
-    /// budget runs out (carrying how many servers already answered).
-    ///
-    /// [`query_restricted`]: DistributedIndex::query_restricted
-    pub fn query_restricted_budgeted(
-        &mut self,
-        text: &str,
-        k: usize,
-        candidates: &std::collections::HashSet<String>,
-        budget: &Budget,
-    ) -> Result<DistributedResult> {
-        let sizes = self.shard_sizes();
-        let mut locals = Vec::with_capacity(self.shards.len());
-        let mut elapsed = Vec::with_capacity(self.shards.len());
-        let stems = tokenize_and_stem(text);
-        for (answered, shard) in self.shards.iter_mut().enumerate() {
-            budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
-                shards_answered: answered,
-                cause,
-            })?;
-            let start = Instant::now();
-            locals.push(Some(shard.top_k(&stems, k, Some(candidates))?));
-            elapsed.push(start.elapsed());
-        }
-        let served = vec![Some(0); self.shards.len()];
-        let result = merge(locals, &sizes, k, elapsed, 0, served);
-        self.record_result(&result);
-        Ok(result)
-    }
-
-    /// Parallel evaluation: one scoped thread per server copy
-    /// (shared-nothing, so copies proceed independently), then the
-    /// master merge.
+    /// The one scatter-gather: the central node stems the query, every
+    /// consulted server copy ranks its slice of the **published** state
+    /// on a scoped thread of its own (shared-nothing, so copies proceed
+    /// independently), and the master merge ranks what came back. With
+    /// `candidates`, each server ranks only the candidate documents it
+    /// holds ("a very interesting a-priori restriction of the ranking
+    /// candidate set"); everything else — faults, failover, routing,
+    /// hedging, health, the budget — is the same for both kinds.
     ///
     /// Every copy is isolated: a panic is caught in its thread, an
-    /// injected fault or index error marks it failed, and a copy that
-    /// does not answer within the shard deadline is abandoned (its
-    /// thread still winds down — injected hangs are bounded). For each
-    /// group the primary's answer is preferred; if the primary failed
-    /// but a replica answered, the query **fails over** to the replica
-    /// within the same window and the group still counts as ok. The
-    /// merge ranks whatever survived; [`Error::AllShardsFailed`] is
-    /// returned only when no group answered through any copy.
-    pub fn query_parallel(&mut self, text: &str, k: usize) -> Result<DistributedResult> {
-        self.query_parallel_budgeted(text, k, &Budget::unlimited())
-    }
-
-    /// [`query_parallel`] under a caller budget. The collection window
-    /// is no longer the constant shard deadline: it is the *minimum* of
-    /// the configured shard deadline and the budget's remaining
-    /// wall-clock time, so a query that has already spent most of its
-    /// end-to-end deadline gives its servers only what is left.
-    /// Stragglers past the window are dropped and the survivors merged,
-    /// exactly like the unbudgeted degraded mode; the typed
+    /// injected fault marks it failed, and a copy that does not answer
+    /// within the collection window is abandoned (its thread still
+    /// winds down — injected hangs are bounded). For each group the
+    /// preferred copy's answer is taken; if it failed but another copy
+    /// answered, the query **fails over** within the same window and
+    /// the group still counts as ok. The merge ranks whatever survived;
+    /// [`Error::AllShardsFailed`] is returned only when no group
+    /// answered through any copy.
+    ///
+    /// The collection window is the *minimum* of the configured shard
+    /// deadline and the budget's remaining wall-clock time, so a query
+    /// that has already spent most of its end-to-end deadline gives its
+    /// servers only what is left. Stragglers past the window are
+    /// dropped and the survivors merged; the typed
     /// [`Error::DeadlineExceeded`] is returned only when the budget
     /// leaves no room to collect anything (or its work allowance runs
     /// out mid-gather, one unit per answering *group* — replicas ride
     /// on their group's unit, so replication never inflates the bill).
     ///
-    /// [`query_parallel`]: DistributedIndex::query_parallel
-    pub fn query_parallel_budgeted(
+    /// Reads never publish: documents indexed since the last
+    /// [`commit`](DistributedIndex::commit) are invisible here.
+    pub fn search(
         &mut self,
         text: &str,
         k: usize,
+        candidates: Option<&HashSet<String>>,
         budget: &Budget,
     ) -> Result<DistributedResult> {
         budget.check().map_err(|cause| Error::DeadlineExceeded {
@@ -1379,20 +1358,7 @@ impl DistributedIndex {
         let mut answered = 0usize;
         let mut budget_stop = None;
         let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, ShardAnswer, Duration)>();
-        // Mutable handles to every copy, taken one by one as their
-        // threads launch (the borrows are disjoint: one primary and one
-        // replica set per group).
-        let mut pool: Vec<Vec<Option<&mut TextIndex>>> = self
-            .shards
-            .iter_mut()
-            .zip(self.replicas.iter_mut())
-            .map(|(primary, group)| {
-                let mut row: Vec<Option<&mut TextIndex>> = Vec::with_capacity(copies);
-                row.push(Some(primary));
-                row.extend(group.iter_mut().map(Some));
-                row
-            })
-            .collect();
+        let (shards, replicas) = (&self.shards, &self.replicas);
         let spawned_ref = &mut spawned;
         crossbeam::thread::scope(|scope| {
             let mut launch = |g: usize, c: usize| -> bool {
@@ -1400,15 +1366,13 @@ impl DistributedIndex {
                     return false;
                 }
                 spawned_ref[g][c] = true;
-                let Some(shard) = pool[g][c].take() else {
-                    return false;
-                };
+                let shard = if c == 0 { &shards[g] } else { &replicas[g][c - 1] };
                 let tx = tx.clone();
                 let fault = plan.clone().map(|plan| (plan, labels[g][c].as_str()));
                 scope.spawn(move |_| {
                     let start = Instant::now();
                     let fault = fault.as_ref().map(|(plan, label)| (plan.as_ref(), *label));
-                    let answer = run_shard(shard, stems, k, fault, hang);
+                    let answer = run_shard(shard, stems, k, candidates, fault, hang);
                     // The central node may have stopped listening; the
                     // answer is then simply dropped.
                     let _ = tx.send((g, c, answer, start.elapsed()));
@@ -1418,10 +1382,9 @@ impl DistributedIndex {
             // First wave: every copy under Primary routing, exactly one
             // selected copy per group under RoundRobin.
             let mut pending = 0usize;
-            #[allow(clippy::needless_range_loop)] // `g` also indexes `pool` inside `launch`
-            for g in 0..n {
+            for (g, &first) in preferred.iter().enumerate() {
                 if routed {
-                    if launch(g, preferred[g]) {
+                    if launch(g, first) {
                         pending += 1;
                     }
                 } else {
@@ -1496,7 +1459,6 @@ impl DistributedIndex {
             }
         })
         .map_err(|_| Error::Config("the central query node panicked".into()))?;
-        drop(pool);
         if let Some(cause) = budget_stop {
             return Err(Error::DeadlineExceeded {
                 shards_answered: answered,
@@ -1870,9 +1832,10 @@ fn decode_shard_envelope(bytes: &[u8]) -> std::result::Result<(ShardEnvelope, &[
 /// answer — then the fault action), then run the local top-`k` with
 /// panics contained.
 fn run_shard(
-    shard: &mut TextIndex,
+    shard: &TextIndex,
     stems: &[String],
     k: usize,
+    candidates: Option<&HashSet<String>>,
     fault: Option<(&FaultPlan, &str)>,
     hang: Duration,
 ) -> ShardAnswer {
@@ -1888,11 +1851,8 @@ fn run_shard(
             FaultAction::Hang => std::thread::sleep(hang),
         }
     }
-    match catch_unwind(AssertUnwindSafe(|| shard.top_k(stems, k, None))) {
-        Ok(Ok(local)) => Ok(local),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(_) => Err("server thread panicked".into()),
-    }
+    catch_unwind(AssertUnwindSafe(|| shard.ranked(stems, k, candidates)))
+        .map_err(|_| "server thread panicked".into())
 }
 
 /// "The central node merges the top-10 rankings into a large ranking" —
@@ -2009,10 +1969,10 @@ mod tests {
 
     #[test]
     fn distributed_ranking_equals_single_server_ranking() {
-        let mut single = build(1, 120);
-        let mut multi = build(4, 120);
-        let a = single.query_serial("winner", 10).unwrap();
-        let b = multi.query_serial("winner", 10).unwrap();
+        let single = build(1, 120);
+        let multi = build(4, 120);
+        let a = single.query_serial("winner", 10);
+        let b = multi.query_serial("winner", 10);
         // Global IDF tuples were distributed at commit, and both ties
         // and the merge order on URL — so the merged ranking is
         // *identical* to the single-server evaluation, order included.
@@ -2028,7 +1988,7 @@ mod tests {
     #[test]
     fn parallel_and_serial_agree() {
         let mut d = build(4, 200);
-        let serial = d.query_serial("winner tennis", 10).unwrap();
+        let serial = d.query_serial("winner tennis", 10);
         let parallel = d.query_parallel("winner tennis", 10).unwrap();
         assert_eq!(serial.hits, parallel.hits);
         assert_eq!(serial, parallel);
@@ -2039,8 +1999,8 @@ mod tests {
 
     #[test]
     fn work_is_spread_across_shards() {
-        let mut d = build(4, 400);
-        let result = d.query_serial("tennis", 10).unwrap();
+        let d = build(4, 400);
+        let result = d.query_serial("tennis", 10);
         assert_eq!(result.per_shard_work.len(), 4);
         let total: usize = result.per_shard_work.iter().map(|w| w.tuples).sum();
         assert_eq!(total, 400, "every document mentions tennis");
@@ -2223,7 +2183,7 @@ mod tests {
     #[test]
     fn elapsed_is_recorded_per_shard() {
         let mut d = build(4, 120);
-        let serial = d.query_serial("winner", 10).unwrap();
+        let serial = d.query_serial("winner", 10);
         assert_eq!(serial.shard_elapsed.len(), 4);
         let parallel = d.query_parallel("winner", 10).unwrap();
         assert_eq!(parallel.shard_elapsed.len(), 4);
@@ -2246,9 +2206,7 @@ mod tests {
         d.set_hang_duration(Duration::from_millis(300));
         let budget = Budget::with_deadline(Duration::from_millis(60));
         let start = Instant::now();
-        let r = d
-            .query_parallel_budgeted("winner", 10, &budget)
-            .unwrap();
+        let r = d.search("winner", 10, None, &budget).unwrap();
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "budget did not clamp the shard window: {:?}",
@@ -2264,7 +2222,7 @@ mod tests {
     fn an_expired_budget_is_a_typed_deadline_error() {
         let mut d = build(3, 60);
         let budget = Budget::with_work(0);
-        match d.query_parallel_budgeted("winner", 10, &budget) {
+        match d.search("winner", 10, None, &budget) {
             Err(Error::DeadlineExceeded {
                 shards_answered, ..
             }) => assert_eq!(shards_answered, 0),
@@ -2272,7 +2230,7 @@ mod tests {
         }
         let candidates: std::collections::HashSet<String> =
             corpus(60).into_iter().map(|(url, _)| url).collect();
-        match d.query_restricted_budgeted("winner", 10, &candidates, &Budget::with_work(1)) {
+        match d.search("winner", 10, Some(&candidates), &Budget::with_work(1)) {
             Err(Error::DeadlineExceeded {
                 shards_answered,
                 cause,
@@ -2291,7 +2249,7 @@ mod tests {
         // charged — replication must not make budgets twice as tight.
         let mut d = build_replicated(3, 90, 1);
         let budget = Budget::with_work(3);
-        let r = d.query_parallel_budgeted("winner", 10, &budget).unwrap();
+        let r = d.search("winner", 10, None, &budget).unwrap();
         assert_eq!(r.shards_ok, 3);
         assert!(!r.is_degraded());
     }
@@ -2333,8 +2291,8 @@ mod tests {
         );
         let degraded = d.query_parallel("winner tennis", 10).unwrap();
 
-        let mut survivors = build(4, 200);
-        let full = survivors.query_serial("winner tennis", 200).unwrap();
+        let survivors = build(4, 200);
+        let full = survivors.query_serial("winner tennis", 200);
         let mut expected: Vec<&SearchHit> = full
             .hits
             .iter()
@@ -2359,8 +2317,8 @@ mod tests {
         assert_eq!(back.replication(), 2);
         assert_eq!(back.layout(), d.layout());
         assert_eq!(back.shard_epochs(), d.shard_epochs());
-        let a = d.query_serial("winner tennis", 10).unwrap();
-        let b = back.query_serial("winner tennis", 10).unwrap();
+        let a = d.query_serial("winner tennis", 10);
+        let b = back.query_serial("winner tennis", 10);
         assert_eq!(a, b);
         // The restored replicas really hold the data: kill every
         // primary and the answer must still be complete.
@@ -2414,7 +2372,7 @@ mod tests {
     #[test]
     fn apply_layout_moves_documents_and_preserves_the_answer() {
         let mut d = build_replicated(2, 150, 1);
-        let before = d.query_serial("winner tennis", 15).unwrap();
+        let before = d.query_serial("winner tennis", 15);
         // Split: move to 4 servers, round-robin.
         let new_layout: Vec<u16> = (0..ROUTE_SLOTS).map(|s| (s % 4) as u16).collect();
         let report = d.apply_layout(4, &new_layout).unwrap();
@@ -2426,7 +2384,7 @@ mod tests {
         for (url, _) in corpus(150) {
             assert!(d.contains_url(&url), "{url} lost in migration");
         }
-        let after = d.query_serial("winner tennis", 15).unwrap();
+        let after = d.query_serial("winner tennis", 15);
         assert_eq!(
             ranking(&before),
             ranking(&after),
@@ -2439,7 +2397,7 @@ mod tests {
         let half: Vec<u16> = (0..ROUTE_SLOTS).map(|s| (s % 2) as u16).collect();
         let report = d.apply_layout(2, &half).unwrap();
         assert_eq!(report.shards_after, 2);
-        let merged = d.query_serial("winner tennis", 15).unwrap();
+        let merged = d.query_serial("winner tennis", 15);
         assert_eq!(ranking(&before), ranking(&merged));
     }
 
@@ -2447,7 +2405,7 @@ mod tests {
     fn an_injected_migration_failure_aborts_with_the_old_layout_intact() {
         let mut d = build_replicated(3, 90, 1);
         let before_layout = d.layout().to_vec();
-        let before = d.query_serial("winner", 10).unwrap();
+        let before = d.query_serial("winner", 10);
         let plan = FaultPlan::seeded(22);
         plan.set_script("migrate:shard:1", vec![FaultAction::Error]);
         d.set_fault_plan(plan.shared());
@@ -2456,12 +2414,12 @@ mod tests {
         assert!(err.to_string().contains("rebalance aborted"), "{err}");
         assert_eq!(d.layout(), &before_layout[..]);
         assert_eq!(d.servers(), 3);
-        let after = d.query_serial("winner", 10).unwrap();
+        let after = d.query_serial("winner", 10);
         assert_eq!(before.hits, after.hits, "aborted rebalance must not move docs");
         // The fault script is spent: the retry succeeds.
         let report = d.apply_layout(2, &new_layout).unwrap();
         assert_eq!(report.shards_after, 2);
-        let rebalanced = d.query_serial("winner", 10).unwrap();
+        let rebalanced = d.query_serial("winner", 10);
         assert_eq!(ranking(&before), ranking(&rebalanced));
     }
 

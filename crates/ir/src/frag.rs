@@ -307,8 +307,8 @@ mod tests {
 
     #[test]
     fn full_budget_equals_unfragmented_ranking() {
-        let mut idx = skewed_index(60);
-        let (exact, _) = idx.query("rareword medium common", 10).unwrap();
+        let idx = skewed_index(60);
+        let (exact, _) = idx.query("rareword medium common", 10);
         let f = FragmentedIndex::build(&idx, 4).unwrap();
         let cut = f.query_with_cutoff("rareword medium common", 10, 4);
         assert_eq!(cut.quality, 1.0);
@@ -333,8 +333,8 @@ mod tests {
 
     #[test]
     fn early_termination_returns_the_exact_top_k_set() {
-        let mut idx = skewed_index(300);
-        let (exact, _) = idx.query("rareword medium common", 10).unwrap();
+        let idx = skewed_index(300);
+        let (exact, _) = idx.query("rareword medium common", 10);
         let f = FragmentedIndex::build(&idx, 8).unwrap();
         let early = f.query_top_k_early("rareword medium common", 10);
         assert_eq!(early.quality, 1.0);

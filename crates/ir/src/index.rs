@@ -126,8 +126,6 @@ pub struct TextIndex {
     dirty_terms: Vec<u32>,
     /// What queries read, derived from the relations at every publish.
     postings: PostingIndex,
-    /// Total token count, for avgdl.
-    total_tokens: usize,
     committed: bool,
     /// Bumped on every mutation (insert or commit); cache keys built
     /// from the epoch go stale the moment the index changes.
@@ -151,7 +149,6 @@ impl TextIndex {
             df: Vec::new(),
             dirty_terms: Vec::new(),
             postings: PostingIndex::default(),
-            total_tokens: 0,
             committed: true,
             epoch: 0,
             wal: None,
@@ -218,7 +215,7 @@ impl TextIndex {
     }
 
     /// Restores an index from a [`Self::snapshot`]. The in-memory
-    /// mirrors (vocabulary, df counts, token totals) and the derived
+    /// mirrors (vocabulary, df counts) and the derived
     /// posting index are rebuilt from the relations.
     pub fn restore(bytes: &[u8]) -> Result<TextIndex> {
         if bytes.len() < 9 {
@@ -242,12 +239,6 @@ impl TextIndex {
             }
             term_oids.extend(t.heads());
         }
-        let mut total_tokens = 0usize;
-        if db.contains(DL) {
-            if let Column::Int(lens) = db.get(DL)?.tail() {
-                total_tokens = lens.iter().map(|&n| n.max(0) as usize).sum();
-            }
-        }
         let mut postings = PostingIndex::default();
         postings.absorb(&db, &term_oids, 0..term_oids.len() as u32)?;
         let df = (0..term_oids.len()).map(|ord| postings.df(ord)).collect();
@@ -259,7 +250,6 @@ impl TextIndex {
             df,
             dirty_terms: Vec::new(),
             postings,
-            total_tokens,
             committed: true,
             epoch: 0,
             wal: None,
@@ -297,8 +287,8 @@ impl TextIndex {
         self.postings.resident_bytes()
     }
 
-    /// Indexes one document body; returns its doc oid. Call
-    /// [`TextIndex::commit`] before querying.
+    /// Indexes one document body; returns its doc oid. The document
+    /// is invisible to queries until the next [`TextIndex::commit`].
     pub fn index_document(&mut self, url: &str, text: &str) -> Result<Oid> {
         if self.contains_url(url) {
             return Err(Error::Document(format!("`{url}` already indexed")));
@@ -331,7 +321,6 @@ impl TextIndex {
         self.db
             .get_or_create(D, ColumnKind::Str)
             .append_str(doc, url)?;
-        self.total_tokens += len as usize;
         self.db
             .get_or_create(DL, ColumnKind::Int)
             .append_int(doc, len)?;
@@ -445,14 +434,9 @@ impl TextIndex {
         self.vocab.get(&code).map(|&ord| ord as usize)
     }
 
-    /// Average document length (tokens).
+    /// Average length (tokens) of the published documents.
     pub fn avg_doc_len(&self) -> f64 {
-        let n = self.document_count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_tokens as f64 / n as f64
-        }
+        self.postings.avg_doc_len()
     }
 
     /// The derived posting index (what the fragment view evaluates).
@@ -467,50 +451,29 @@ impl TextIndex {
         Accumulator::new(&self.postings, self.db.pool(), scorer, candidates)
     }
 
-    /// Evaluates a free-text query and returns the top `k` documents.
-    pub fn query(&mut self, text: &str, k: usize) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.top_k(&tokenize_and_stem(text), k, None)
-    }
-
-    /// Publishes anything pending, then runs the ranking kernel: what
-    /// every `&mut self` query entry point (here and in the
-    /// distribution layer) comes down to.
-    pub(crate) fn top_k(
-        &mut self,
-        stems: &[String],
-        k: usize,
-        candidates: Option<&HashSet<String>>,
-    ) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.commit()?;
-        Ok(self.ranked(stems, k, candidates))
-    }
-
-    /// Evaluates a free-text query **restricted to a candidate set** of
-    /// document URLs — the paper's query-optimizer choice: "it is up to
-    /// the query optimizer whether the ranking should be unlimited and
-    /// the results merged afterwards or the ranking should be restricted
-    /// to only a limited domain. For example, if one is only interested
-    /// in articles about the Australian Open tennis tournament from a
-    /// certain author, this might be … a very interesting a-priori
-    /// restriction of the ranking candidate set."
-    pub fn query_restricted(
-        &mut self,
-        text: &str,
-        k: usize,
-        candidates: &HashSet<String>,
-    ) -> Result<(Vec<SearchHit>, QueryWork)> {
-        self.top_k(&tokenize_and_stem(text), k, Some(candidates))
+    /// Evaluates a free-text query over the published state and returns
+    /// the top `k` documents: [`TextIndex::ranked`] on the stemmed and
+    /// stopped words of `text`.
+    pub fn query(&self, text: &str, k: usize) -> (Vec<SearchHit>, QueryWork) {
+        self.ranked(&tokenize_and_stem(text), k, None)
     }
 
     /// The ranking kernel: the top `k` documents for the stemmed query
     /// terms over the **published** state (what the last commit
     /// derived — pending documents are invisible until the next one),
-    /// optionally restricted to candidate URLs. Term at a time in the
-    /// query's stem order and each posting list in doc order, so a
-    /// score is the same sum in the same order on every evaluation;
-    /// the candidate set becomes a doc bitmap (restricted-out postings
-    /// cost no scoring work); only the `k` winners get a URL string.
-    /// Reads only — nothing is built, interned or bumped here.
+    /// optionally restricted to candidate URLs — the paper's
+    /// query-optimizer choice: "it is up to the query optimizer whether
+    /// the ranking should be unlimited and the results merged
+    /// afterwards or the ranking should be restricted to only a limited
+    /// domain. For example, if one is only interested in articles about
+    /// the Australian Open tennis tournament from a certain author,
+    /// this might be … a very interesting a-priori restriction of the
+    /// ranking candidate set." Term at a time in the query's stem order
+    /// and each posting list in doc order, so a score is the same sum
+    /// in the same order on every evaluation; the candidate set becomes
+    /// a doc bitmap (restricted-out postings cost no scoring work);
+    /// only the `k` winners get a URL string. Reads only — nothing is
+    /// built, interned, committed or bumped here.
     pub fn ranked(
         &self,
         stems: &[String],
@@ -680,8 +643,8 @@ mod tests {
 
     #[test]
     fn query_ranks_the_winner_document_first() {
-        let mut idx = small_corpus();
-        let (hits, work) = idx.query("winner", 10).unwrap();
+        let idx = small_corpus();
+        let (hits, work) = idx.query("winner", 10);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].url, "seles-history.html");
         // tf("winner") = 2, idf = 1 → score 2.
@@ -692,8 +655,8 @@ mod tests {
 
     #[test]
     fn multi_term_queries_accumulate() {
-        let mut idx = small_corpus();
-        let (hits, _) = idx.query("australian open", 10).unwrap();
+        let idx = small_corpus();
+        let (hits, _) = idx.query("australian open", 10);
         assert_eq!(hits.len(), 3);
         // Both history pages mention both terms; news only "open".
         assert_eq!(hits[2].url, "news.html");
@@ -702,8 +665,8 @@ mod tests {
 
     #[test]
     fn unknown_terms_match_nothing() {
-        let mut idx = small_corpus();
-        let (hits, work) = idx.query("zzzzunknown", 10).unwrap();
+        let idx = small_corpus();
+        let (hits, work) = idx.query("zzzzunknown", 10);
         assert!(hits.is_empty());
         assert_eq!(work.matched_terms, 0);
     }
@@ -733,30 +696,30 @@ mod tests {
         idx.index_document("b", "tennis tennis tennis tennis").unwrap();
         idx.index_document("c", "tennis common common").unwrap();
         idx.commit().unwrap();
-        let (hits, _) = idx.query("rare", 3).unwrap();
+        let (hits, _) = idx.query("rare", 3);
         assert_eq!(hits[0].url, "a");
         assert!(hits[0].score > 0.0);
     }
 
     #[test]
     fn restricted_query_ranks_only_candidates() {
-        let mut idx = small_corpus();
+        let idx = small_corpus();
         let all: HashSet<String> =
             ["hingis-history.html".to_owned()].into_iter().collect();
-        let (hits, work) = idx.query_restricted("australian open", 10, &all).unwrap();
+        let (hits, work) = idx.ranked(&tokenize_and_stem("australian open"), 10, Some(&all));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].url, "hingis-history.html");
         // The restriction pruned postings before scoring: fewer tuples
         // than the unrestricted evaluation.
-        let (_, full_work) = idx.query("australian open", 10).unwrap();
+        let (_, full_work) = idx.query("australian open", 10);
         assert!(work.tuples < full_work.tuples);
     }
 
     #[test]
     fn restricted_query_with_empty_candidates_returns_nothing() {
-        let mut idx = small_corpus();
+        let idx = small_corpus();
         let none = HashSet::new();
-        let (hits, _) = idx.query_restricted("open", 10, &none).unwrap();
+        let (hits, _) = idx.ranked(&tokenize_and_stem("open"), 10, Some(&none));
         assert!(hits.is_empty());
     }
 
@@ -780,8 +743,8 @@ mod tests {
         assert_eq!(copy.document_count(), 3);
         assert_eq!(copy.avg_doc_len(), idx.avg_doc_len());
         assert_eq!(copy.idf("open"), idx.idf("open"));
-        let (a, _) = idx.query("australian open winner", 10).unwrap();
-        let (b, _) = copy.query("australian open winner", 10).unwrap();
+        let (a, _) = idx.query("australian open winner", 10);
+        let (b, _) = copy.query("australian open winner", 10);
         assert_eq!(a, b);
         // Rebuilding from the same insertion order is byte-stable.
         assert_eq!(idx.snapshot().unwrap(), copy.snapshot().unwrap());
@@ -789,13 +752,13 @@ mod tests {
 
     #[test]
     fn a_query_reads_only() {
-        let mut idx = small_corpus();
+        let idx = small_corpus();
         let (epoch, pool) = (idx.epoch(), idx.db().pool().len());
         let only: HashSet<String> = ["news.html".to_owned(), "nowhere.html".to_owned()]
             .into_iter()
             .collect();
-        idx.query("open zzzzunknown winner", 10).unwrap();
-        idx.query_restricted("open neverseen", 10, &only).unwrap();
+        idx.query("open zzzzunknown winner", 10);
+        idx.ranked(&tokenize_and_stem("open neverseen"), 10, Some(&only));
         assert_eq!(idx.epoch(), epoch, "a query must not bump the epoch");
         assert_eq!(
             idx.db().pool().len(),

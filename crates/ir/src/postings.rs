@@ -112,6 +112,8 @@ pub(crate) struct PostingIndex {
     url_codes: Vec<u32>,
     doc_len: Vec<f64>,
     url_rank: Vec<u32>,
+    /// `Σ doc_len`, kept as the integer DL holds.
+    tokens: usize,
     /// `(URL dictionary code, doc ordinal)`, sorted: the probe side of
     /// a candidate restriction.
     by_url: Vec<(u32, u32)>,
@@ -163,6 +165,7 @@ impl PostingIndex {
         self.url_codes.extend_from_slice(&urls.codes()[old..]);
         self.doc_len
             .extend(lens[old..].iter().map(|&len| len as f64));
+        self.tokens += lens[old..].iter().map(|&len| len.max(0) as usize).sum::<usize>();
         self.by_url
             .extend((old..n).map(|ord| (urls.code(ord), ord as u32)));
         self.by_url.sort_unstable();
@@ -284,6 +287,14 @@ impl PostingIndex {
             self.terms[ord].idf = value;
         }
         Ok(())
+    }
+
+    /// Average length (tokens) of the published documents.
+    pub(crate) fn avg_doc_len(&self) -> f64 {
+        match self.doc_len.len() {
+            0 => 0.0,
+            n => self.tokens as f64 / n as f64,
+        }
     }
 
     /// Estimated heap bytes of the derived structure.

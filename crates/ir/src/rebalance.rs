@@ -210,18 +210,18 @@ mod tests {
         use crate::index as ir_hits;
 
         let mut d = build(2, 120, 1);
-        let before = d.query_serial("winner tennis", 12).unwrap();
+        let before = d.query_serial("winner tennis", 12);
         let r = Rebalancer::new();
         let grown = r.split(&mut d).unwrap();
         assert_eq!(grown.shards_after, 3);
         assert_eq!(
-            ranking(&d.query_serial("winner tennis", 12).unwrap().hits),
+            ranking(&d.query_serial("winner tennis", 12).hits),
             ranking(&before.hits)
         );
         let shrunk = r.merge(&mut d).unwrap();
         assert_eq!(shrunk.shards_after, 2);
         assert_eq!(
-            ranking(&d.query_serial("winner tennis", 12).unwrap().hits),
+            ranking(&d.query_serial("winner tennis", 12).hits),
             ranking(&before.hits)
         );
     }

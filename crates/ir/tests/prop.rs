@@ -142,15 +142,12 @@ fn oracle(
 
 /// The kernel's answer in the oracle's shape (scores as bit patterns).
 fn kernel(
-    idx: &mut TextIndex,
+    idx: &TextIndex,
     text: &str,
     k: usize,
     candidates: Option<&HashSet<String>>,
 ) -> (Vec<(Oid, String, u64)>, usize, usize) {
-    let (hits, work) = match candidates {
-        Some(c) => idx.query_restricted(text, k, c).unwrap(),
-        None => idx.query(text, k).unwrap(),
-    };
+    let (hits, work) = idx.ranked(&ir::tokenize_and_stem(text), k, candidates);
     let hits = hits.into_iter().map(|h| (h.doc, h.url, h.score.to_bits())).collect();
     (hits, work.tuples, work.matched_terms)
 }
@@ -176,17 +173,17 @@ proptest! {
 
     #[test]
     fn top_k_is_a_prefix_of_the_full_ranking(corpus in arb_corpus(), k in 1usize..10) {
-        let mut idx = build(&corpus);
-        let (full, _) = idx.query("tennis winner champion", usize::MAX).unwrap();
-        let (top, _) = idx.query("tennis winner champion", k).unwrap();
+        let idx = build(&corpus);
+        let (full, _) = idx.query("tennis winner champion", usize::MAX);
+        let (top, _) = idx.query("tennis winner champion", k);
         prop_assert_eq!(&full[..top.len()], &top[..]);
         prop_assert!(top.len() <= k);
     }
 
     #[test]
     fn scores_are_positive_and_sorted(corpus in arb_corpus()) {
-        let mut idx = build(&corpus);
-        let (hits, _) = idx.query("tennis match", 50).unwrap();
+        let idx = build(&corpus);
+        let (hits, _) = idx.query("tennis match", 50);
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
@@ -202,8 +199,8 @@ proptest! {
         // so tie *order* at a top-k boundary may legitimately differ;
         // the document/score multiset may not.
         let k = corpus.len() + 1;
-        let mut idx = build(&corpus);
-        let (flat, _) = idx.query("winner court serve", k).unwrap();
+        let idx = build(&corpus);
+        let (flat, _) = idx.query("winner court serve", k);
         let frag = FragmentedIndex::build(&idx, nfrag).unwrap();
         let cut = frag.query_with_cutoff("winner court serve", k, nfrag);
         prop_assert!((cut.quality - 1.0).abs() < 1e-12);
@@ -246,8 +243,8 @@ proptest! {
         }
         single.commit().unwrap();
         multi.commit().unwrap();
-        let a = single.query_serial("tennis winner", corpus.len()).unwrap();
-        let b = multi.query_serial("tennis winner", corpus.len()).unwrap();
+        let a = single.query_serial("tennis winner", corpus.len());
+        let b = multi.query_serial("tennis winner", corpus.len());
         let key = |r: &ir::distrib::DistributedResult| {
             let mut v: Vec<(String, i64)> = r
                 .hits
@@ -298,10 +295,8 @@ proptest! {
         // Reference run: the fault-free full ranking with the dead
         // shards' documents filtered out, cut at k. The degraded answer
         // must be exactly this — the survivors' top-k, nothing partial.
-        let mut reference = build();
-        let full = reference
-            .query_serial("tennis winner champion", corpus.len())
-            .unwrap();
+        let reference = build();
+        let full = reference.query_serial("tennis winner champion", corpus.len());
         let expected: Vec<(String, i64)> = full
             .hits
             .iter()
@@ -377,6 +372,52 @@ proptest! {
             prop_assert!(d.shard(primary).contains_url(url));
         }
     }
+    /// Reads never publish. A twin that is queried between
+    /// `index_documents` and `commit` — through the scatter-gather and
+    /// through the serial reference — answers with the previously
+    /// published ranking (pending documents are invisible), and after
+    /// the commit both twins hold the same bytes and rank identically.
+    #[test]
+    fn a_query_before_the_commit_sees_and_changes_nothing(
+        batches in prop::collection::vec(prop::collection::vec(arb_doc(), 1..8), 2..5),
+        servers in 2usize..5,
+        replicas in 0usize..2,
+        hiemstra in any::<bool>(),
+    ) {
+        const QUERY: &str = "tennis winner champion";
+        let model = if hiemstra {
+            ScoreModel::Hiemstra { lambda: 0.35 }
+        } else {
+            ScoreModel::TfIdf
+        };
+        let mut quiet = DistributedIndex::with_replication(servers, model, replicas).unwrap();
+        let mut probed = DistributedIndex::with_replication(servers, model, replicas).unwrap();
+        let mut n = 0usize;
+        for batch in &batches {
+            let docs: Vec<(String, String)> = batch
+                .iter()
+                .map(|words| {
+                    n += 1;
+                    (format!("d{n}"), words.join(" "))
+                })
+                .collect();
+            let published = probed.query_serial(QUERY, n);
+            for d in [&mut quiet, &mut probed] {
+                d.index_documents(docs.iter().map(|(u, b)| (u.as_str(), b.as_str()))).unwrap();
+            }
+            prop_assert_eq!(&probed.query_parallel(QUERY, n).unwrap().hits, &published.hits);
+            prop_assert_eq!(&probed.query_serial(QUERY, n).hits, &published.hits);
+
+            quiet.commit().unwrap();
+            probed.commit().unwrap();
+            let reference = quiet.query_serial(QUERY, n);
+            prop_assert_eq!(&quiet.query_parallel(QUERY, n).unwrap(), &reference);
+            prop_assert_eq!(&probed.query_parallel(QUERY, n).unwrap(), &reference);
+            prop_assert_eq!(&probed.query_serial(QUERY, n), &reference);
+            prop_assert_eq!(probed.snapshot_shards().unwrap(), quiet.snapshot_shards().unwrap());
+        }
+    }
+
     #[test]
     fn the_kernel_matches_a_brute_force_oracle_over_the_relations(
         ops in prop::collection::vec(arb_op(), 1..24),
@@ -437,10 +478,11 @@ proptest! {
                             .chain((keep < 3).then(|| "never-indexed".to_owned()))
                             .collect()
                     });
+                    // The oracle reads the relations, the kernel what
+                    // was published from them: publish first.
+                    idx.commit().unwrap();
                     for k in [k, usize::MAX] {
-                        // The query publishes pending rows first, so the
-                        // oracle reads the relations after it.
-                        let got = kernel(&mut idx, &text, k, candidates.as_ref());
+                        let got = kernel(&idx, &text, k, candidates.as_ref());
                         let want = oracle(&idx, &text, k, candidates.as_ref());
                         prop_assert_eq!(got, want, "query {:?} k {} within {:?}", text, k, candidates);
                     }

@@ -13,18 +13,22 @@
 
 use std::sync::Arc;
 
-use dlsearch::{ausopen, qlang, Engine};
+use dlsearch::{ausopen, qlang, Engine, QueryOptions, QueryOutcome};
 use faults::{FaultPlan, FaultSpec};
 use websim::{crawl, Site, SiteSpec};
 
-fn run(engine: &mut Engine, label: &str, query: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn run(
+    engine: &mut Engine,
+    label: &str,
+    query: &str,
+) -> Result<QueryOutcome, Box<dyn std::error::Error>> {
     println!("── {label}");
     println!("{}", query.trim());
-    let hits = engine.query(&qlang::parse(query)?)?;
-    if hits.is_empty() {
+    let outcome = engine.execute(&qlang::parse(query)?, &QueryOptions::default())?;
+    if outcome.hits.is_empty() {
         println!("   (no answers)");
     }
-    for hit in &hits {
+    for hit in &outcome.hits {
         print!("   {}", hit.chain.join(" → "));
         if hit.score > 0.0 {
             print!("  [score {:.3}]", hit.score);
@@ -40,7 +44,7 @@ fn run(engine: &mut Engine, label: &str, query: &str) -> Result<(), Box<dyn std:
         println!();
     }
     println!();
-    Ok(())
+    Ok(outcome)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -108,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // The Figure 13 flagship: everything at once.
-    run(
+    let last = run(
         &mut engine,
         "Figure 13 — the integrated query",
         r#"
@@ -122,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     if faulty {
-        if let Some(st) = engine.last_text_status() {
+        if let Some(st) = &last.text {
             println!(
                 "text retrieval behind the last answer: {} of {} servers answered (shards {:?} down), estimated quality {:.0}%",
                 st.shards_ok,

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's query, with "semantically related" approximated by the
     // topic vocabulary.
     let query = "champion tournament title trophy";
-    let (hits, work) = text.query(query, 10)?;
+    let (hits, work) = text.query(query, 10);
     println!("query: {query:?} → {} pages ({} tuples)\n", hits.len(), work.tuples);
     println!("portraits embedded in champion-related pages:");
     let mut found = 0usize;

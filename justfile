@@ -20,6 +20,7 @@ verify:
     just maintenance-smoke
     just control-smoke
     just slo-smoke
+    just loc
 
 # Every path a workspace manifest names — each member the `crates/*`
 # and `shims/*` globs pick up, each `path = "…"` dependency or target —
@@ -111,6 +112,19 @@ control-smoke:
 slo-smoke:
     cargo test --offline -q -p dlsearch --test slo
     BENCH_SMOKE=1 cargo bench --offline -p bench --bench slo
+
+# Size of the two crates the query path lives in: non-blank,
+# non-comment lines of `crates/core/src/*.rs` and `crates/ir/src/*.rs`
+# up to each file's first `#[cfg(test)]`, per file and in total. A PR
+# that claims "less code" quotes the total at its parent and at its head.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    awk 'FNR == 1 { counting = 1 }
+         /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+         counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines[FILENAME]++; total++ }
+         END { for (f in lines) printf "%6d %s\n", lines[f], f | "sort -k2"; close("sort -k2"); printf "%6d total\n", total }' \
+        crates/core/src/*.rs crates/ir/src/*.rs
 
 build:
     cargo build --offline

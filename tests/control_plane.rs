@@ -26,7 +26,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dlsearch::{
-    ausopen, qlang, ControlOutcome, ControlPlane, Engine, EngineConfig, QueryService,
+    ausopen, qlang, ControlOutcome, ControlPlane, Engine, EngineConfig, QueryOptions,
+    QueryService,
 };
 use faults::{FaultAction, FaultPlan, FaultSpec};
 use ir::ControlConfig;
@@ -133,7 +134,7 @@ fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
     assert_eq!(svc.engine().text_index().servers(), 4);
 
     // The decision is on the EXPLAIN plan.
-    let explain = svc.engine().explain(&q);
+    let explain = svc.engine().explain(&q, None);
     assert!(explain.contains("REBALANCE: control plane last acted: split"), "{explain}");
 }
 
@@ -151,7 +152,7 @@ fn a_lost_server_is_declared_and_rereplicated_to_full_health() {
     engine.set_obs(&o);
     engine.populate(&crawl(&site)).unwrap();
 
-    let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).unwrap().hits);
+    let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).hits);
     let full_health = {
         let text = engine.metrics_text();
         metric_value(&text, "ir_replicas_healthy")
@@ -204,7 +205,7 @@ fn a_lost_server_is_declared_and_rereplicated_to_full_health() {
         assert!(
             metric_value(&text, "ir_control_decisions_total{action=\"rereplicate\"}") >= 1.0
         );
-        let explain = engine.explain(&qlang::parse(TEXT_QUERY).unwrap());
+        let explain = engine.explain(&qlang::parse(TEXT_QUERY).unwrap(), None);
         assert!(explain.contains("REBALANCE: control plane last acted: rereplicate"), "{explain}");
     }
 }
@@ -224,7 +225,7 @@ fn killing_rereplication_at_any_site_aborts_byte_identically() {
         let site = Arc::new(Site::generate(spec()));
         let mut engine = Engine::new(config(&site, 3, 1, false)).unwrap();
         engine.populate(&crawl(&site)).unwrap();
-        let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).unwrap().hits);
+        let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).hits);
 
         let plan = FaultPlan::seeded(31).shared();
         plan.set_sites(
@@ -297,7 +298,7 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     let (mut engine, _) = Engine::open(make(), &dir).unwrap();
     engine.populate(&pages).unwrap();
     engine.checkpoint().unwrap();
-    let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).unwrap().hits);
+    let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).hits);
 
     let svc = QueryService::new(engine);
     let mut plane = ControlPlane::new(
@@ -324,7 +325,7 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     );
     assert_eq!(reopened.text_index().layout(), &final_layout[..]);
     assert_eq!(
-        ranking(&reopened.text_index_mut().query_serial("winner", 10).unwrap().hits),
+        ranking(&reopened.text_index_mut().query_serial("winner", 10).hits),
         clean
     );
     drop(reopened); // crash again, still no checkpoint: replay twice
@@ -333,7 +334,7 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     assert_eq!(again.text_index().servers(), 3, "replay is idempotent");
     assert_eq!(again.text_index().layout(), &final_layout[..]);
     assert_eq!(
-        ranking(&again.text_index_mut().query_serial("winner", 10).unwrap().hits),
+        ranking(&again.text_index_mut().query_serial("winner", 10).hits),
         clean
     );
 
@@ -358,14 +359,15 @@ fn round_robin_read_scaling_answers_exactly_and_explains_the_route() {
 
     let q = qlang::parse(TEXT_QUERY).unwrap();
     let expected = reference.query(&q).unwrap();
-    assert_eq!(scaled.query(&q).unwrap(), expected, "routing must not change answers");
-    let status = scaled.last_text_status().unwrap().clone();
+    let outcome = scaled.execute(&q, &QueryOptions::default()).unwrap();
+    assert_eq!(outcome.hits, expected, "routing must not change answers");
+    let status = outcome.text.as_ref().unwrap();
     assert!(status.routed);
     assert_eq!(status.served_by.len(), 3);
 
     // Drive the rotation: over a few raw parallel queries every group
     // cycles its copies, so replica 1 serves some group at least once.
-    let clean = ranking(&scaled.text_index_mut().query_serial("winner", 10).unwrap().hits);
+    let clean = ranking(&scaled.text_index_mut().query_serial("winner", 10).hits);
     for _ in 0..4 {
         let result = scaled.text_index_mut().query_parallel("winner", 10).unwrap();
         assert_eq!(ranking(&result.hits), clean);
@@ -377,7 +379,7 @@ fn round_robin_read_scaling_answers_exactly_and_explains_the_route() {
         "replicas must have served reads"
     );
 
-    let explain = scaled.explain(&q);
+    let explain = scaled.explain(&q, Some(&outcome));
     assert!(explain.contains("READ-ROUTE: round-robin read-scaling"), "{explain}");
 }
 

@@ -10,6 +10,9 @@
 //!   failover to a surviving copy;
 //! * a hanging primary fails over within the remaining budget window
 //!   instead of dragging the query to its own deadline;
+//! * a candidate-restricted query is an ordinary query of the cluster:
+//!   it fails over, degrades, feeds the loss and latency signals and
+//!   rotates over replicas exactly like an unrestricted one;
 //! * split/merge rebalancing preserves every query's `(url, score)`
 //!   ranking byte for byte, at any layout;
 //! * a fault-plan sweep killing each shard's migration stream mid-
@@ -20,12 +23,13 @@
 //!   replays the WAL's layout record on reopen and lands on the new
 //!   layout — and still fails over exactly when a server dies next.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use faults::{Budget, FaultAction, FaultPlan, FaultSpec};
-use ir::{DistributedIndex, Rebalancer, ScoreModel, ROUTE_SLOTS};
+use ir::{DistributedIndex, ReadRouting, Rebalancer, ScoreModel, ROUTE_SLOTS};
 use websim::{crawl, Site, SiteSpec};
 
 fn corpus(n: usize) -> Vec<(String, String)> {
@@ -84,8 +88,8 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn killing_any_single_server_fails_over_to_the_exact_answer() {
     let servers = 4;
-    let mut reference = build(servers, 2, 120);
-    let clean = reference.query_serial("winner tennis", 10).expect("clean");
+    let reference = build(servers, 2, 120);
+    let clean = reference.query_serial("winner tennis", 10);
 
     for victim in 0..servers {
         let mut d = build(servers, 2, 120);
@@ -116,7 +120,7 @@ fn a_hanging_primary_fails_over_within_the_budget_window() {
     let mut d = build(3, 1, 90);
     d.set_shard_deadline(Duration::from_millis(150));
     d.set_hang_duration(Duration::from_millis(400));
-    let clean = d.query_serial("winner tennis", 8).expect("clean");
+    let clean = d.query_serial("winner tennis", 8);
 
     let plan = FaultPlan::seeded(3);
     plan.set_site("shard:0", FaultSpec::always_hang());
@@ -124,12 +128,170 @@ fn a_hanging_primary_fails_over_within_the_budget_window() {
 
     let budget = Budget::with_deadline(Duration::from_secs(5));
     let result = d
-        .query_parallel_budgeted("winner tennis", 8, &budget)
+        .search("winner tennis", 8, None, &budget)
         .expect("the budget leaves ample room to fail over");
     assert_eq!(ranking(&result.hits), ranking(&clean.hits));
     assert_eq!(result.shards_failed, 0);
     assert!(result.failovers >= 1, "group 0's replica must have answered");
     assert_eq!(result.quality, 1.0);
+}
+
+/// Every second document: a genuine a-priori restriction.
+fn even_documents(n: usize) -> HashSet<String> {
+    corpus(n).into_iter().step_by(2).map(|(url, _)| url).collect()
+}
+
+/// A candidate-restricted query goes through the same scatter-gather
+/// as an unrestricted one: with one primary killed it fails over
+/// exactly at R = 1 and returns the survivors' ranking, honestly
+/// stamped, at R = 0.
+#[test]
+fn a_restricted_query_fails_over_or_degrades_like_any_other() {
+    let candidates = even_documents(120);
+    let clean = build(3, 0, 120)
+        .query_restricted("winner tennis", 200, &candidates)
+        .expect("clean");
+    assert!(clean.hits.iter().all(|h| candidates.contains(&h.url)));
+    let kill_primary_1 = || {
+        let plan = FaultPlan::seeded(5);
+        plan.set_site("shard:1", FaultSpec::always_error());
+        plan.shared()
+    };
+
+    let mut replicated = build(3, 1, 120);
+    replicated.set_fault_plan(kill_primary_1());
+    let rescued = replicated
+        .query_restricted("winner tennis", 200, &candidates)
+        .expect("a replica answers");
+    assert_eq!(ranking(&rescued.hits), ranking(&clean.hits));
+    assert_eq!(rescued.failovers, 1);
+    assert_eq!(rescued.shards_failed, 0);
+    assert_eq!(rescued.quality, 1.0);
+    assert_eq!(rescued.served_by[1], Some(1));
+
+    let mut bare = build(3, 0, 120);
+    bare.set_fault_plan(kill_primary_1());
+    let degraded = bare
+        .query_restricted("winner tennis", 200, &candidates)
+        .expect("two groups survive");
+    assert_eq!(degraded.shards_failed, 1);
+    assert_eq!(degraded.failed_shards, vec![1]);
+    assert!(degraded.quality < 1.0, "quality {}", degraded.quality);
+    let survivors: Vec<ir::SearchHit> = clean
+        .hits
+        .iter()
+        .filter(|h| bare.route(&h.url) != 1)
+        .cloned()
+        .collect();
+    assert_eq!(ranking(&degraded.hits), ranking(&survivors));
+}
+
+/// Restricted queries feed the control plane's signals — the failure
+/// streaks behind loss declaration, the critical-path ring and
+/// histogram behind the p99 trigger — and rotate over replicas under
+/// round-robin read routing.
+#[test]
+fn restricted_queries_feed_loss_detection_latency_and_read_routing() {
+    let candidates = even_documents(90);
+    let clean = ranking(
+        &build(3, 0, 90)
+            .query_restricted("winner", 10, &candidates)
+            .expect("clean")
+            .hits,
+    );
+
+    let o = obs::Obs::enabled();
+    let critical_paths = || {
+        o.registry()
+            .expect("enabled")
+            .histogram("ir_critical_path_seconds", "", obs::DEFAULT_TIME_BUCKETS)
+            .count()
+    };
+    let mut d = build(3, 0, 90);
+    d.set_obs(&o);
+    let plan = FaultPlan::seeded(9);
+    plan.set_site("shard:1", FaultSpec::always_error());
+    d.set_fault_plan(plan.shared());
+    assert_eq!(d.observed_shard_p99(), Duration::ZERO);
+    assert_eq!(critical_paths(), 0);
+    for round in 1..=3u64 {
+        assert!(d.lost_servers(3).is_empty(), "declared lost before round {round}");
+        d.query_restricted("winner", 10, &candidates).expect("survivors");
+        assert_eq!(critical_paths(), round);
+    }
+    assert!(d.observed_shard_p99() > Duration::ZERO);
+    assert_eq!(d.lost_servers(3), vec![1], "three failed consultations in a row");
+    assert!(!d.shard_health()[1].primary_healthy);
+
+    let mut routed = build(3, 1, 90);
+    routed.set_read_routing(ReadRouting::RoundRobin);
+    let first = routed.query_restricted("winner", 10, &candidates).expect("first");
+    let second = routed.query_restricted("winner", 10, &candidates).expect("second");
+    assert_eq!(first.served_by, vec![Some(0); 3]);
+    assert_eq!(second.served_by, vec![Some(1); 3]);
+    assert_eq!(ranking(&first.hits), clean);
+    assert_eq!(ranking(&second.hits), clean);
+}
+
+/// Through the engine: on a cluster with a dead text server, a `TEXT …
+/// WITHIN` query and the same query ranked globally report the same
+/// cluster — same text status, same DEGRADED notes — and `routed` is
+/// stamped only when replicas actually took routed reads.
+#[test]
+fn within_queries_report_the_cluster_like_global_ones() {
+    use dlsearch::{ausopen, qlang, Engine, EngineConfig, QueryOptions};
+
+    let site = Arc::new(Site::generate(SiteSpec {
+        players: 8,
+        articles: 4,
+        seed: 29,
+    }));
+    let pages = crawl(&site);
+    let global = qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" TOP 10"#).unwrap();
+    let within =
+        qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" WITHIN TOP 10"#).unwrap();
+
+    // `ausopen::flaky_engine` keeps its single text server fault-free;
+    // the fixture whose text servers take faults is `resilient_engine`.
+    let plan = FaultPlan::seeded(3).with_site("shard:2", FaultSpec::always_error());
+    let mut engine = ausopen::resilient_engine(Arc::clone(&site), 4, plan.shared()).unwrap();
+    engine.populate(&pages).unwrap();
+    let a = engine.execute(&global, &QueryOptions::default()).unwrap();
+    let b = engine.execute(&within, &QueryOptions::default()).unwrap();
+    let status = a.text.as_ref().expect("a text query reports its status");
+    assert_eq!(status.failed_shards, vec![2]);
+    assert!(!status.routed, "no replicas, no routed read");
+    assert_eq!(a.degraded, vec!["DEGRADED: 3 of 4 text servers answered".to_owned()]);
+    assert_eq!(b.text, a.text);
+    assert_eq!(b.degraded, a.degraded);
+    assert_eq!(b.quality, a.quality);
+    // No conceptual predicate: the candidates are every player.
+    assert_eq!(b.hits, a.hits);
+
+    let scaled = |replicas: usize| {
+        let mut engine = Engine::new(EngineConfig {
+            text_servers: 3,
+            text_replicas: replicas,
+            text_read_scaling: true,
+            ..ausopen::config(Arc::clone(&site))
+        })
+        .unwrap();
+        engine.populate(&pages).unwrap();
+        engine
+    };
+    let mut replicated = scaled(1);
+    let first = replicated.execute(&within, &QueryOptions::default()).unwrap();
+    // A different spelling of the same query would hit the answer
+    // cache; a different top-N does not.
+    let again =
+        qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" WITHIN TOP 9"#).unwrap();
+    let second = replicated.execute(&again, &QueryOptions::default()).unwrap();
+    let (first, second) = (first.text.unwrap(), second.text.unwrap());
+    assert!(first.routed && second.routed);
+    assert_eq!(first.served_by, vec![Some(0); 3]);
+    assert_eq!(second.served_by, vec![Some(1); 3]);
+    let unreplicated = scaled(0).execute(&within, &QueryOptions::default()).unwrap();
+    assert!(!unreplicated.text.unwrap().routed, "read scaling without replicas routes nothing");
 }
 
 /// Splitting onto more servers and merging back preserves every query
@@ -140,7 +302,7 @@ fn rebalancing_preserves_every_query_byte_for_byte() {
     let mut d = build(2, 1, 150);
     let before: Vec<_> = QUERY_SET
         .iter()
-        .map(|q| ranking(&d.query_serial(q, 12).expect("query").hits))
+        .map(|q| ranking(&d.query_serial(q, 12).hits))
         .collect();
 
     let r = Rebalancer::new();
@@ -148,7 +310,7 @@ fn rebalancing_preserves_every_query_byte_for_byte() {
     assert_eq!(grown.shards_after, 3);
     for (q, expect) in QUERY_SET.iter().zip(&before) {
         assert_eq!(
-            &ranking(&d.query_serial(q, 12).expect("query").hits),
+            &ranking(&d.query_serial(q, 12).hits),
             expect,
             "query {q:?} changed across the split"
         );
@@ -158,7 +320,7 @@ fn rebalancing_preserves_every_query_byte_for_byte() {
     assert_eq!(shrunk.shards_after, 2);
     for (q, expect) in QUERY_SET.iter().zip(&before) {
         assert_eq!(
-            &ranking(&d.query_serial(q, 12).expect("query").hits),
+            &ranking(&d.query_serial(q, 12).hits),
             expect,
             "query {q:?} changed across the merge"
         );
@@ -181,7 +343,7 @@ fn killing_shards_mid_rebalance_never_corrupts_answers_or_checkpoints() {
         let before_layout = d.layout().to_vec();
         let before: Vec<_> = QUERY_SET
             .iter()
-            .map(|q| ranking(&d.query_serial(q, 10).expect("query").hits))
+            .map(|q| ranking(&d.query_serial(q, 10).hits))
             .collect();
 
         let plan = FaultPlan::seeded(11);
@@ -195,7 +357,7 @@ fn killing_shards_mid_rebalance_never_corrupts_answers_or_checkpoints() {
         assert_eq!(d.servers(), servers);
         for (q, expect) in QUERY_SET.iter().zip(&before) {
             assert_eq!(
-                &ranking(&d.query_serial(q, 10).expect("query").hits),
+                &ranking(&d.query_serial(q, 10).hits),
                 expect,
                 "victim {victim}: query {q:?} changed after an aborted rebalance"
             );
@@ -206,7 +368,7 @@ fn killing_shards_mid_rebalance_never_corrupts_answers_or_checkpoints() {
         assert_eq!(report.shards_after, 2);
         for (q, expect) in QUERY_SET.iter().zip(&before) {
             assert_eq!(
-                &ranking(&d.query_serial(q, 10).expect("query").hits),
+                &ranking(&d.query_serial(q, 10).hits),
                 expect,
                 "victim {victim}: query {q:?} changed across the rebalance"
             );
@@ -218,7 +380,7 @@ fn killing_shards_mid_rebalance_never_corrupts_answers_or_checkpoints() {
         assert_eq!(restored.layout(), d.layout());
         for (q, expect) in QUERY_SET.iter().zip(&before) {
             assert_eq!(
-                &ranking(&restored.query_serial(q, 10).expect("query").hits),
+                &ranking(&restored.query_serial(q, 10).hits),
                 expect,
                 "victim {victim}: query {q:?} changed across the checkpoint"
             );
@@ -262,13 +424,7 @@ fn a_crash_after_rebalance_recovers_onto_the_new_layout() {
     let report = engine.rebalance_text(2).expect("rebalance");
     assert_eq!(report.shards_after, 2);
     let layout_after = engine.text_index().layout().to_vec();
-    let before = ranking(
-        &engine
-            .text_index_mut()
-            .query_serial("winner", 10)
-            .expect("query")
-            .hits,
-    );
+    let before = ranking(&engine.text_index().query_serial("winner", 10).hits);
     drop(engine); // crash: the rebalance lives only in the WAL
 
     let (mut reopened, recovery) = dlsearch::Engine::open(config(), &dir).expect("reopen");
@@ -280,13 +436,7 @@ fn a_crash_after_rebalance_recovers_onto_the_new_layout() {
     assert_eq!(reopened.text_index().layout(), &layout_after[..]);
     assert_eq!(reopened.text_index().replication(), 1);
     assert_eq!(
-        ranking(
-            &reopened
-                .text_index_mut()
-                .query_serial("winner", 10)
-                .expect("query")
-                .hits
-        ),
+        ranking(&reopened.text_index().query_serial("winner", 10).hits),
         before
     );
     assert_eq!(reopened.shard_health().len(), 2);

@@ -148,7 +148,7 @@ fn explain_renders_the_physical_plan() {
         seed: 6,
     }));
     let engine = ausopen::engine(Arc::clone(&site)).unwrap();
-    let plan = engine.explain(&qlang::parse(FIGURE13).unwrap());
+    let plan = engine.explain(&qlang::parse(FIGURE13).unwrap(), None);
     assert!(plan.contains("conceptual selection on Player"));
     assert!(plan.contains("ranked text retrieval"));
     assert!(plan.contains("Is_covered_in"));

@@ -184,15 +184,15 @@ fn degraded_run_reports_failures_and_answers_from_survivor_shards() {
     // Ranked text retrieval answers from the three surviving servers.
     let q = dlsearch::qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" TOP 10"#)
         .unwrap();
-    let hits = engine.query(&q).unwrap();
-    assert!(!hits.is_empty(), "survivors must still answer");
-    let status = engine.last_text_status().unwrap();
+    let outcome = engine.execute(&q, &dlsearch::QueryOptions::default()).unwrap();
+    assert!(!outcome.hits.is_empty(), "survivors must still answer");
+    let status = outcome.text.as_ref().unwrap();
     assert_eq!(status.shards_failed, 1);
     assert_eq!(status.failed_shards, vec![2]);
     assert!(status.quality > 0.0 && status.quality < 1.0, "{status:?}");
 
     // The plan explanation surfaces the degradation.
-    let explain = engine.explain(&q);
+    let explain = engine.explain(&q, Some(&outcome));
     assert!(explain.contains("4 shared-nothing text servers"), "{explain}");
     assert!(explain.contains("DEGRADED"), "{explain}");
 }

@@ -2,7 +2,7 @@
 //!
 //! * enabling observability never changes an answer — a plain engine
 //!   and an instrumented one produce byte-identical hits and store
-//!   digests, and `query_traced` returns exactly what `query` returns,
+//!   digests, and a traced `execute` returns exactly what `query` returns,
 //! * one scrape of `metrics_text()` spans every layer of the system
 //!   (engine, admission, webspace, monetxml, ir, monet, obs itself),
 //! * the EXPLAIN ANALYZE tree is physically plausible: child wall time
@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dlsearch::{ausopen, qlang, Engine, EngineConfig};
+use dlsearch::{ausopen, qlang, Engine, EngineConfig, QueryOptions};
 use obs::{Obs, TraceNode};
 use websim::{crawl, Site, SiteSpec};
 
@@ -25,6 +25,12 @@ const FIGURE13: &str = r#"
     MEDIA video HAS netplay
     TOP 10
 "#;
+
+const TRACED: QueryOptions<'static> = QueryOptions {
+    budget: None,
+    level: dlsearch::OverloadLevel::Healthy,
+    trace: true,
+};
 
 fn site() -> Arc<Site> {
     Arc::new(Site::generate(SiteSpec {
@@ -48,7 +54,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Enabling observability must not change a single output byte: same
-/// hits, same stores, and `query_traced` answers what `query` answers.
+/// hits, same stores, and a traced `execute` answers what `query` answers.
 #[test]
 fn enabled_observability_is_byte_identical_to_disabled() {
     let site = site();
@@ -72,8 +78,8 @@ fn enabled_observability_is_byte_identical_to_disabled() {
         let expected = plain.query(&query).unwrap();
         let answered = observed.query(&query).unwrap();
         assert_eq!(answered, expected, "observed engine diverged on {q}");
-        // The traced entry point returns the identical answer too.
-        let traced = observed.query_traced(&query).unwrap();
+        // Asking for the trace returns the identical answer too.
+        let traced = observed.execute(&query, &TRACED).unwrap();
         assert_eq!(traced.hits, expected, "traced answer diverged on {q}");
     }
     assert_eq!(
@@ -83,9 +89,9 @@ fn enabled_observability_is_byte_identical_to_disabled() {
     );
     // A never-enabled engine exposes no metrics and collects no trace.
     assert!(plain.metrics_text().is_empty());
-    let untraced = plain.query_traced(&qlang::parse(FIGURE13).unwrap()).unwrap();
+    let untraced = plain.execute(&qlang::parse(FIGURE13).unwrap(), &TRACED).unwrap();
     assert!(untraced.trace.is_none());
-    assert!(untraced.render().contains("observability disabled"));
+    assert!(untraced.explain_analyze().contains("observability disabled"));
 }
 
 /// One scrape covers the whole system: at least 20 distinct metric
@@ -174,7 +180,7 @@ fn traced_query_produces_a_consistent_phase_tree() {
     engine.populate(&crawl(&site)).unwrap();
 
     let query = qlang::parse(FIGURE13).unwrap();
-    let traced = engine.query_traced(&query).unwrap();
+    let traced = engine.execute(&query, &TRACED).unwrap();
     let root = traced.trace.clone().expect("enabled engine must collect a trace");
 
     assert_eq!(root.name, "engine.query");
@@ -201,7 +207,7 @@ fn traced_query_produces_a_consistent_phase_tree() {
         "expected one child span per text server"
     );
     // The rendered report is a readable EXPLAIN ANALYZE.
-    let rendered = traced.render();
+    let rendered = traced.explain_analyze();
     assert!(rendered.starts_with("EXPLAIN ANALYZE"));
     assert!(rendered.contains("engine.query.text"));
     assert!(rendered.contains("shard-1"));
@@ -218,14 +224,14 @@ fn cache_hits_are_annotated_in_the_trace() {
     engine.populate(&crawl(&site)).unwrap();
 
     let query = qlang::parse(FIGURE13).unwrap();
-    let first = engine.query_traced(&query).unwrap();
+    let first = engine.execute(&query, &TRACED).unwrap();
     let miss_root = first.trace.unwrap();
     assert!(
         miss_root.notes.iter().any(|n| n == "cache=miss"),
         "first run should note cache=miss: {:?}",
         miss_root.notes
     );
-    let second = engine.query_traced(&query).unwrap();
+    let second = engine.execute(&query, &TRACED).unwrap();
     assert_eq!(second.hits, first.hits);
     let hit_root = second.trace.unwrap();
     assert!(
@@ -258,7 +264,7 @@ fn slow_query_log_is_bounded() {
             r#"FROM Player TEXT history CONTAINS "Winner" TOP {top}"#
         ))
         .unwrap();
-        engine.query_traced(&query).unwrap();
+        engine.execute(&query, &TRACED).unwrap();
     }
     let slow = o.slow_queries();
     assert_eq!(slow.len(), 4, "ring must cap at its capacity");
@@ -277,7 +283,6 @@ fn slow_query_log_is_bounded() {
 #[test]
 fn brownout_answers_are_counted_and_marked() {
     use dlsearch::OverloadLevel;
-    use faults::Budget;
 
     let site = site();
     let mut engine = ausopen::engine(Arc::clone(&site)).unwrap();
@@ -286,11 +291,12 @@ fn brownout_answers_are_counted_and_marked() {
     engine.populate(&crawl(&site)).unwrap();
 
     let query = qlang::parse(FIGURE13).unwrap();
-    o.begin_trace();
-    let outcome = engine
-        .query_degraded(&query, &Budget::unlimited(), OverloadLevel::Brownout)
-        .unwrap();
-    let root = o.take_trace().expect("brownout query must trace");
+    let brownout = QueryOptions {
+        level: OverloadLevel::Brownout,
+        ..TRACED
+    };
+    let outcome = engine.execute(&query, &brownout).unwrap();
+    let root = outcome.trace.clone().expect("brownout query must trace");
     assert!(!outcome.degraded.is_empty());
     assert!(outcome.quality < 1.0);
     assert_eq!(root.outcome, obs::Outcome::Degraded);

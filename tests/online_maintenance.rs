@@ -284,7 +284,7 @@ fn fault_killed_maintenance_leaves_the_engine_byte_identical() {
     let q = qlang::parse(STORM_QUERY).unwrap();
     let baseline_answer = engine.query(&q).unwrap();
     let baseline_digest = engine.state_digest().unwrap();
-    let baseline_explain = engine.explain(&q);
+    let baseline_explain = engine.explain(&q, None);
 
     for k in 0..16 {
         let mut job = engine
@@ -299,7 +299,7 @@ fn fault_killed_maintenance_leaves_the_engine_byte_identical() {
             "kill point {k}: the store changed"
         );
         assert_eq!(
-            engine.explain(&q),
+            engine.explain(&q, None),
             baseline_explain,
             "kill point {k}: the EXPLAIN output changed"
         );

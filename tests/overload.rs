@@ -17,7 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dlsearch::{
-    ausopen, qlang, AdmissionConfig, Error, OverloadLevel, Priority, QueryService,
+    ausopen, qlang, AdmissionConfig, Engine, EngineHit, EngineQuery, Error, OverloadLevel,
+    Priority, QueryOptions, QueryService,
 };
 use faults::{Budget, BudgetExceeded, DelaySpec, FaultPlan};
 use websim::{crawl, Site, SiteSpec};
@@ -37,6 +38,19 @@ const STORM_QUERY: &str = r#"
     TEXT history CONTAINS "Winner"
     TOP 10
 "#;
+
+/// `Engine::execute` under `budget`, full fidelity, hits only.
+fn budgeted(
+    engine: &mut Engine,
+    q: &EngineQuery,
+    budget: &Budget,
+) -> dlsearch::Result<Vec<EngineHit>> {
+    let opts = QueryOptions {
+        budget: Some(budget),
+        ..QueryOptions::default()
+    };
+    engine.execute(q, &opts).map(|o| o.hits)
+}
 
 fn small_site() -> Arc<Site> {
     Arc::new(Site::generate(SiteSpec {
@@ -93,9 +107,11 @@ fn brownout_truncates_honestly_and_stamps_quality() {
 
     let q = qlang::parse(FIGURE13).unwrap();
     let full = engine.query(&q).unwrap();
-    let outcome = engine
-        .query_degraded(&q, &Budget::unlimited(), OverloadLevel::Brownout)
-        .unwrap();
+    let brownout = QueryOptions {
+        level: OverloadLevel::Brownout,
+        ..QueryOptions::default()
+    };
+    let outcome = engine.execute(&q, &brownout).unwrap();
     assert_eq!(outcome.level, OverloadLevel::Brownout);
     assert!(
         outcome.quality < 1.0,
@@ -282,8 +298,28 @@ fn storm_at_ten_x_capacity_degrades_but_stays_live() {
     assert!(calm.degraded.is_empty());
 }
 
+/// Figure 13 with the ranking restricted a-priori to the conceptual
+/// candidates.
+const FIGURE13_WITHIN: &str = r#"
+    FROM Player
+    WHERE gender = "female" AND hand = "left"
+    TEXT history CONTAINS "Winner" WITHIN
+    VIA Is_covered_in
+    MEDIA video HAS netplay
+    TOP 10
+"#;
+
 #[test]
 fn budget_expiry_at_every_checkpoint_leaves_no_trace() {
+    // The integrated query, ranked globally and ranked within the
+    // conceptual candidates: both text stages charge one unit per
+    // answering server group.
+    for text in [FIGURE13, FIGURE13_WITHIN] {
+        sweep_work_budgets(text);
+    }
+}
+
+fn sweep_work_budgets(text: &str) {
     let site = small_site();
     let pages = crawl(&site);
     let mut engine = ausopen::engine(Arc::clone(&site)).unwrap();
@@ -292,7 +328,7 @@ fn budget_expiry_at_every_checkpoint_leaves_no_trace() {
     // The ground truth comes from an untouched twin engine.
     let mut twin = ausopen::engine(Arc::clone(&site)).unwrap();
     twin.populate(&pages).unwrap();
-    let q = qlang::parse(FIGURE13).unwrap();
+    let q = qlang::parse(text).unwrap();
     let expected = twin.query(&q).unwrap();
 
     let digest_before = engine.state_digest().unwrap();
@@ -316,7 +352,7 @@ fn budget_expiry_at_every_checkpoint_leaves_no_trace() {
     let mut phases = std::collections::BTreeSet::new();
     let mut converged = None;
     for units in budgets {
-        match engine.query_budgeted(&q, &Budget::with_work(units)) {
+        match budgeted(&mut engine, &q, &Budget::with_work(units)) {
             Ok(hits) => {
                 converged = Some((units, hits));
                 break;
@@ -342,10 +378,6 @@ fn budget_expiry_at_every_checkpoint_leaves_no_trace() {
                     0,
                     "cancelled run leaked media memos (budget {units})"
                 );
-                assert!(
-                    engine.last_text_status().is_none(),
-                    "cancelled run leaked text status (budget {units})"
-                );
             }
             Err(other) => panic!("budget {units}: untyped cancellation: {other}"),
         }
@@ -357,10 +389,12 @@ fn budget_expiry_at_every_checkpoint_leaves_no_trace() {
         "a sufficient budget (here {units}) must reproduce the unbudgeted answer"
     );
     assert!(
-        phases.contains("conceptual") && phases.contains("media"),
-        "sweep should cut both early and late stages, saw {phases:?}"
+        phases.contains("conceptual") && phases.contains("text") && phases.contains("media"),
+        "sweep should cut the early, the text and the late stages, saw {phases:?}"
     );
-    // And the engine still answers the plain path bit-identically.
+    // A budget-limited answer is never cached, and the engine still
+    // answers the plain path bit-identically.
+    assert_eq!(engine.query_cache_stats(), cache_before);
     assert_eq!(engine.query(&q).unwrap(), expected);
 }
 
@@ -374,7 +408,7 @@ fn cancellation_and_deadlines_are_typed_with_partial_progress() {
     // Pre-cancelled budget: cut at the admission checkpoint.
     let cancelled = Budget::unlimited();
     cancelled.cancel();
-    match engine.query_budgeted(&q, &cancelled) {
+    match budgeted(&mut engine, &q, &cancelled) {
         Err(Error::DeadlineExceeded { partial, cause }) => {
             assert_eq!(cause, BudgetExceeded::Cancelled);
             assert_eq!(partial.phase, "admission");
@@ -386,7 +420,7 @@ fn cancellation_and_deadlines_are_typed_with_partial_progress() {
     // Already-expired wall clock: same checkpoint, deadline cause.
     let expired = Budget::with_deadline(Duration::from_nanos(1));
     std::thread::sleep(Duration::from_millis(2));
-    match engine.query_budgeted(&q, &expired) {
+    match budgeted(&mut engine, &q, &expired) {
         Err(Error::DeadlineExceeded { cause, .. }) => {
             assert_eq!(cause, BudgetExceeded::Deadline);
         }
@@ -395,7 +429,7 @@ fn cancellation_and_deadlines_are_typed_with_partial_progress() {
 
     // A mid-flight work cut reports the stage it stopped in and how far
     // that stage got.
-    match engine.query_budgeted(&q, &Budget::with_work(1)) {
+    match budgeted(&mut engine, &q, &Budget::with_work(1)) {
         Err(Error::DeadlineExceeded { partial, .. }) => {
             assert_eq!(partial.phase, "conceptual");
         }
@@ -403,7 +437,7 @@ fn cancellation_and_deadlines_are_typed_with_partial_progress() {
     }
 
     // The error's Display names the stage — operators grep for this.
-    let err = engine.query_budgeted(&q, &Budget::with_work(0)).unwrap_err();
+    let err = budgeted(&mut engine, &q, &Budget::with_work(0)).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("budget expired") && msg.contains("conceptual"),

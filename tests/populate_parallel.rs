@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dlsearch::{ausopen, qlang, Engine, PopulateOptions, PopulateReport};
+use dlsearch::{ausopen, qlang, Engine, PopulateOptions, PopulateReport, QueryOptions};
 use faults::{FaultPlan, FaultSpec};
 use websim::{crawl, Site, SiteSpec};
 
@@ -144,17 +144,17 @@ fn query_cache_serves_warm_answers_until_ingest_invalidates() {
     engine.populate(&pages).unwrap();
 
     let query = qlang::parse(FIGURE13).unwrap();
-    let cold = engine.query(&query).unwrap();
+    let cold = engine.execute(&query, &QueryOptions::default()).unwrap();
     assert_eq!(engine.query_cache_stats(), (0, 1));
 
     // Warm: identical answer, including the text status, no new miss.
-    let warm = engine.query(&query).unwrap();
+    let warm = engine.execute(&query, &QueryOptions::default()).unwrap();
     assert_eq!(cold, warm);
     assert_eq!(engine.query_cache_stats(), (1, 1));
     assert_eq!(
-        engine.last_text_status().map(|s| s.shards_ok),
+        warm.text.as_ref().map(|s| s.shards_ok),
         Some(1),
-        "cache hit must restore the text status"
+        "a cache hit must report the text status of the miss"
     );
 
     // A source refresh invalidates — even one that finds the source
@@ -163,7 +163,7 @@ fn query_cache_serves_warm_answers_until_ingest_invalidates() {
     engine.refresh_source(&video, |_| true).unwrap();
     let after = engine.query(&query).unwrap();
     assert_eq!(engine.query_cache_stats(), (1, 2));
-    assert_eq!(cold, after, "recomputing over unchanged stores must not change the answer");
+    assert_eq!(cold.hits, after, "recomputing over unchanged stores must not change the answer");
 }
 
 #[test]

@@ -184,12 +184,12 @@ fn ranked_retrieval_survives_a_compressed_round_trip() {
     index.commit().unwrap();
 
     let probe = format!("{} {}", Corpus::term(0), Corpus::term(7));
-    let (before, _) = index.query(&probe, 10).unwrap();
+    let (before, _) = index.query(&probe, 10);
     assert!(!before.is_empty(), "zipf head terms must match");
 
     let snap = index.snapshot().unwrap();
-    let mut restored = TextIndex::restore(&snap).unwrap();
-    let (after, _) = restored.query(&probe, 10).unwrap();
+    let restored = TextIndex::restore(&snap).unwrap();
+    let (after, _) = restored.query(&probe, 10);
     // Ids *and* scores: the restored index recomputes from
     // dictionary-coded columns and must land on the same floats.
     assert_eq!(format!("{before:?}"), format!("{after:?}"));
@@ -221,7 +221,7 @@ fn engine_explain_and_answers_survive_checkpoint_restore() {
 
     let (mut engine, _) = Engine::open(ausopen::config(Arc::clone(&site)), &dir).unwrap();
     engine.populate(&pages).unwrap();
-    let explain_before = engine.explain(&query);
+    let explain_before = engine.explain(&query, None);
     let answers_before = format!("{:?}", engine.query(&query).unwrap());
     engine.persist_to(&dir).unwrap();
 
@@ -229,7 +229,7 @@ fn engine_explain_and_answers_survive_checkpoint_restore() {
     // snapshot.
     let (mut reopened, report) = Engine::open(ausopen::config(Arc::clone(&site)), &dir).unwrap();
     assert!(!report.fell_back, "snapshot must load");
-    assert_eq!(reopened.explain(&query), explain_before);
+    assert_eq!(reopened.explain(&query, None), explain_before);
     assert_eq!(format!("{:?}", reopened.query(&query).unwrap()), answers_before);
     std::fs::remove_dir_all(&dir).ok();
 }
