@@ -1,7 +1,7 @@
 //! E16 — distribution: scale-out, replica failover, and rebalancing.
 //!
-//! Three questions about the replicated shared-nothing text tier, in
-//! one artifact (`BENCH_distribution.json` at the repository root):
+//! Three questions about the replicated shared-nothing text tier, one
+//! printed table each:
 //!
 //! * **Scaling** (the original E5 claim): per-document assignment
 //!   gives "almost perfect shared nothing parallelism" — work per
@@ -16,20 +16,15 @@
 //!   epoch-consistent split (grow by one server) and merge (shrink by
 //!   one), with the ranking pinned byte for byte across both.
 //!
-//! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write.
+//! `BENCH_SMOKE=1` shrinks the workload.
 
 use std::time::Instant;
 
+use bench::median;
 use faults::{FaultPlan, FaultSpec};
 use ir::{DistributedIndex, Rebalancer, ScoreModel, SearchHit};
-use obs::report::{BenchReport, Json};
 
 const QUERY: &str = "winner tennis champion";
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
 
 fn build(servers: usize, replicas: usize, docs: usize) -> DistributedIndex {
     let mut d = DistributedIndex::with_replication(servers, ScoreModel::TfIdf, replicas)
@@ -49,32 +44,12 @@ fn ranking(hits: &[SearchHit]) -> Vec<(String, u64)> {
         .collect()
 }
 
-struct ScalePoint {
-    servers: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    tuples_min: usize,
-    tuples_max: usize,
-}
-
-struct FailoverPoint {
-    replicas: usize,
-    healthy_ms: f64,
-    failover_ms: f64,
-    failovers: usize,
-    shards_failed: usize,
-    quality: f64,
-    exact: bool,
-}
-
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok();
     let (docs, iters): (usize, usize) = if smoke { (800, 1) } else { (30_000, 9) };
     let scale_servers: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let obs_handle = obs::Obs::enabled();
 
     // -- Scaling: serial vs parallel wall clock, plus work balance. --
-    let mut scaling = Vec::new();
     for &servers in scale_servers {
         let mut d = build(servers, 0, docs);
         let mut serial = Vec::new();
@@ -91,25 +66,19 @@ fn main() {
         }
         let work = d.query_serial(QUERY, 10);
         let tuples: Vec<usize> = work.per_shard_work.iter().map(|w| w.tuples).collect();
-        let point = ScalePoint {
-            servers,
-            serial_ms: median(&mut serial),
-            parallel_ms: median(&mut parallel),
-            tuples_min: tuples.iter().min().copied().unwrap_or(0),
-            tuples_max: tuples.iter().max().copied().unwrap_or(0),
-        };
         println!(
-            "e16_distribution/scaling servers={}: serial {:.3} ms, parallel {:.3} ms, \
+            "e16_distribution/scaling servers={servers}: serial {:.3} ms, parallel {:.3} ms, \
              per-shard tuples {}..{}",
-            point.servers, point.serial_ms, point.parallel_ms, point.tuples_min, point.tuples_max
+            median(&mut serial),
+            median(&mut parallel),
+            tuples.iter().min().copied().unwrap_or(0),
+            tuples.iter().max().copied().unwrap_or(0)
         );
-        scaling.push(point);
     }
 
     // -- Failover: healthy vs killed-server latency at R ∈ {0, 1, 2}. --
     let failover_servers = 4;
     let replica_grid: &[usize] = if smoke { &[0, 1] } else { &[0, 1, 2] };
-    let mut failover = Vec::new();
     for &replicas in replica_grid {
         let mut d = build(failover_servers, replicas, docs);
         let clean = ranking(&d.query_serial(QUERY, 10).hits);
@@ -146,32 +115,19 @@ fn main() {
             assert!(last.quality < 1.0, "R=0: a dead primary must degrade");
         }
 
-        let point = FailoverPoint {
-            replicas,
-            healthy_ms: median(&mut healthy),
-            failover_ms: median(&mut killed),
-            failovers: last.failovers,
-            shards_failed: last.shards_failed,
-            quality: last.quality,
-            exact,
-        };
         println!(
-            "e16_distribution/failover R={}: healthy {:.3} ms, server killed {:.3} ms, \
-             failovers={}, failed={}, quality={:.3}, exact={}",
-            point.replicas,
-            point.healthy_ms,
-            point.failover_ms,
-            point.failovers,
-            point.shards_failed,
-            point.quality,
-            point.exact
+            "e16_distribution/failover R={replicas}: healthy {:.3} ms, server killed {:.3} ms, \
+             failovers={}, failed={}, quality={:.3}, exact={exact}",
+            median(&mut healthy),
+            median(&mut killed),
+            last.failovers,
+            last.shards_failed,
+            last.quality
         );
-        failover.push(point);
     }
 
     // -- Rebalancing: split 2 → 3, merge 3 → 2, answers pinned. --
     let mut d = build(2, 1, docs);
-    d.set_obs(&obs_handle);
     let before = ranking(&d.query_serial(QUERY, 10).hits);
     let r = Rebalancer::new();
 
@@ -199,54 +155,4 @@ fn main() {
          merge {:.1} ms ({} docs moved)",
         split_ms, split.moved_docs, merge_ms, merge.moved_docs
     );
-
-    if smoke {
-        println!("e16_distribution: smoke mode, not writing BENCH_distribution.json");
-        return;
-    }
-
-    let scaling_rows: Vec<Json> = scaling
-        .iter()
-        .map(|p| {
-            Json::Obj(vec![
-                ("servers".to_owned(), Json::Int(p.servers as i64)),
-                ("serial_median_ms".to_owned(), Json::Num(p.serial_ms)),
-                ("parallel_median_ms".to_owned(), Json::Num(p.parallel_ms)),
-                ("per_shard_tuples_min".to_owned(), Json::Int(p.tuples_min as i64)),
-                ("per_shard_tuples_max".to_owned(), Json::Int(p.tuples_max as i64)),
-            ])
-        })
-        .collect();
-    let failover_rows: Vec<Json> = failover
-        .iter()
-        .map(|p| {
-            Json::Obj(vec![
-                ("replicas".to_owned(), Json::Int(p.replicas as i64)),
-                ("healthy_median_ms".to_owned(), Json::Num(p.healthy_ms)),
-                ("failover_median_ms".to_owned(), Json::Num(p.failover_ms)),
-                ("failovers".to_owned(), Json::Int(p.failovers as i64)),
-                ("shards_failed".to_owned(), Json::Int(p.shards_failed as i64)),
-                ("quality".to_owned(), Json::Num(p.quality)),
-                ("exact".to_owned(), Json::Bool(p.exact)),
-            ])
-        })
-        .collect();
-    let rebalance_row = Json::Obj(vec![
-        ("split_ms".to_owned(), Json::Num(split_ms)),
-        ("split_moved_docs".to_owned(), Json::Int(split.moved_docs as i64)),
-        ("merge_ms".to_owned(), Json::Num(merge_ms)),
-        ("merge_moved_docs".to_owned(), Json::Int(merge.moved_docs as i64)),
-    ]);
-
-    let report = BenchReport::new("e16_distribution_failover")
-        .config("docs", Json::Int(docs as i64))
-        .config("iterations", Json::Int(iters as i64))
-        .config("failover_servers", Json::Int(failover_servers as i64))
-        .result("scaling", Json::Arr(scaling_rows))
-        .result("failover", Json::Arr(failover_rows))
-        .result("rebalance", rebalance_row)
-        .metrics(obs_handle.registry().expect("enabled"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_distribution.json");
-    std::fs::write(path, report.render()).expect("write BENCH_distribution.json");
-    println!("e16_distribution: wrote {path}");
 }

@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use websim::crawl;
 
 use acoi::{RevisionLevel, Token};
+use dlsearch::QueryService;
 
 fn new_tennis_impl() -> acoi::DetectorFn {
     Box::new(|inputs| {
@@ -34,10 +35,10 @@ fn bench_maintenance(c: &mut Criterion) {
         // results are reused from the stored trees.
         group.bench_function(BenchmarkId::new("incremental_minor", players), |b| {
             b.iter_batched(
-                || bench::populated_engine(players, 4).1,
-                |mut engine| {
-                    let report = engine
-                        .upgrade_detector("tennis", RevisionLevel::Minor, new_tennis_impl())
+                || QueryService::new(bench::populated_engine(players, 4).1),
+                |service| {
+                    let report = service
+                        .upgrade_detector_online("tennis", RevisionLevel::Minor, new_tennis_impl())
                         .unwrap();
                     assert!(report.detector_calls_saved > 0);
                     report.detector_calls
@@ -49,10 +50,10 @@ fn bench_maintenance(c: &mut Criterion) {
         // Correction: the FDS takes no action at all.
         group.bench_function(BenchmarkId::new("correction", players), |b| {
             b.iter_batched(
-                || bench::populated_engine(players, 4).1,
-                |mut engine| {
-                    let report = engine
-                        .upgrade_detector(
+                || QueryService::new(bench::populated_engine(players, 4).1),
+                |service| {
+                    let report = service
+                        .upgrade_detector_online(
                             "tennis",
                             RevisionLevel::Correction,
                             new_tennis_impl(),

@@ -1,7 +1,7 @@
 //! Shared workload builders for the benchmark harness.
 //!
 //! Every bench in `benches/` regenerates one experiment of
-//! `EXPERIMENTS.md` (E1–E8). The builders here keep workload
+//! `EXPERIMENTS.md` (E1–E9, E16, E17). The builders here keep workload
 //! construction identical across benches so numbers are comparable.
 
 use std::sync::Arc;
@@ -45,6 +45,12 @@ pub fn text_corpus(docs: usize) -> Vec<(String, String)> {
             (format!("http://site/news/{i}.html"), body)
         })
         .collect()
+}
+
+/// Median of a set of timing samples (sorts them in place).
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
 }
 
 /// A nested XML document: `width` children per level, `depth` levels.

@@ -36,6 +36,7 @@ use faults::Budget;
 
 use crate::engine::{Engine, QueryOptions, TextQueryStatus};
 use crate::error::{Error, Result};
+use crate::maintenance::MaintenanceJob;
 use crate::query::{EngineHit, EngineQuery};
 
 /// Priority class of a query at the admission gate.
@@ -158,6 +159,16 @@ pub struct OverloadStatus {
     /// when a telemetry layer is attached (empty otherwise).
     pub slo: Vec<obs::SloStatus>,
 }
+
+/// How long background work waits out a Brownout before asking for a
+/// permit anyway (`2000 × 1ms`).
+const MAX_BROWNOUT_PAUSES: usize = 2000;
+const BROWNOUT_PAUSE: Duration = Duration::from_millis(1);
+
+/// Background admission retries after a typed `Overloaded` rejection
+/// before the job reports itself as starved.
+const MAX_ADMIT_RETRIES: usize = 50;
+const MAX_RETRY_SLEEP: Duration = Duration::from_millis(10);
 
 /// Transition-log ring capacity.
 const TRANSITION_LOG: usize = 256;
@@ -405,6 +416,30 @@ impl AdmissionGate {
             gate: Arc::clone(self),
             started: Instant::now(),
         })
+    }
+
+    /// One `Batch`-class admission with the discipline all background
+    /// work follows (maintenance chunks, control-plane actions): first
+    /// wait out any Brownout-or-worse rung — background work pauses
+    /// while interactive traffic is distressed rather than compete —
+    /// then take a permit, retrying a bounded number of times on a
+    /// typed `Overloaded` rejection.
+    pub(crate) fn admit_background(self: &Arc<Self>) -> Result<Permit> {
+        let mut pauses = 0;
+        while self.level() >= OverloadLevel::Brownout && pauses < MAX_BROWNOUT_PAUSES {
+            std::thread::sleep(BROWNOUT_PAUSE);
+            pauses += 1;
+        }
+        let mut attempts = 0;
+        loop {
+            match self.admit(Priority::Batch) {
+                Err(Error::Overloaded { retry_after_hint }) if attempts < MAX_ADMIT_RETRIES => {
+                    attempts += 1;
+                    std::thread::sleep(retry_after_hint.min(MAX_RETRY_SLEEP));
+                }
+                outcome => return outcome,
+            }
+        }
     }
 
     /// The current ladder rung.
@@ -665,21 +700,21 @@ impl QueryService {
         level: acoi::RevisionLevel,
         new_impl: acoi::DetectorFn,
     ) -> Result<acoi::MaintenanceReport> {
-        let mut job = self.engine().begin_upgrade(detector, level, new_impl)?;
-        match job.run() {
-            Ok(()) => self.engine().commit_maintenance(job),
-            Err(e) => {
-                self.engine().abort_maintenance(job)?;
-                Err(e)
-            }
-        }
+        let job = self.engine().begin_upgrade(detector, level, new_impl)?;
+        self.run_maintenance(job)
     }
 
     /// Heals a detector's rejected-with-cause backlog as a background
     /// maintenance job — same two-brief-locks protocol as
     /// [`QueryService::upgrade_detector_online`].
     pub fn heal_detector_online(&self, detector: &str) -> Result<acoi::MaintenanceReport> {
-        let mut job = self.engine().begin_heal(detector)?;
+        let job = self.engine().begin_heal(detector)?;
+        self.run_maintenance(job)
+    }
+
+    /// Runs a begun job off-lock, then cuts over — or rolls back and
+    /// hands on the run's error.
+    fn run_maintenance(&self, mut job: MaintenanceJob) -> Result<acoi::MaintenanceReport> {
         match job.run() {
             Ok(()) => self.engine().commit_maintenance(job),
             Err(e) => {

@@ -31,29 +31,19 @@
 //! effect, so chaos schedules can kill a decision at the policy/
 //! mechanism boundary too.
 
-#![deny(clippy::unwrap_used)]
-
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use faults::{FaultAction, FaultPlan};
 use ir::{ControlConfig, ControlDecision, ControlPolicy};
 
-use crate::admission::{AdmissionGate, OverloadLevel, Permit, Priority, QueryService};
+use crate::admission::{AdmissionGate, OverloadLevel, Permit, QueryService};
 use crate::error::{Error, Result};
 
 /// Copies rebuilt per Batch admission during background
 /// re-replication — the control plane's unit of interference, matching
 /// online maintenance's chunk size.
 const ADMIT_CHUNK: usize = 4;
-
-/// How long a gated action waits out a Brownout before giving up.
-const MAX_BROWNOUT_PAUSES: usize = 2000;
-const BROWNOUT_PAUSE: Duration = Duration::from_millis(1);
-
-/// Admission retries after a typed `Overloaded` rejection.
-const MAX_ADMIT_RETRIES: usize = 50;
-const MAX_RETRY_SLEEP: Duration = Duration::from_millis(10);
 
 /// Help string of the decision counter (shared with the pre-seeded
 /// family in `ir`'s metric registration).
@@ -287,33 +277,16 @@ impl ControlPlane {
     }
 }
 
-/// One Batch-class admission, with the same Brownout-pause /
-/// bounded-retry discipline as online maintenance: background work
-/// yields to distressed interactive traffic instead of competing.
+/// One background admission (the discipline online maintenance follows
+/// too), counted as proof the control plane's work went through the gate.
 fn admit_batch(gate: &Arc<AdmissionGate>, obs: &obs::Obs) -> Result<Permit> {
-    let mut pauses = 0;
-    while gate.level() >= OverloadLevel::Brownout && pauses < MAX_BROWNOUT_PAUSES {
-        std::thread::sleep(BROWNOUT_PAUSE);
-        pauses += 1;
+    let permit = gate.admit_background()?;
+    if let Some(reg) = obs.registry() {
+        reg.counter(
+            "engine_control_batch_admissions_total",
+            "Batch-class gate permits granted to the control plane",
+        )
+        .inc();
     }
-    let mut attempts = 0;
-    loop {
-        match gate.admit(Priority::Batch) {
-            Ok(permit) => {
-                if let Some(reg) = obs.registry() {
-                    reg.counter(
-                        "engine_control_batch_admissions_total",
-                        "Batch-class gate permits granted to the control plane",
-                    )
-                    .inc();
-                }
-                return Ok(permit);
-            }
-            Err(Error::Overloaded { retry_after_hint }) if attempts < MAX_ADMIT_RETRIES => {
-                attempts += 1;
-                std::thread::sleep(retry_after_hint.min(MAX_RETRY_SLEEP));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    Ok(permit)
 }

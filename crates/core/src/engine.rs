@@ -9,7 +9,7 @@
 //!   an XML document (the physical level), feeds Hypertext attributes to
 //!   the full-text indexer, and hands every Video and Audio attribute to
 //!   the FDE, whose parse tree lands in the meta-index.
-//! * **Maintaining** — [`Engine::upgrade_detector`] delegates to the FDS:
+//! * **Maintaining** — [`Engine::begin_upgrade`] delegates to the FDS:
 //!   incremental re-parses with memoised detector outputs.
 //! * **Querying** — [`Engine::execute`] (and [`Engine::query`], its
 //!   hits alone) combines conceptual selection, ranked text retrieval
@@ -1929,8 +1929,6 @@ impl Engine {
         source: &str,
         still_valid: impl Fn(&str) -> bool,
     ) -> Result<bool> {
-        self.media_cache.remove(source);
-        self.query_cache.clear();
         let refreshed = self
             .fds
             .refresh_source(
@@ -1940,90 +1938,57 @@ impl Engine {
                 source,
                 still_valid,
             )
-            .map_err(Error::Acoi)?;
+            .map_err(Error::Acoi);
+        // A source found still valid leaves the store and its epoch
+        // untouched, so cached answers stay exact; a regeneration, or a
+        // failure part-way through one, invalidates.
+        if !matches!(refreshed, Ok(false)) {
+            self.media_cache.remove(source);
+            self.query_cache.clear();
+        }
+        let refreshed = refreshed?;
         self.sync_wal()?;
         self.refresh_heal_backlog();
         Ok(refreshed)
     }
 
-    /// Installs a new detector implementation and incrementally
-    /// maintains the meta-index (the FDS path), synchronously: begin,
-    /// run and cutover all happen under this `&mut self` borrow. The
-    /// online variant is [`crate::QueryService::upgrade_detector_online`].
-    pub fn upgrade_detector(
-        &mut self,
-        detector: &str,
-        level: RevisionLevel,
-        new_impl: acoi::DetectorFn,
-    ) -> Result<MaintenanceReport> {
-        let mut job =
-            self.begin_maintenance(detector, MaintenanceKind::Upgrade { level }, Some(new_impl), false)?;
-        match job.run() {
-            Ok(()) => self.commit_maintenance(job),
-            Err(e) => {
-                self.abort_maintenance(job)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Re-parses every analysed object whose stored tree carries
-    /// rejected-with-cause holes left by an unavailable `detector` —
-    /// the low-priority heal the scheduler queues when a circuit breaks.
-    /// Healthy detector results are reused from the harvest cache, so a
-    /// heal costs only the calls the outage originally skipped. Runs
-    /// synchronously; the online variant is
-    /// [`crate::QueryService::heal_detector_online`].
-    pub fn heal_detector(&mut self, detector: &str) -> Result<MaintenanceReport> {
-        let mut job = self.begin_maintenance(detector, MaintenanceKind::Heal, None, false)?;
-        match job.run() {
-            Ok(()) => self.commit_maintenance(job),
-            Err(e) => {
-                self.abort_maintenance(job)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Begins a *background* detector upgrade: installs `new_impl`
-    /// (keeping the old pair for rollback), pins the current meta
-    /// epoch and snapshots the stored trees — a brief borrow. Drive
-    /// the returned job with [`MaintenanceJob::run`] off the engine
-    /// (queries keep serving), then cut over with
+    /// Begins a detector upgrade: installs `new_impl` (keeping the old
+    /// pair for rollback), pins the current meta epoch and snapshots
+    /// the stored trees — a brief borrow. The FDS localises the change:
+    /// the job re-parses only what the revision level invalidates.
+    /// Drive the returned job with [`MaintenanceJob::run`] off the
+    /// engine (queries keep serving), then cut over with
     /// [`Engine::commit_maintenance`] or roll back with
-    /// [`Engine::abort_maintenance`].
+    /// [`Engine::abort_maintenance`];
+    /// [`crate::QueryService::upgrade_detector_online`] packages the
+    /// three steps.
     pub fn begin_upgrade(
         &mut self,
         detector: &str,
         level: RevisionLevel,
         new_impl: acoi::DetectorFn,
     ) -> Result<MaintenanceJob> {
-        self.begin_maintenance(
-            detector,
-            MaintenanceKind::Upgrade { level },
-            Some(new_impl),
-            true,
-        )
+        self.begin_maintenance(detector, MaintenanceKind::Upgrade { level }, Some(new_impl))
     }
 
-    /// Begins a background heal of `detector` (see
-    /// [`Engine::begin_upgrade`] for the job protocol). Heals swap no
-    /// implementation, so aborting one is free.
+    /// Begins a heal of `detector` (see [`Engine::begin_upgrade`] for
+    /// the job protocol): the job re-parses every analysed object whose
+    /// stored tree carries rejected-with-cause holes left by an outage
+    /// of that detector, reusing healthy detector results from the
+    /// harvest cache. Heals swap no implementation, so aborting one is
+    /// free.
     pub fn begin_heal(&mut self, detector: &str) -> Result<MaintenanceJob> {
-        self.begin_maintenance(detector, MaintenanceKind::Heal, None, true)
+        self.begin_maintenance(detector, MaintenanceKind::Heal, None)
     }
 
-    /// The shared begin: captures everything the job needs so `run`
-    /// never touches the engine. `gated` jobs additionally carry the
+    /// The shared begin: captures everything the job needs — the
     /// admission gate (Batch-class permits, Brownout pauses) and the
-    /// fault plan; the synchronous legacy paths run ungated and
-    /// uninjected, exactly as they always did.
+    /// fault plan included — so `run` never touches the engine.
     fn begin_maintenance(
         &mut self,
         detector: &str,
         kind: MaintenanceKind,
         new_impl: Option<acoi::DetectorFn>,
-        gated: bool,
     ) -> Result<MaintenanceJob> {
         // Claim the detector *before* any side effect (the registry
         // swap below): a second begin while a job is in flight must
@@ -2061,23 +2026,28 @@ impl Engine {
                 (s.clone(), tokens)
             })
             .collect();
-        let mut job = MaintenanceJob::new(
-            detector.to_owned(),
+        Ok(MaintenanceJob {
+            detector: detector.to_owned(),
             kind,
             plan,
-            self.meta.store().epoch(),
+            pinned_meta_epoch: self.meta.store().epoch(),
             snapshot,
             initial,
-            self.grammar.clone(),
-            Arc::clone(&self.registry),
+            grammar: self.grammar.clone(),
+            registry: Arc::clone(&self.registry),
             rollback,
             new_version,
-            if gated { self.faults_plan.clone() } else { None },
-            if gated { Some(Arc::clone(&self.admission)) } else { None },
-            self.obs.clone(),
-        );
-        job.busy = Some(busy);
-        Ok(job)
+            deltas: Vec::new(),
+            objects_reparsed: 0,
+            objects_untouched: 0,
+            detector_calls: 0,
+            detector_calls_saved: 0,
+            faults: self.faults_plan.clone(),
+            gate: Arc::clone(&self.admission),
+            obs: self.obs.clone(),
+            _busy: busy,
+            started: self.obs.is_enabled().then(std::time::Instant::now),
+        })
     }
 
     /// Epoch-consistent cutover of a finished job: under this borrow

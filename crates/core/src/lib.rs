@@ -19,7 +19,8 @@
 //!
 //! This crate is the public face: the [`Engine`] drives the lifecycle —
 //! **model** ([`ausopen`] configures the running example), **populate /
-//! maintain** ([`Engine::populate`], [`Engine::upgrade_detector`]) and
+//! maintain** ([`Engine::populate`],
+//! [`QueryService::upgrade_detector_online`]) and
 //! **query** ([`Engine::query`], with the small textual query language
 //! in [`qlang`]).
 //!

@@ -14,12 +14,13 @@
 //! [`MaintenanceJob::run`] does the expensive work off-lock, against a
 //! private restore of the pinned snapshot: it re-parses exactly the
 //! objects the invalidation plan touches and collects the new trees as
-//! *deltas*. Background jobs are admitted through the
+//! *deltas*. Every job is admitted through the
 //! [`crate::AdmissionGate`] in the `Batch` class, one permit per chunk
 //! of objects, so the overload ladder can pause (Brownout) or refuse
 //! (Shedding) maintenance whenever interactive traffic needs the
 //! capacity — the interference bound is the one Batch slot a chunk
-//! occupies.
+//! occupies. (An engine nobody serves from owns an idle gate, which
+//! admits at once.)
 //!
 //! Cutover is epoch-consistent: [`crate::Engine::commit_maintenance`]
 //! re-checks the pinned epoch under the engine borrow and applies every
@@ -32,7 +33,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use acoi::{
     DetectorFn, DetectorRegistry, Fds, MetaIndex, ParseTree, RevisionLevel, Token, Version,
@@ -42,7 +43,7 @@ use faults::{FaultAction, FaultPlan};
 use feagram::Grammar;
 use monetxml::XmlStore;
 
-use crate::admission::{AdmissionGate, OverloadLevel, Permit, Priority};
+use crate::admission::{AdmissionGate, Permit};
 use crate::error::{Error, Result};
 
 /// What a maintenance job is doing.
@@ -75,17 +76,6 @@ impl MaintenanceKind {
 /// permit, so this is the unit of interference maintenance can cause
 /// before the ladder gets a chance to push back again.
 const ADMIT_CHUNK: usize = 4;
-
-/// How long a gated job waits out a Brownout before giving up
-/// (`2000 × 1ms`); Brownout is interactive traffic asking for the
-/// capacity, so maintenance pauses rather than competes.
-const MAX_BROWNOUT_PAUSES: usize = 2000;
-const BROWNOUT_PAUSE: Duration = Duration::from_millis(1);
-
-/// Admission retries after a typed `Overloaded` rejection before the
-/// job reports itself as starved.
-const MAX_ADMIT_RETRIES: usize = 50;
-const MAX_RETRY_SLEEP: Duration = Duration::from_millis(10);
 
 /// Marks a detector busy in the engine's in-flight set for the life of
 /// one maintenance job. Acquired as the *first* step of a begin —
@@ -129,7 +119,7 @@ impl Drop for BusyGuard {
     }
 }
 
-/// One in-flight background maintenance job. Created by
+/// One in-flight maintenance job. Created by
 /// [`crate::Engine::begin_upgrade`] / [`crate::Engine::begin_heal`],
 /// driven by [`MaintenanceJob::run`] (no engine access needed), then
 /// handed back to [`crate::Engine::commit_maintenance`] or
@@ -142,84 +132,39 @@ pub struct MaintenanceJob {
     /// live store moved past it.
     pub(crate) pinned_meta_epoch: u64,
     /// Snapshot of the meta store at begin — the job's private epoch.
-    snapshot: Vec<u8>,
+    pub(crate) snapshot: Vec<u8>,
     /// Initial token sets of every source at begin (the store snapshot
     /// does not record them).
-    initial: HashMap<String, Vec<Token>>,
-    grammar: Grammar,
-    registry: Arc<DetectorRegistry>,
+    pub(crate) initial: HashMap<String, Vec<Token>>,
+    pub(crate) grammar: Grammar,
+    pub(crate) registry: Arc<DetectorRegistry>,
     /// The pre-upgrade `(version, impl)` pair, reinstalled on abort.
     /// `None` for heals (nothing was swapped).
     pub(crate) rollback: Option<(Version, DetectorFn)>,
     /// The version installed at begin (upgrades only) — part of the
     /// fault-injection label, so chaos schedules can target one
     /// specific upgrade cycle.
-    new_version: Option<Version>,
+    pub(crate) new_version: Option<Version>,
     /// Re-parsed trees awaiting cutover, in source order.
     pub(crate) deltas: Vec<(String, Vec<Token>, ParseTree)>,
     pub(crate) objects_reparsed: usize,
     pub(crate) objects_untouched: usize,
     pub(crate) detector_calls: usize,
     pub(crate) detector_calls_saved: usize,
-    /// Fault plan consulted once per object (background jobs only; the
-    /// synchronous legacy paths never had injection here).
-    faults: Option<Arc<FaultPlan>>,
-    /// The admission gate, present iff the job runs gated (background).
-    gate: Option<Arc<AdmissionGate>>,
-    obs: obs::Obs,
+    /// The engine's fault plan, if it has one, consulted once per object.
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    /// The engine's admission gate.
+    pub(crate) gate: Arc<AdmissionGate>,
+    pub(crate) obs: obs::Obs,
     /// Holds the detector's slot in the engine's in-flight set;
     /// released when the job is committed, aborted or dropped.
-    pub(crate) busy: Option<BusyGuard>,
+    pub(crate) _busy: BusyGuard,
     /// Begin time, taken only when observability is enabled (disabled
     /// engines must stay clock-free and byte-identical).
     pub(crate) started: Option<Instant>,
-    /// Batch permits this job was granted.
-    pub(crate) batch_admissions: u64,
 }
 
 impl MaintenanceJob {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        detector: String,
-        kind: MaintenanceKind,
-        plan: InvalidationPlan,
-        pinned_meta_epoch: u64,
-        snapshot: Vec<u8>,
-        initial: HashMap<String, Vec<Token>>,
-        grammar: Grammar,
-        registry: Arc<DetectorRegistry>,
-        rollback: Option<(Version, DetectorFn)>,
-        new_version: Option<Version>,
-        faults: Option<Arc<FaultPlan>>,
-        gate: Option<Arc<AdmissionGate>>,
-        obs: obs::Obs,
-    ) -> MaintenanceJob {
-        let started = if obs.is_enabled() { Some(Instant::now()) } else { None };
-        MaintenanceJob {
-            detector,
-            kind,
-            plan,
-            pinned_meta_epoch,
-            snapshot,
-            initial,
-            grammar,
-            registry,
-            rollback,
-            new_version,
-            deltas: Vec::new(),
-            objects_reparsed: 0,
-            objects_untouched: 0,
-            detector_calls: 0,
-            detector_calls_saved: 0,
-            faults,
-            gate,
-            obs,
-            busy: None,
-            started,
-            batch_admissions: 0,
-        }
-    }
-
     /// The detector this job maintains.
     pub fn detector(&self) -> &str {
         &self.detector
@@ -235,13 +180,6 @@ impl MaintenanceJob {
         self.deltas.len()
     }
 
-    /// Batch-class gate permits this job was granted (0 for ungated
-    /// legacy jobs) — the proof that its work was admitted as
-    /// background traffic.
-    pub fn batch_admissions(&self) -> u64 {
-        self.batch_admissions
-    }
-
     /// The fault-injection label this job consults once per object:
     /// `maintenance:<detector>:<new-version>` for upgrades,
     /// `maintenance:<detector>:heal` for heals.
@@ -255,7 +193,7 @@ impl MaintenanceJob {
     /// Does the expensive half of the job, entirely off the engine:
     /// restores the pinned snapshot into a private meta-index, walks
     /// every source the plan touches (one Batch permit per
-    /// [`ADMIT_CHUNK`] when gated), and collects the re-parsed trees
+    /// [`ADMIT_CHUNK`]), and collects the re-parsed trees
     /// as deltas. On any error the job is dead — hand it to
     /// [`crate::Engine::abort_maintenance`]; the live store was never
     /// touched.
@@ -344,39 +282,17 @@ impl MaintenanceJob {
         }
     }
 
-    /// Admission of the next chunk. Ungated jobs (the synchronous
-    /// legacy paths, which already hold the engine) skip the gate
-    /// entirely. Gated jobs first wait out any Brownout-or-worse rung
-    /// — maintenance pauses while interactive traffic is distressed —
-    /// then take one `Batch` permit, retrying a bounded number of
-    /// times on a typed `Overloaded` rejection.
-    fn admit_batch(&mut self) -> Result<Option<Permit>> {
-        let Some(gate) = &self.gate else { return Ok(None) };
-        let mut pauses = 0;
-        while gate.level() >= OverloadLevel::Brownout && pauses < MAX_BROWNOUT_PAUSES {
-            std::thread::sleep(BROWNOUT_PAUSE);
-            pauses += 1;
+    /// Admission of the next chunk, counted as proof that the work went
+    /// through the gate as background traffic.
+    fn admit_batch(&self) -> Result<Permit> {
+        let permit = self.gate.admit_background()?;
+        if let Some(reg) = self.obs.registry() {
+            reg.counter(
+                "engine_maintenance_batch_admissions_total",
+                "Batch-class gate permits granted to maintenance jobs",
+            )
+            .inc();
         }
-        let mut attempts = 0;
-        loop {
-            match gate.admit(Priority::Batch) {
-                Ok(permit) => {
-                    self.batch_admissions += 1;
-                    if let Some(reg) = self.obs.registry() {
-                        reg.counter(
-                            "engine_maintenance_batch_admissions_total",
-                            "Batch-class gate permits granted to maintenance jobs",
-                        )
-                        .inc();
-                    }
-                    return Ok(Some(permit));
-                }
-                Err(Error::Overloaded { retry_after_hint }) if attempts < MAX_ADMIT_RETRIES => {
-                    attempts += 1;
-                    std::thread::sleep(retry_after_hint.min(MAX_RETRY_SLEEP));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(permit)
     }
 }

@@ -27,8 +27,6 @@
 //! split/merge the policy stays quiet until the cluster has had time to
 //! settle, so one hot interval cannot thrash the layout back and forth.
 
-#![deny(clippy::unwrap_used)]
-
 use std::time::Duration;
 
 /// Thresholds and rate limits steering a [`ControlPolicy`]. The
@@ -256,7 +254,6 @@ impl ControlPolicy {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

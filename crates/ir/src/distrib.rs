@@ -1906,7 +1906,6 @@ fn merge(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use faults::FaultSpec;
@@ -2432,6 +2431,7 @@ mod tests {
             let a = primary_only.query_parallel(q, 10).unwrap();
             let b = routed.query_parallel(q, 10).unwrap();
             assert_eq!(a, b, "routing changed the answer for {q:?}");
+            assert_eq!(a.served_by, vec![Some(0); 4], "primary routing must not touch replicas");
             assert_eq!(b.failovers, 0);
             assert_eq!(b.served_by.len(), 4);
             assert!(b.served_by.iter().all(Option::is_some));
@@ -2527,7 +2527,11 @@ mod tests {
         let mut job = d.begin_rereplication(2).unwrap();
         // Host 2 held group 2's primary and group 1's replica.
         assert_eq!(job.objects(), 2);
-        while !job.step(None).unwrap() {}
+        while !job.step(None).unwrap() {
+            // The rebuild works off private snapshots: a query between
+            // two steps is answered exactly, from the old placement.
+            assert_eq!(d.query_parallel("winner tennis", 10).unwrap(), before);
+        }
         let installed = d.commit_rereplication(job).unwrap();
         assert_eq!(installed, 2);
         assert_ne!(d.primary_server(2), 2, "primary must move off the dead host");

@@ -252,7 +252,6 @@ impl<'a> FragmentedIndex<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::index::ScoreModel;

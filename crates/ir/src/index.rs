@@ -604,7 +604,6 @@ impl TextIndex {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

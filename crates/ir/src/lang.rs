@@ -97,7 +97,6 @@ pub fn detect_language(text: &str, min_coverage: f64) -> Option<Language> {
 pub const DEFAULT_MIN_COVERAGE: f64 = 0.1;
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

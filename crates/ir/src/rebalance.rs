@@ -130,7 +130,6 @@ impl Rebalancer {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::index::ScoreModel;

@@ -337,7 +337,6 @@ impl Default for Db {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -41,7 +41,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used)]
 
 pub mod bat;
 pub mod catalog;

@@ -29,9 +29,9 @@
 //! dictionary and directory; each relation's payload is decoded on first
 //! catalog access (see `catalog::Slot`).
 //!
-//! Version 2 (uncompressed per-relation encoding, no dictionary) is
-//! still written by [`snapshot_v2`] for comparison benchmarks, and both
-//! v2 and legacy v1 (no trailer) snapshots remain readable. Decoding is
+//! Version 2 (uncompressed per-relation encoding, no dictionary) and
+//! legacy v1 (the same without a trailer) are no longer written but
+//! remain readable. Decoding is
 //! hardened against hostile input: every length-prefixed allocation is
 //! capped by the bytes actually remaining in the buffer, so a corrupt
 //! row count cannot trigger a multi-gigabyte allocation.
@@ -47,7 +47,6 @@ use crate::storage::{write_atomic, StorageBackend};
 use crate::value::{Column, ColumnKind, StrColumn, StrPool, Value};
 
 const MAGIC: &[u8; 4] = b"MBAT";
-const VERSION_V2: u8 = 2;
 const VERSION: u8 = 3;
 
 /// Encodes the catalog into a compressed (v3) snapshot with a CRC-32
@@ -92,35 +91,8 @@ pub fn snapshot(db: &Db) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Encodes the catalog in the uncompressed v2 format. Kept for
-/// compression-ratio benchmarks and byte-identity comparisons against
-/// the compressed path.
-pub fn snapshot_v2(db: &Db) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(1024);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION_V2);
-    put_u64(&mut out, db.next_oid_raw());
-    let names: Vec<&str> = db.relation_names().collect();
-    put_u32(&mut out, names.len() as u32);
-    for name in names {
-        let bat = db
-            .get(name)
-            .map_err(|_| Error::Snapshot(format!("catalog lists missing relation {name}")))?;
-        put_str(&mut out, name);
-        out.push(kind_tag(bat.kind()));
-        put_u64(&mut out, bat.len() as u64);
-        for h in bat.heads() {
-            put_u64(&mut out, h.raw());
-        }
-        encode_tail_v2(&mut out, bat);
-    }
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    Ok(out)
-}
-
-/// Decodes a snapshot produced by [`snapshot`] or [`snapshot_v2`] (or a
-/// legacy v1 buffer without a trailer), materializing every relation.
+/// Decodes a snapshot produced by [`snapshot`] (or an older v2 / v1
+/// buffer), materializing every relation.
 pub fn restore(bytes: &[u8]) -> Result<Db> {
     if bytes.len() < 5 {
         return Err(Error::Snapshot("truncated snapshot".into()));
@@ -565,37 +537,7 @@ fn decode_tail_v3(
     })
 }
 
-// ---- v2 column codecs -------------------------------------------------
-
-fn encode_tail_v2(out: &mut Vec<u8>, bat: &Bat) {
-    match bat.tail() {
-        Column::Oid(vs) => {
-            for v in vs {
-                put_u64(out, v.raw());
-            }
-        }
-        Column::Int(vs) => {
-            for v in vs {
-                put_u64(out, *v as u64);
-            }
-        }
-        Column::Flt(vs) => {
-            for v in vs {
-                put_u64(out, v.to_bits());
-            }
-        }
-        Column::Str(col) => {
-            for s in col.decode_all() {
-                put_str(out, &s);
-            }
-        }
-        Column::Bit(vs) => {
-            for v in vs {
-                out.push(u8::from(*v));
-            }
-        }
-    }
-}
+// ---- v2 column codec (read only) -------------------------------------
 
 fn decode_tail_v2(
     cur: &mut Cursor<'_>,
@@ -733,7 +675,6 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -758,6 +699,41 @@ mod tests {
             .unwrap();
         db
     }
+
+    /// [`sample_db`] as the v2 writer encoded it — generated once,
+    /// before that writer was deleted, so the v1/v2 reader is checked
+    /// against bytes this build did not produce.
+    #[rustfmt::skip]
+    const GOLDEN_V2: &[u8] = &[
+        // "MBAT" | version 2 | next_oid 3 | 5 relations
+        0x4d, 0x42, 0x41, 0x54, 0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+        0x00,
+        // "edges" | oid | 1 row | head 1 | tail 2
+        0x05, 0x00, 0x00, 0x00, 0x65, 0x64, 0x67, 0x65, 0x73, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00,
+        // "flags" | bit | 1 row | head 1 | true
+        0x05, 0x00, 0x00, 0x00, 0x66, 0x6c, 0x61, 0x67, 0x73, 0x04, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        // "names" | str | 1 row | head 1 | "seles"
+        0x05, 0x00, 0x00, 0x00, 0x6e, 0x61, 0x6d, 0x65, 0x73, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x73, 0x65,
+        0x6c, 0x65, 0x73,
+        // "ranks" | int | 1 row | head 2 | 1
+        0x05, 0x00, 0x00, 0x00, 0x72, 0x61, 0x6e, 0x6b, 0x73, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00,
+        // "scores" | flt | 1 row | head 2 | 0.75
+        0x06, 0x00, 0x00, 0x00, 0x73, 0x63, 0x6f, 0x72, 0x65, 0x73, 0x02, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xe8, 0x3f,
+        // crc32
+        0x40, 0x20, 0xb0, 0xbc,
+    ];
+
+    /// Size of [`bulky_db`] in the v2 format, measured with the same
+    /// writer on the same occasion.
+    const BULKY_DB_V2_LEN: usize = 21_747;
 
     /// A db with enough repetitive data that compression must bite.
     fn bulky_db() -> Db {
@@ -790,20 +766,28 @@ mod tests {
 
     #[test]
     fn v2_snapshot_round_trips_and_matches_v3_content() {
-        let db = bulky_db();
-        let via_v2 = restore(&snapshot_v2(&db).unwrap()).unwrap();
-        let via_v3 = restore(&snapshot(&db).unwrap()).unwrap();
-        assert_eq!(via_v2.relation_count(), via_v3.relation_count());
+        let db = sample_db();
+        let via_v2 = restore(GOLDEN_V2).unwrap();
+        assert_eq!(via_v2.relation_count(), db.relation_count());
         for name in db.relation_names() {
-            assert_eq!(via_v2.get(name).unwrap(), via_v3.get(name).unwrap(), "{name}");
-            assert_eq!(via_v3.get(name).unwrap(), db.get(name).unwrap(), "{name}");
+            assert_eq!(via_v2.get(name).unwrap(), db.get(name).unwrap(), "{name}");
         }
+        // Re-snapshotting what the old reader decoded writes the
+        // current format, byte for byte what the live catalog writes.
+        let again = snapshot(&via_v2).unwrap();
+        assert_eq!(again[4], VERSION);
+        assert_eq!(again, snapshot(&db).unwrap());
+    }
+
+    #[test]
+    fn every_single_byte_corruption_of_a_v2_snapshot_is_detected() {
+        assert_every_flip_is_rejected(GOLDEN_V2);
     }
 
     #[test]
     fn v3_is_smaller_than_v2_on_repetitive_data() {
         let db = bulky_db();
-        let v2 = snapshot_v2(&db).unwrap().len();
+        let v2 = BULKY_DB_V2_LEN;
         let v3 = snapshot(&db).unwrap().len();
         assert!(
             v3 * 2 <= v2,
@@ -875,11 +859,8 @@ mod tests {
         assert!(restore(&bytes[..bytes.len() / 2]).is_err());
     }
 
-    #[test]
-    fn every_single_byte_corruption_is_detected() {
-        let db = sample_db();
-        let bytes = snapshot(&db).unwrap();
-        let mut copy = bytes.clone();
+    fn assert_every_flip_is_rejected(bytes: &[u8]) {
+        let mut copy = bytes.to_vec();
         for i in 0..copy.len() {
             copy[i] ^= 0x40;
             match restore(&copy) {
@@ -889,6 +870,11 @@ mod tests {
             }
             copy[i] ^= 0x40;
         }
+    }
+
+    #[test]
+    fn every_single_byte_corruption_is_detected() {
+        assert_every_flip_is_rejected(&snapshot(&sample_db()).unwrap());
     }
 
     #[test]
@@ -911,8 +897,7 @@ mod tests {
 
     #[test]
     fn hostile_row_count_cannot_explode_allocation() {
-        let db = sample_db();
-        let mut bytes = snapshot_v2(&db).unwrap();
+        let mut bytes = GOLDEN_V2.to_vec();
         // Forge a v1 snapshot (no trailer to fail first) with a huge
         // relation count: the cap must reject it without allocating.
         bytes[4] = 1;
@@ -929,7 +914,7 @@ mod tests {
     #[test]
     fn legacy_v1_snapshot_still_loads() {
         let db = sample_db();
-        let mut bytes = snapshot_v2(&db).unwrap();
+        let mut bytes = GOLDEN_V2.to_vec();
         bytes[4] = 1;
         let body_len = bytes.len() - 4;
         bytes.truncate(body_len); // drop the CRC trailer

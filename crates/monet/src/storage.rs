@@ -251,7 +251,6 @@ pub fn write_atomic(backend: &dyn StorageBackend, path: &Path, bytes: &[u8]) -> 
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

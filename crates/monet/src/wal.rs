@@ -442,7 +442,6 @@ pub fn open_shared(backend: Arc<dyn StorageBackend>, dir: impl AsRef<Path>) -> R
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::storage::FsBackend;

@@ -91,7 +91,6 @@ impl Clock for ManualClock {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

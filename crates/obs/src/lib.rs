@@ -19,8 +19,6 @@
 //!   [`TraceNode`] tree — the engine's EXPLAIN-ANALYZE output.
 //! * **Slow-query log** — a bounded ring keeping the slowest N traces
 //!   over a threshold ([`Obs::record_slow`] / [`Obs::slow_queries`]).
-//! * **Bench reports** — [`report::BenchReport`] is the one JSON schema
-//!   every `BENCH_*.json` file shares (`schema_version` stamped).
 //! * **Telemetry history** — [`timeseries::Recorder`] samples the
 //!   registry on a tick into a bounded ring and serves windowed
 //!   aggregates: reset-aware counter deltas, rates, and p50/p99

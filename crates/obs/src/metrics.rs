@@ -564,7 +564,6 @@ fn inf_label(label_key: Option<&str>, label_value: &str) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

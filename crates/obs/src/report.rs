@@ -1,24 +1,11 @@
-//! The shared bench-report schema.
+//! A minimal owned JSON value.
 //!
-//! Every `BENCH_*.json` at the repo root is written through
-//! [`BenchReport`], so they all carry the same envelope:
-//!
-//! ```json
-//! {
-//!   "schema_version": 1,
-//!   "bench": "populate",
-//!   "config": { ... },
-//!   "results": { ... },
-//!   "metrics": { ... }   // optional registry dump
-//! }
-//! ```
-//!
-//! [`Json`] is a minimal owned JSON value — enough to serialize the
-//! reports without pulling a serde dependency into the workspace.
+//! [`Json`] is enough to render the registry dump
+//! ([`crate::Registry::render_json`]) and the incident reports built on
+//! it (stamped with [`SCHEMA_VERSION`]) without pulling a serde
+//! dependency into the workspace.
 
-use crate::metrics::Registry;
-
-/// Version stamp shared by every bench report.
+/// Version stamp of the incident-report envelope.
 pub const SCHEMA_VERSION: i64 = 1;
 
 /// A minimal owned JSON value.
@@ -134,83 +121,9 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Builder for a `BENCH_*.json` payload with the shared envelope.
-#[derive(Clone, Debug)]
-pub struct BenchReport {
-    bench: String,
-    config: Vec<(String, Json)>,
-    results: Vec<(String, Json)>,
-    metrics: Option<Json>,
-}
-
-impl BenchReport {
-    /// Starts a report for the named bench (`"populate"`, `"obs"`, …).
-    pub fn new(bench: impl Into<String>) -> BenchReport {
-        BenchReport {
-            bench: bench.into(),
-            config: Vec::new(),
-            results: Vec::new(),
-            metrics: None,
-        }
-    }
-
-    /// Records a configuration knob (workload size, shard count, …).
-    pub fn config(mut self, key: impl Into<String>, value: Json) -> Self {
-        self.config.push((key.into(), value));
-        self
-    }
-
-    /// Records a headline result (throughput, latency, ratio, …).
-    pub fn result(mut self, key: impl Into<String>, value: Json) -> Self {
-        self.results.push((key.into(), value));
-        self
-    }
-
-    /// Attaches a full registry dump under `"metrics"`.
-    pub fn metrics(mut self, registry: &Registry) -> Self {
-        self.metrics = Some(registry.render_json());
-        self
-    }
-
-    /// The assembled envelope as a [`Json`] value.
-    pub fn to_json(&self) -> Json {
-        let mut entries = vec![
-            ("schema_version".to_owned(), Json::Int(SCHEMA_VERSION)),
-            ("bench".to_owned(), Json::str(self.bench.clone())),
-            ("config".to_owned(), Json::Obj(self.config.clone())),
-            ("results".to_owned(), Json::Obj(self.results.clone())),
-        ];
-        if let Some(metrics) = &self.metrics {
-            entries.push(("metrics".to_owned(), metrics.clone()));
-        }
-        Json::Obj(entries)
-    }
-
-    /// Renders the report (with trailing newline, ready to write).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render();
-        s.push('\n');
-        s
-    }
-}
-
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_envelope_has_schema_version_first() {
-        let report = BenchReport::new("smoke")
-            .config("docs", Json::Int(100))
-            .result("throughput_docs_per_s", Json::Num(12_500.0));
-        let text = report.render();
-        assert!(text.starts_with("{\n  \"schema_version\": 1"), "{text}");
-        assert!(text.contains("\"bench\": \"smoke\""), "{text}");
-        assert!(text.contains("\"docs\": 100"), "{text}");
-        assert!(text.contains("\"throughput_docs_per_s\": 12500.0"), "{text}");
-        assert!(text.ends_with("}\n"), "{text}");
-    }
 
     #[test]
     fn strings_are_escaped() {
@@ -230,15 +143,5 @@ mod tests {
             text,
             "{\n  \"arr\": [\n    1,\n    null\n  ],\n  \"empty\": {},\n  \"flag\": true\n}"
         );
-    }
-
-    #[test]
-    fn metrics_dump_attaches() {
-        let r = Registry::new();
-        r.counter("x_total", "x").add(2);
-        let report = BenchReport::new("m").metrics(&r);
-        let text = report.render();
-        assert!(text.contains("\"metrics\": {"), "{text}");
-        assert!(text.contains("\"x_total\": 2"), "{text}");
     }
 }

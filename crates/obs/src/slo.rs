@@ -313,7 +313,6 @@ fn bad_fraction(rec: &Recorder, signal: &SloSignal, window: usize) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::metrics::Registry;

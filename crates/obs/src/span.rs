@@ -568,7 +568,6 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;

@@ -213,7 +213,6 @@ impl Recorder {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use acoi::{RevisionLevel, Token};
-use dlsearch::{ausopen, qlang};
+use dlsearch::{ausopen, qlang, QueryService};
 use websim::{crawl, Site, SiteSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,12 +27,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.media_analyzed, report.detector_calls
     );
 
+    // Upgrades run through the front door: begin and cutover borrow the
+    // engine briefly, the re-parsing in between runs beside the readers.
+    let service = QueryService::new(engine);
+
     let q = qlang::parse("FROM Player VIA Is_covered_in MEDIA video HAS netplay TOP 100")?;
-    let before = engine.query(&q)?.len();
+    let before = service.engine().query(&q)?.len();
     println!("players with netplay footage before the upgrade: {before}");
 
     // A correction first: nothing happens.
-    let r = engine.upgrade_detector(
+    let r = service.upgrade_detector_online(
         "tennis",
         RevisionLevel::Correction,
         Box::new(|_| Err("never called".into())),
@@ -44,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Now a minor revision: the new tracker always finds the player at
     // the net (an exaggerated 'improvement', to make the change visible).
-    let r = engine.upgrade_detector(
+    let r = service.upgrade_detector_online(
         "tennis",
         RevisionLevel::Minor,
         Box::new(|inputs| {
@@ -74,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * r.detector_calls_saved as f64 / full_rebuild as f64
     );
 
-    let after = engine.query(&q)?.len();
+    let after = service.engine().query(&q)?.len();
     println!("\nplayers with netplay footage after the upgrade: {after}");
     assert!(after >= before);
     Ok(())

@@ -1,25 +1,16 @@
 # Development commands. The container has no network: every cargo
 # invocation must stay --offline (deps are vendored in-tree under shims/).
 
-# Build, test, and lint — the full pre-merge gate. Includes a smoke
-# pass over the perf benches (tiny workload, no JSON rewrite) so the
-# harness itself cannot rot, and the crash-recovery suite.
+# Build, test, and lint — the full pre-merge gate. Includes the
+# end-to-end benchmark's quick pass and a smoke pass (tiny workload)
+# over every remaining bench binary so the harness itself cannot rot.
 verify:
     just manifest-paths
     cargo build --release --offline
     cargo test --offline -q
     cargo clippy --offline --workspace --all-targets -- -D warnings
     just bench-e2e-smoke
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench ingest
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench query_cache
-    just recovery-smoke
-    just overload-smoke
-    just obs-smoke
-    just distribution-smoke
-    just scale-smoke
-    just maintenance-smoke
-    just control-smoke
-    just slo-smoke
+    BENCH_SMOKE=1 cargo bench --offline -p bench
     just loc
 
 # Every path a workspace manifest names — each member the `crates/*`
@@ -53,78 +44,21 @@ bench-e2e-smoke:
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke
     cargo test --offline --manifest-path benchmark/Cargo.toml
 
-# Crash-point recovery: the durability harness (WAL + snapshot fault
-# sweeps) plus a smoke pass of the E13 recovery bench.
-recovery-smoke:
-    cargo test --offline -q -p dlsearch --test durability
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench recovery
-
-# Replication & elasticity: the distribution chaos harness (replica
-# failover, rebalancing under injected kills, consistent checkpoints)
-# plus smoke passes of the E16 distribution and E4 fragmentation
-# benches.
-distribution-smoke:
-    cargo test --offline -q -p dlsearch --test distribution_chaos
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench distribution
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench fragmentation
-
-# Overload resilience: the closed-loop storm suite (admission,
-# deadlines, cancellation hygiene, brownout honesty) plus a smoke pass
-# of the E14 overload bench.
-overload-smoke:
-    cargo test --offline -q -p dlsearch --test overload
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench overload
-
-# Data-plane scale: the compression identity suite (v2/v3 snapshot
-# equivalence, lazy opens, WAL replay, ranked-retrieval and EXPLAIN
-# round-trips) plus a smoke pass of the E17 scale bench over tiny
-# zipfian corpora.
-scale-smoke:
-    cargo test --offline -q -p dlsearch --test scale_compression
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench scale
-
-# Observability: byte-identity, scrape coverage, EXPLAIN ANALYZE tree
-# shape, slow-log bounds — plus a smoke pass of the E15 overhead bench.
-obs-smoke:
-    cargo test --offline -q -p dlsearch --test observability
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench obs
-
-# Online maintenance: the upgrade-storm chaos suite (epoch-consistent
-# cutover under concurrent serving, fault-killed abort sweep, cache
-# retention) plus a smoke pass of the E18 bench — which itself asserts
-# the Batch-class admission proof.
-maintenance-smoke:
-    cargo test --offline -q -p dlsearch --test online_maintenance
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench online_maintenance
-
-# Self-healing control plane: the control-plane suite (policy-driven
-# rebalances, loss declaration → background re-replication, the chaos
-# abort sweep, WAL replay idempotence, round-robin read-scaling) plus
-# a smoke pass of the E19 bench.
-control-smoke:
-    cargo test --offline -q -p dlsearch --test control_plane
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench control
-
-# SLO burn rates & the flight recorder: the telemetry suite (ticking
-# byte-identity, a fault-injected latency storm paging the fast window
-# and dumping an incident, the windowed-p99 control loop) plus a smoke
-# pass of the E20 bench.
-slo-smoke:
-    cargo test --offline -q -p dlsearch --test slo
-    BENCH_SMOKE=1 cargo bench --offline -p bench --bench slo
-
-# Size of the two crates the query path lives in: non-blank,
-# non-comment lines of `crates/core/src/*.rs` and `crates/ir/src/*.rs`
-# up to each file's first `#[cfg(test)]`, per file and in total. A PR
-# that claims "less code" quotes the total at its parent and at its head.
+# Size of the Rust code under `crates/`: non-blank, non-comment lines of
+# every `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`) and
+# of the bench binaries, as a subtotal per crate and a total — plus the
+# two crates the query path lives in, `core + ir`, on a line of their
+# own. A PR that claims "less code" quotes the total and the `core + ir`
+# line at its parent and at its head.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
-    awk 'FNR == 1 { counting = 1 }
+    awk 'FNR == 1 { counting = 1; split(FILENAME, part, "/"); crate = part[2] }
          /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-         counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines[FILENAME]++; total++ }
-         END { for (f in lines) printf "%6d %s\n", lines[f], f | "sort -k2"; close("sort -k2"); printf "%6d total\n", total }' \
-        crates/core/src/*.rs crates/ir/src/*.rs
+         counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines[crate]++; total++ }
+         END { for (c in lines) printf "%6d crates/%s\n", lines[c], c | "sort -k2"; close("sort -k2")
+               printf "%6d total\n%6d core + ir\n", total, lines["core"] + lines["ir"] }' \
+        crates/*/src/*.rs crates/bench/benches/*.rs
 
 build:
     cargo build --offline
@@ -134,25 +68,6 @@ test:
 
 clippy:
     cargo clippy --offline --workspace --all-targets -- -D warnings
-
-# Perf baselines: E11 (parallel ingestion), E12 (query cache), E13
-# (recovery), E14 (overload), E15 (observability overhead), E16
-# (distribution: scaling, failover, rebalance), E17 (scale +
-# compression), E18 (online maintenance), E19 (control plane:
-# read-scaling + re-replication), E20 (SLO burn rates + incident
-# dumps). Full runs refresh the BENCH_*.json artifacts in-repo; all
-# emit the shared schema_version=1 envelope.
-bench:
-    cargo bench --offline -p bench --bench ingest
-    cargo bench --offline -p bench --bench query_cache
-    cargo bench --offline -p bench --bench recovery
-    cargo bench --offline -p bench --bench overload
-    cargo bench --offline -p bench --bench obs
-    cargo bench --offline -p bench --bench distribution
-    cargo bench --offline -p bench --bench scale
-    cargo bench --offline -p bench --bench online_maintenance
-    cargo bench --offline -p bench --bench control
-    cargo bench --offline -p bench --bench slo
 
 # The flagship scenario, healthy and under injected faults.
 demo:

@@ -14,6 +14,10 @@
 //! gone, to a full replay of the log. No failure mode panics: every
 //! outcome is an `Ok` with a typed [`RecoveryReport`] or a typed error.
 
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

@@ -3,11 +3,18 @@
 //! "The real benefit of a feature grammar shows when the feature
 //! detector algorithms change and the index has to be updated."
 
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
+
 use std::sync::Arc;
 
 use acoi::{RevisionLevel, Token};
 use dlsearch::{ausopen, qlang};
 use websim::{crawl, Site, SiteSpec};
+
+mod common;
+use common::run_to_completion;
 
 fn populated_engine(seed: u64) -> (Arc<Site>, dlsearch::Engine) {
     let site = Arc::new(Site::generate(SiteSpec {
@@ -23,13 +30,14 @@ fn populated_engine(seed: u64) -> (Arc<Site>, dlsearch::Engine) {
 #[test]
 fn correction_revision_changes_nothing() {
     let (_, mut engine) = populated_engine(31);
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "tennis",
             RevisionLevel::Correction,
             Box::new(|_| Ok(vec![])),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(report.objects_reparsed, 0);
     assert_eq!(report.detector_calls, 0);
     // 4 video trees + 4 interview trees, all untouched.
@@ -41,8 +49,8 @@ fn minor_revision_reuses_header_and_segment_results() {
     let (_, mut engine) = populated_engine(32);
     // A new tracker implementation: the player is reported glued to the
     // net in every frame.
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "tennis",
             RevisionLevel::Minor,
             Box::new(|inputs| {
@@ -58,6 +66,7 @@ fn minor_revision_reuses_header_and_segment_results() {
             }),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
 
     assert_eq!(report.objects_reparsed, 4);
     // Each video: 4 tennis shots re-analysed, header + segment reused.
@@ -79,8 +88,8 @@ fn minor_revision_reuses_header_and_segment_results() {
 fn major_revision_of_segment_cascades_to_tennis() {
     let (_, mut engine) = populated_engine(33);
     // One giant tennis shot per video.
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "segment",
             RevisionLevel::Major,
             Box::new(|_| {
@@ -92,6 +101,7 @@ fn major_revision_of_segment_cascades_to_tennis() {
             }),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(report.objects_reparsed, 4);
     // Only header results were reusable.
     assert_eq!(report.detector_calls_saved, 4);
@@ -116,8 +126,8 @@ fn incremental_maintenance_beats_full_rebuild_on_detector_calls() {
     // The quantitative heart of the flexibility claim (experiment E3's
     // correctness side): a tennis revision re-runs tennis only.
     let (site, mut engine) = populated_engine(34);
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "tennis",
             RevisionLevel::Minor,
             Box::new(|inputs| {
@@ -133,6 +143,7 @@ fn incremental_maintenance_beats_full_rebuild_on_detector_calls() {
             }),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
 
     // A full rebuild would have cost (header + segment + 4×tennis) per
     // video; incremental cost is 4×tennis per video.
@@ -228,7 +239,8 @@ fn engine_heal_completes_degraded_populations() {
 
     // Heal re-parses only the one degraded object, reusing every
     // healthy detector result from the harvest cache.
-    let heal = engine.heal_detector("tennis").unwrap();
+    let job = engine.begin_heal("tennis").unwrap();
+    let heal = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(heal.objects_reparsed, 1);
     assert_eq!(heal.objects_untouched, 7);
 

@@ -16,6 +16,10 @@
 //! * a correction bump (zero nodes re-parsed) provably leaves the
 //!   store unchanged, so the warm query and media caches survive.
 
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -28,6 +32,9 @@ use dlsearch::{
 use faults::{Budget, FaultAction, FaultPlan};
 use obs::Obs;
 use websim::{crawl, Site, SiteSpec};
+
+mod common;
+use common::run_to_completion;
 
 fn spec() -> SiteSpec {
     SiteSpec {
@@ -85,13 +92,15 @@ fn oracle(site: &Arc<Site>, pages: &[(String, String)]) -> [Vec<EngineHit>; 3] {
     reference.populate(pages).unwrap();
     let q = qlang::parse(STORM_QUERY).unwrap();
     let e0 = reference.query(&q).unwrap();
-    reference
-        .upgrade_detector("tennis", RevisionLevel::Minor, netplay_tennis())
+    let job = reference
+        .begin_upgrade("tennis", RevisionLevel::Minor, netplay_tennis())
         .unwrap();
+    run_to_completion(&mut reference, job).unwrap();
     let e1 = reference.query(&q).unwrap();
-    reference
-        .upgrade_detector("segment", RevisionLevel::Major, giant_segment())
+    let job = reference
+        .begin_upgrade("segment", RevisionLevel::Major, giant_segment())
         .unwrap();
+    run_to_completion(&mut reference, job).unwrap();
     let e2 = reference.query(&q).unwrap();
     [e0, e1, e2]
 }
@@ -346,9 +355,10 @@ fn correction_bump_retains_the_warm_caches() {
     assert_eq!(engine.query_cache_stats(), (1, 1));
     let media_before = engine.media_cache_len();
 
-    let report = engine
-        .upgrade_detector("tennis", RevisionLevel::Correction, Box::new(|_| Ok(vec![])))
+    let job = engine
+        .begin_upgrade("tennis", RevisionLevel::Correction, Box::new(|_| Ok(vec![])))
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(report.objects_reparsed, 0);
 
     let warm = engine.query(&q).unwrap();

@@ -12,6 +12,10 @@
 //! * a query cancelled by its budget — at *any* checkpoint — leaves the
 //!   engine bit-for-bit as if it never ran.
 
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -4,14 +4,21 @@
 //! answer must be *identical* to the sequential run, for any worker
 //! count, healthy or degraded. Plus the epoch-keyed query cache:
 //! warm answers equal cold ones, ingestion and store-changing
-//! maintenance invalidate them, and provably store-preserving
-//! maintenance retains them.
+//! maintenance or refreshes invalidate them, and provably
+//! store-preserving ones retain them.
+
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
 
 use dlsearch::{ausopen, qlang, Engine, PopulateOptions, PopulateReport, QueryOptions};
 use faults::{FaultPlan, FaultSpec};
 use websim::{crawl, Site, SiteSpec};
+
+mod common;
+use common::run_to_completion;
 
 fn spec() -> SiteSpec {
     SiteSpec {
@@ -157,10 +164,10 @@ fn query_cache_serves_warm_answers_until_ingest_invalidates() {
         "a cache hit must report the text status of the miss"
     );
 
-    // A source refresh invalidates — even one that finds the source
-    // still valid — so the same query misses again and recomputes.
+    // A source refresh that regenerates the stored tree invalidates, so
+    // the same query misses again and recomputes.
     let video = site.players[0].video_url.clone();
-    engine.refresh_source(&video, |_| true).unwrap();
+    assert!(engine.refresh_source(&video, |_| false).unwrap());
     let after = engine.query(&query).unwrap();
     assert_eq!(engine.query_cache_stats(), (1, 2));
     assert_eq!(cold.hits, after, "recomputing over unchanged stores must not change the answer");
@@ -196,15 +203,16 @@ fn maintenance_invalidates_the_query_cache_only_when_trees_changed() {
     // A heal that finds nothing to heal re-parses zero objects: the
     // store is provably unchanged, so the cached answer stays valid
     // and the cache is retained.
-    let report = engine.heal_detector("segment").unwrap();
+    let job = engine.begin_heal("segment").unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(report.objects_reparsed, 0);
     engine.query(&query).unwrap();
     assert_eq!(engine.query_cache_stats(), (2, 1));
 
     // A minor revision that actually re-parses trees must still
     // invalidate: the same query misses and recomputes.
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "tennis",
             acoi::RevisionLevel::Minor,
             Box::new(|inputs| {
@@ -220,9 +228,21 @@ fn maintenance_invalidates_the_query_cache_only_when_trees_changed() {
             }),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     assert!(report.objects_reparsed > 0);
     engine.query(&query).unwrap();
     assert_eq!(engine.query_cache_stats(), (2, 2));
+
+    // The same rule for a source refresh: one that finds the source
+    // still valid regenerates nothing and keeps the cache, one that
+    // finds it changed regenerates the tree and invalidates.
+    let video = site.players[0].video_url.clone();
+    assert!(!engine.refresh_source(&video, |_| true).unwrap());
+    engine.query(&query).unwrap();
+    assert_eq!(engine.query_cache_stats(), (3, 2));
+    assert!(engine.refresh_source(&video, |_| false).unwrap());
+    engine.query(&query).unwrap();
+    assert_eq!(engine.query_cache_stats(), (3, 3));
 }
 
 #[test]
@@ -254,13 +274,14 @@ fn store_epochs_advance_with_ingestion() {
     // Maintenance that rewrites stored trees moves the meta epoch, so
     // epoch-keyed cache entries can never survive it.
     let meta1 = engine.meta().store().epoch();
-    let report = engine
-        .upgrade_detector(
+    let job = engine
+        .begin_upgrade(
             "segment",
             acoi::RevisionLevel::Minor,
             Box::new(|_| Err("segment offline".into())),
         )
         .unwrap();
+    let report = run_to_completion(&mut engine, job).unwrap();
     if report.objects_reparsed > 0 {
         assert!(engine.meta().store().epoch() > meta1);
     }

@@ -14,6 +14,10 @@
 //!   commit `b8bddcc`);
 //! * browned-out and budget-limited answers never touch the cache.
 
+// Helpers outside `#[test]` functions unwrap too (clippy.toml only
+// exempts the tests themselves).
+#![allow(clippy::unwrap_used)]
+
 use std::sync::Arc;
 
 use dlsearch::{ausopen, qlang, Engine, OverloadLevel, QueryOptions};
