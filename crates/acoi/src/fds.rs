@@ -250,7 +250,7 @@ impl Fds {
     }
 
     /// Maintains the index for an implementation change that is already
-    /// installed in the registry (the work a [`Scheduler`] defers).
+    /// installed in the registry (the work a [`crate::Scheduler`] defers).
     pub fn apply_revision(
         &self,
         grammar: &Grammar,

@@ -3,7 +3,7 @@
 //! "As the model provides a framework for stochastic modeling of events,
 //! other possibilities are to exploit the learning capability of Hidden
 //! Markov Models … to recognize events in video data automatically" —
-//! and [PJZ01], "Recognizing strokes in tennis videos using hidden
+//! and \[PJZ01\], "Recognizing strokes in tennis videos using hidden
 //! markov models", is the concrete instantiation: per-stroke HMMs over
 //! quantised pose-feature symbols, classified by maximum likelihood.
 //!
@@ -257,7 +257,7 @@ fn normalise(row: &mut [f64]) {
 }
 
 /// A maximum-likelihood classifier over per-class HMMs — the stroke
-/// recogniser of [PJZ01].
+/// recogniser of \[PJZ01\].
 #[derive(Debug, Clone, Default)]
 pub struct StrokeRecognizer {
     models: Vec<(String, Hmm)>,

@@ -2,7 +2,7 @@
 //!
 //! The paper's future-work section wires generic multimedia detectors
 //! into the Internet feature grammar: "a photo/graphic classifier for
-//! images [ASF97] … face detection [LH96]. This would allow queries
+//! images \[ASF97\] … face detection \[LH96\]. This would allow queries
 //! like: 'show me all portraits embedded in pages containing keywords
 //! semantically related to the word champion'."
 //!
@@ -31,7 +31,7 @@ pub struct ImageSignal {
     pub skin_regions: Vec<(f64, f64)>,
 }
 
-/// Photo vs graphic, per [ASF97].
+/// Photo vs graphic, per \[ASF97\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ImageKind {
     /// A photograph (natural image).

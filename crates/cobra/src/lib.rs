@@ -1,7 +1,7 @@
 //! COBRA — the COntent-Based RetrievAl video data model and the tennis
 //! video analysis pipeline of the paper's logical level.
 //!
-//! The model "distinguish[es] four distinct layers within video content:
+//! The model "distinguish\[es\] four distinct layers within video content:
 //! the raw data, the feature, the object, and the event layer. The object
 //! and event layers consist of entities characterized by prominent
 //! spatial and temporal dimensions respectively."
@@ -33,7 +33,7 @@
 //!   (the object/event grammars of the COBRA extensions); `netplay` is
 //!   the running example.
 //! * [`hmm`] — discrete hidden Markov models (Baum-Welch + Viterbi) for
-//!   stochastic event recognition, the paper's [PJZ01] stroke recogniser.
+//!   stochastic event recognition, the paper's \[PJZ01\] stroke recogniser.
 
 #![warn(missing_docs)]
 

@@ -658,13 +658,6 @@ impl QueryService {
         self.engine.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Unwraps the service back into its engine.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     /// The full overload-resilient query path: admission (typed
     /// rejection when saturated), ladder read, then execution at the
     /// rung's fidelity under the caller's budget. The permit is held

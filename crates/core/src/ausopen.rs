@@ -43,7 +43,6 @@ pub fn config(site: Arc<Site>) -> EngineConfig {
         text_servers: 1,
         text_replicas: 0,
         faults: None,
-        text_read_scaling: false,
     }
 }
 
@@ -72,7 +71,6 @@ pub fn resilient_engine(
         text_servers,
         text_replicas: 0,
         faults: Some(plan),
-        text_read_scaling: false,
     })
 }
 
@@ -216,7 +214,6 @@ pub fn flaky_engine(site: Arc<Site>, plan: Arc<faults::FaultPlan>) -> Result<Eng
         text_servers: 1,
         text_replicas: 0,
         faults: None,
-        text_read_scaling: false,
     })
 }
 

@@ -55,20 +55,16 @@ pub struct EngineConfig {
     /// queries in parallel, degrading gracefully when servers fail.
     pub text_servers: usize,
     /// Replicas per text shard, each placed on a distinct server.
-    /// `0` keeps the unreplicated semantics; with `R > 0` a query
-    /// fails over to a replica before ever degrading, as long as any
-    /// copy of the shard's group survives. Must leave room for
-    /// distinct hosts (`text_replicas < text_servers` unless 0).
+    /// `0` keeps the unreplicated semantics; with `R > 0` each query
+    /// reads one rotating copy per shard group (answers stay
+    /// byte-identical — replicas are exact copies) and fails over to
+    /// another copy before ever degrading, as long as any copy of the
+    /// shard's group survives. Must leave room for distinct hosts
+    /// (`text_replicas < text_servers` unless 0).
     pub text_replicas: usize,
     /// Fault plan consulted by the text servers (labels `shard:<i>`).
     /// `None` means no injection anywhere.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Spread text reads round-robin over every copy of each shard
-    /// group instead of always consulting the primary. Answers stay
-    /// byte-identical (replicas are exact copies and the failover
-    /// order is preserved); what changes is which copy does the work.
-    /// Ignored when `text_replicas == 0`.
-    pub text_read_scaling: bool,
 }
 
 /// What one population run did.
@@ -116,14 +112,6 @@ pub struct StageTimings {
     /// Time spent merging parse trees into the meta-index, in source
     /// order (a subset of the analyse stage's wall time).
     pub merge_ms: f64,
-}
-
-impl StageTimings {
-    /// Total wall time across the stages (merge is counted inside
-    /// analyse, not added again).
-    pub fn total_ms(&self) -> f64 {
-        self.extract_ms + self.store_ms + self.collect_ms + self.text_ms + self.analyse_ms
-    }
 }
 
 /// Options controlling how [`Engine::populate_with`] runs.
@@ -208,8 +196,7 @@ pub struct Engine {
 
 /// Engine-level metric handles, registered once in
 /// [`Engine::set_obs`]. Counters record at event time; gauges are
-/// refreshed from live state on every [`Engine::metrics_text`] /
-/// [`Engine::metrics_json`] scrape.
+/// refreshed from live state on every [`Engine::metrics_text`] scrape.
 struct EngineMetrics {
     queries: obs::Counter,
     query_deadlines: obs::Counter,
@@ -484,8 +471,9 @@ pub struct TextQueryStatus {
     pub shards_failed: usize,
     /// Which servers failed.
     pub failed_shards: Vec<usize>,
-    /// Shard groups whose primary failed but a replica answered — the
-    /// group still counts towards `shards_ok` and full quality.
+    /// Shard groups whose selected copy failed but another copy
+    /// answered — the group still counts towards `shards_ok` and full
+    /// quality.
     pub failovers: usize,
     /// Estimated answer quality: fraction of the collection's documents
     /// held by surviving servers.
@@ -493,9 +481,6 @@ pub struct TextQueryStatus {
     /// Which copy index served each shard group (`0` = primary), in
     /// group order. `None` for a group no copy answered.
     pub served_by: Vec<Option<usize>>,
-    /// Whether round-robin read-scaling routed this query (as opposed
-    /// to the primary-first default).
-    pub routed: bool,
 }
 
 /// The per-call parameters of [`Engine::execute`]. The default is an
@@ -523,9 +508,6 @@ impl Engine {
         .map_err(Error::Ir)?;
         if let Some(plan) = &config.faults {
             text.set_fault_plan(Arc::clone(plan));
-        }
-        if config.text_read_scaling {
-            text.set_read_routing(ir::ReadRouting::RoundRobin);
         }
         let faults_active = config.faults.is_some();
         Ok(Engine {
@@ -980,11 +962,6 @@ impl Engine {
         Arc::clone(&self.admission)
     }
 
-    /// Retunes the admission gate in place.
-    pub fn set_admission_config(&mut self, config: AdmissionConfig) {
-        self.admission.reconfigure(config);
-    }
-
     /// Current overload state: ladder rung, gate occupancy, lifetime
     /// admission counters, the recent transition log — and, when a
     /// telemetry layer is attached, per-SLO burn-rate context from the
@@ -1127,16 +1104,6 @@ impl Engine {
         match self.obs.registry() {
             Some(reg) => reg.render_text(),
             None => String::new(),
-        }
-    }
-
-    /// The registry contents as a JSON value (bench reports embed it).
-    /// [`obs::report::Json::Null`] when observability is disabled.
-    pub fn metrics_json(&self) -> obs::report::Json {
-        self.refresh_gauges();
-        match self.obs.registry() {
-            Some(reg) => reg.render_json(),
-            None => obs::report::Json::Null,
         }
     }
 
@@ -1429,7 +1396,7 @@ impl Engine {
                 );
             }
             if let Some(st) = last.and_then(|o| o.text.as_ref()) {
-                if st.routed || st.served_by.iter().flatten().any(|&c| c != 0) {
+                if self.text.replication() > 0 {
                     let route: Vec<String> = st
                         .served_by
                         .iter()
@@ -1442,12 +1409,7 @@ impl Engine {
                     push(
                         &mut out,
                         format!(
-                            "READ-ROUTE: {} last time ({})",
-                            if st.routed {
-                                "round-robin read-scaling spread groups over replicas"
-                            } else {
-                                "primary-first routing"
-                            },
+                            "READ-ROUTE: one rotating copy per group served last time ({})",
                             route.join(", ")
                         ),
                     );
@@ -1456,7 +1418,7 @@ impl Engine {
                     push(
                         &mut out,
                         format!(
-                            "FAILOVER: {} shard group(s) answered from a replica last time (primary down, answer exact)",
+                            "FAILOVER: {} shard group(s) answered from another copy last time (selected copy down, answer exact)",
                             st.failovers
                         ),
                     );
@@ -1778,8 +1740,6 @@ impl Engine {
                 failovers: result.failovers,
                 quality: result.quality,
                 served_by: result.served_by,
-                routed: self.text.read_routing() == ir::ReadRouting::RoundRobin
-                    && self.text.replication() > 0,
             });
         }
 

@@ -193,7 +193,7 @@ impl MaintenanceJob {
     /// Does the expensive half of the job, entirely off the engine:
     /// restores the pinned snapshot into a private meta-index, walks
     /// every source the plan touches (one Batch permit per
-    /// [`ADMIT_CHUNK`]), and collects the re-parsed trees
+    /// `ADMIT_CHUNK` objects), and collects the re-parsed trees
     /// as deltas. On any error the job is dead — hand it to
     /// [`crate::Engine::abort_maintenance`]; the live store was never
     /// touched.

@@ -183,7 +183,7 @@ pub fn internet_video_grammar() -> crate::error::Result<crate::ast::Grammar> {
 
 /// The Internet grammar extended with the generic image pipeline the
 /// future-work section lists: "a photo/graphic classifier for images
-/// [ASF97] … face detection [LH96]. This would allow queries like:
+/// \[ASF97\] … face detection \[LH96\]. This would allow queries like:
 /// 'show me all portraits embedded in pages containing keywords
 /// semantically related to the word champion'."
 ///

@@ -43,8 +43,10 @@ pub struct ControlConfig {
     /// An observed shard-p99 critical path above this asks for a split
     /// (the latency analogue of the document threshold).
     pub slow_shard: Duration,
-    /// Consecutive failed consultations before a server is declared
-    /// permanently lost.
+    /// Consecutive failed consultations of **every** copy a server
+    /// hosts before it is declared permanently lost. A healthy group
+    /// reads one of its `R + 1` copies per query, so detection takes up
+    /// to `loss_threshold × (R + 1)` queries.
     pub loss_threshold: u32,
     /// Ticks a layout change (split/merge) is followed by silence.
     pub cooldown_ticks: u64,

@@ -28,43 +28,41 @@
 //! — without changing which slot any URL hashes to. Routing is thus
 //! deterministic for a fixed layout and survives restore and rebalance.
 //!
-//! # Replication
+//! # Replication and reads
 //!
 //! [`DistributedIndex::with_replication`] gives every shard group `R`
 //! replicas placed on the *next* `R` distinct virtual servers (so a
 //! whole-server loss never takes out every copy of a group). Writes fan
-//! out to all copies; under the default [`ReadRouting::Primary`] a
-//! query asks every copy and prefers the primary's
-//! answer, failing over to the lowest-numbered live replica — within
-//! the same collection window — before ever degrading the merge.
-//! [`DistributedResult::failovers`] counts how many groups were rescued
-//! that way.
-//!
-//! # Read routing
-//!
-//! [`ReadRouting::RoundRobin`] turns replicas into read capacity: each
-//! group's read goes to **one** rotating copy instead of all `R + 1`,
-//! cutting the per-query fan-out by a factor of `R + 1`. Rotation
-//! deliberately includes copies marked unhealthy — the probe doubles as
-//! failure detection — and exactness is preserved by rescue: a selected
-//! copy that answers with an error triggers an immediate second wave
-//! over the group's remaining copies, and a selected copy that has not
-//! answered by **half** the collection window triggers the same hedge,
-//! so a hung copy still fails over inside the window. Replicas mirror
-//! their primaries byte for byte and the merge tiebreak is on URL, so
-//! which copy served is invisible in the ranking
-//! ([`DistributedResult::served_by`] reports it anyway).
+//! out to all copies. **The read rule:** each query sends each group's
+//! read to **one** copy, picked by a per-group cursor that rotates over
+//! all `R + 1` copies — replicas are read capacity, and every server
+//! gets one top-N request per query, as in the paper. The cursor keeps
+//! advancing past copies marked unhealthy: the read is the failure
+//! probe. **The rescue/hedge rule:** a selected copy that answers with
+//! an error is rescued at once from the group's remaining copies, and a
+//! selected copy that has not answered by **half** the collection
+//! window is hedged the same way, so a dead or hung copy fails over
+//! inside the window before ever degrading the merge. The answer taken
+//! is the selected copy's, or else the lowest-numbered live copy's;
+//! [`DistributedResult::failovers`] counts the groups rescued that way.
+//! Replicas mirror their primaries byte for byte and the merge tiebreak
+//! is on URL, so which copy served is invisible in the ranking
+//! ([`DistributedResult::served_by`] reports it anyway). Without
+//! replicas the selected copy is the primary and no hedge is armed.
 //!
 //! # Loss declaration and re-replication
 //!
 //! Every consulted copy carries a consecutive-failure streak; a virtual
 //! server **all** of whose hosted copies have failed at least
 //! `threshold` consecutive consultations is a loss candidate
-//! ([`DistributedIndex::lost_servers`]). Losing a machine permanently
-//! must not leave its groups one fault from degradation until the next
-//! rebalance: [`DistributedIndex::begin_rereplication`] stages a
-//! rebuild of every copy the dead server hosted **onto surviving
-//! virtual servers**, sourced from each group's lowest surviving copy.
+//! ([`DistributedIndex::lost_servers`]). A healthy group consults one
+//! of its `R + 1` copies per query, so a dead server is declared within
+//! `threshold × (R + 1)` queries, and `R + 1` clean queries clear every
+//! streak. Losing a machine permanently must not leave its groups one
+//! fault from degradation until the next rebalance:
+//! [`DistributedIndex::begin_rereplication`] stages a rebuild of every
+//! copy the dead server hosted **onto surviving virtual servers**,
+//! sourced from each group's lowest surviving copy.
 //! The [`RereplicationJob`] is driven off to the side one object at a
 //! time (each step consults the fault plan at
 //! `rereplicate:<lost>:<group>`); committing swaps the rebuilt copies
@@ -131,19 +129,6 @@ pub const WAL_OP_LAYOUT: u8 = 1;
 /// decision is on the durable record.
 pub const WAL_OP_CONTROL: u8 = 2;
 
-/// How [`DistributedIndex::search`] routes each group's read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadRouting {
-    /// Ask every copy, prefer the primary's answer (the replication
-    /// default: replicas are pure failover capacity).
-    #[default]
-    Primary,
-    /// Ask **one** rotating copy per group, rescuing the group from its
-    /// remaining copies only when the selected copy fails or misses the
-    /// half-window hedge — replicas become read capacity.
-    RoundRobin,
-}
-
 /// How many recent query critical paths feed
 /// [`DistributedIndex::observed_shard_p99`].
 const SLOW_RING: usize = 64;
@@ -174,31 +159,50 @@ pub struct DistributedIndex {
     /// The shared log handle (also held by every primary); the layout
     /// record of a rebalance goes through it. `None` during replay.
     wal: Option<WalHandle>,
-    /// `copy_health[g][c]`: did copy `c` (0 = primary) of group `g`
-    /// answer its most recent consultation? Diagnostic only — copies
-    /// are re-consulted regardless.
-    copy_health: Vec<Vec<bool>>,
+    /// Every copy's host, health and failure streak, and each group's
+    /// read cursor.
+    placement: Placement,
     /// Epoch stamped on the primaries by the last layout cutover.
     last_cutover_epoch: u64,
-    /// Read-routing mode.
-    read_routing: ReadRouting,
-    /// Per-group rotation cursor for [`ReadRouting::RoundRobin`].
-    route_cursor: Vec<usize>,
-    /// Virtual host of each group's primary. `primary_host[g] == g` by
-    /// default; re-replication relocates a dead host's primary onto a
-    /// survivor. Derived state — resets on restore.
-    primary_host: Vec<usize>,
-    /// Virtual host of each replica copy (`replica_host[g][c]` hosts
-    /// copy `c + 1` of group `g`); defaults to the `(g + c + 1) % n`
-    /// ring. Derived state — resets on restore.
-    replica_host: Vec<Vec<usize>>,
-    /// `copy_fail_streak[g][c]`: consecutive failed consultations of
-    /// copy `c` of group `g`. Reset to zero by a successful answer (or
-    /// a re-replication replacing the copy); feeds loss declaration.
-    copy_fail_streak: Vec<Vec<u32>>,
     /// Ring of the most recent query critical paths (slowest
     /// shard per query), feeding the control plane's p99 trigger.
     recent_slow: std::collections::VecDeque<Duration>,
+}
+
+/// Where every copy lives and how its reads have gone, indexed
+/// `[group][copy]` with copy 0 the primary. Derived state: restores,
+/// re-provisioned replication and layout cutovers reset it to
+/// [`Placement::default_ring`].
+struct Placement {
+    /// Virtual host of each copy. Re-replication relocates a dead
+    /// host's copies onto survivors.
+    host: Vec<Vec<usize>>,
+    /// Did the copy answer its most recent consultation? Diagnostic
+    /// only — copies are re-consulted regardless.
+    healthy: Vec<Vec<bool>>,
+    /// Consecutive failed consultations. Reset to zero by a successful
+    /// answer (or a re-replication replacing the copy); feeds loss
+    /// declaration.
+    fail_streak: Vec<Vec<u32>>,
+    /// The copy each group's next read goes to.
+    cursor: Vec<usize>,
+}
+
+impl Placement {
+    /// Copy `c` of group `g` on host `(g + c) % servers` — the primary
+    /// at home, the replicas on the next `R` distinct hosts — all
+    /// healthy, every cursor on the primary.
+    fn default_ring(servers: usize, replication: usize) -> Placement {
+        let copies = replication + 1;
+        Placement {
+            host: (0..servers)
+                .map(|g| (0..copies).map(|c| (g + c) % servers).collect())
+                .collect(),
+            healthy: vec![vec![true; copies]; servers],
+            fail_streak: vec![vec![0; copies]; servers],
+            cursor: vec![0; servers],
+        }
+    }
 }
 
 /// Metric handles for the scatter-gather layer. The scatter-gather and
@@ -222,18 +226,14 @@ struct IrMetrics {
     rebalance_moves: obs::Counter,
     rebalance_cutover: obs::Gauge,
     rereplication_objects: obs::Counter,
+    /// `ir_read_route_total{replica="<c>"}`, one handle per copy index.
+    read_route: Vec<obs::Counter>,
 }
 
-/// Help string of the `ir_read_route_total` family (the per-value
-/// handles are fetched lazily by copy index).
-const READ_ROUTE_HELP: &str = "Group reads served, by copy index (0 = primary)";
-
 impl IrMetrics {
-    fn register(registry: &obs::Registry) -> IrMetrics {
-        // Seed the labeled control-plane families so they render (at
-        // zero) on any obs-enabled engine, before the first routed read
-        // or policy decision.
-        registry.labeled_counter("ir_read_route_total", READ_ROUTE_HELP, "replica", "0");
+    fn register(registry: &obs::Registry, copies: usize) -> IrMetrics {
+        // Seed the labeled control-plane family so it renders (at zero)
+        // on any obs-enabled engine, before the first policy decision.
         registry.labeled_counter(
             "ir_control_decisions_total",
             "Control-plane policy decisions, by action",
@@ -270,11 +270,11 @@ impl IrMetrics {
             ),
             failovers: registry.counter(
                 "ir_failovers_total",
-                "Shard groups answered by a replica after the primary failed",
+                "Shard groups answered by another copy after the selected one failed",
             ),
             replicas_healthy: registry.gauge(
                 "ir_replicas_healthy",
-                "Copies (primaries + replicas) that answered the last parallel query",
+                "Copies (primaries + replicas) that answered their most recent consultation",
             ),
             rebalance_moves: registry.counter(
                 "ir_rebalance_moves_total",
@@ -288,6 +288,16 @@ impl IrMetrics {
                 "ir_rereplication_objects_total",
                 "Replica copies rebuilt onto survivors by background re-replication",
             ),
+            read_route: (0..copies)
+                .map(|c| {
+                    registry.labeled_counter(
+                        "ir_read_route_total",
+                        "Group reads served, by copy index (0 = primary)",
+                        "replica",
+                        &c.to_string(),
+                    )
+                })
+                .collect(),
         }
     }
 }
@@ -303,10 +313,11 @@ pub struct ShardHealth {
     pub documents: usize,
     /// Configured replicas per group.
     pub replicas: usize,
-    /// Copies (out of `1 + replicas`) that answered the most recent
-    /// query; `1 + replicas` when no query ran yet.
+    /// Copies (out of `1 + replicas`) that answered their most recent
+    /// consultation (a healthy group consults one copy per query);
+    /// `1 + replicas` when no query ran yet.
     pub healthy_copies: usize,
-    /// Whether the primary itself answered that query.
+    /// Whether the primary answered its most recent consultation.
     pub primary_healthy: bool,
     /// The primary's mutation epoch.
     pub epoch: u64,
@@ -326,10 +337,10 @@ pub struct DistributedResult {
     pub shards_failed: usize,
     /// Which groups failed entirely (indices into the shard list).
     pub failed_shards: Vec<usize>,
-    /// Groups rescued by a replica after their primary failed. These
-    /// count toward [`shards_ok`](DistributedResult::shards_ok): a
-    /// failover is invisible in the ranking, only the accounting shows
-    /// it.
+    /// Groups answered by another copy after their selected copy
+    /// failed or hung. These count toward
+    /// [`shards_ok`](DistributedResult::shards_ok): a failover is
+    /// invisible in the ranking, only the accounting shows it.
     pub failovers: usize,
     /// Estimated answer quality, as in the fragmentation cutoff model:
     /// the fraction of the collection's documents held by surviving
@@ -353,7 +364,7 @@ pub struct DistributedResult {
 /// equal when they rank the same answer with the same degradation
 /// accounting. Timing and routing are diagnostics, never a semantic
 /// part of the answer — byte-identity tests across serial/parallel
-/// evaluation (and across read-routing modes) rely on this.
+/// evaluation rely on this.
 impl PartialEq for DistributedResult {
     fn eq(&self, other: &Self) -> bool {
         self.hits == other.hits
@@ -396,20 +407,6 @@ fn slot_of(url: &str) -> usize {
 /// The round-robin default layout for `servers` servers.
 fn default_layout(servers: usize) -> Vec<u16> {
     (0..ROUTE_SLOTS).map(|s| (s % servers) as u16).collect()
-}
-
-/// Default primary placement: group `g`'s primary lives on host `g`.
-fn default_primary_hosts(servers: usize) -> Vec<usize> {
-    (0..servers).collect()
-}
-
-/// Default replica placement: copy `c` of group `g` (1-based) lives on
-/// host `(g + c) % servers` — the next `R` distinct hosts after the
-/// primary.
-fn default_replica_hosts(servers: usize, replication: usize) -> Vec<Vec<usize>> {
-    (0..servers)
-        .map(|g| (1..=replication).map(|c| (g + c) % servers).collect())
-        .collect()
 }
 
 fn validate_layout(layout: &[u16], servers: usize) -> Result<()> {
@@ -458,28 +455,40 @@ impl DistributedIndex {
             return Err(Error::Config("at least one server required".into()));
         }
         validate_replication(replication, servers)?;
-        Ok(DistributedIndex {
-            shards: (0..servers).map(|_| TextIndex::new(model)).collect(),
-            replicas: (0..servers)
+        Ok(Self::assemble(
+            (0..servers).map(|_| TextIndex::new(model)).collect(),
+            (0..servers)
                 .map(|_| (0..replication).map(|_| TextIndex::new(model)).collect())
                 .collect(),
             replication,
-            layout: default_layout(servers),
+            default_layout(servers),
+        ))
+    }
+
+    /// A quiet cluster around `shards` and their `replication` replicas
+    /// each: default placement, default deadlines, no fault plan, log
+    /// or observability attached.
+    fn assemble(
+        shards: Vec<TextIndex>,
+        replicas: Vec<Vec<TextIndex>>,
+        replication: usize,
+        layout: Vec<u16>,
+    ) -> DistributedIndex {
+        DistributedIndex {
+            placement: Placement::default_ring(shards.len(), replication),
+            shards,
+            replicas,
+            replication,
+            layout,
             faults: None,
             shard_deadline: Duration::from_millis(250),
             hang: Duration::from_millis(500),
             obs: obs::Obs::disabled(),
             metrics: None,
             wal: None,
-            copy_health: vec![vec![true; replication + 1]; servers],
             last_cutover_epoch: 0,
-            read_routing: ReadRouting::default(),
-            route_cursor: vec![0; servers],
-            primary_host: default_primary_hosts(servers),
-            replica_host: default_replica_hosts(servers, replication),
-            copy_fail_streak: vec![vec![0; replication + 1]; servers],
             recent_slow: std::collections::VecDeque::new(),
-        })
+        }
     }
 
     /// Number of logical servers (shard groups).
@@ -516,13 +525,13 @@ impl DistributedIndex {
     /// re-replication, wherever the rebuilt copies landed. Always
     /// distinct from each other.
     pub fn replica_servers(&self, group: usize) -> Vec<usize> {
-        self.replica_host[group].clone()
+        self.placement.host[group][1..].to_vec()
     }
 
     /// The virtual host currently holding group `g`'s primary (`g`
     /// itself unless re-replication relocated it).
     pub fn primary_server(&self, group: usize) -> usize {
-        self.primary_host[group]
+        self.placement.host[group][0]
     }
 
     /// The fault-plan label copy `c` (0 = primary) of group `g` is
@@ -532,16 +541,13 @@ impl DistributedIndex {
     /// the dead host stops matching and a whole-machine kill of the
     /// *new* host covers it. Replicas are always host-qualified.
     fn copy_label(&self, group: usize, copy: usize) -> String {
-        if copy == 0 {
-            let host = self.primary_host[group];
-            if host == group {
-                format!("shard:{group}")
-            } else {
-                format!("shard:{host}:{group}")
-            }
-        } else {
-            let host = self.replica_host[group][copy - 1];
+        let host = self.placement.host[group][copy];
+        if copy > 0 {
             format!("replica:{host}:{group}")
+        } else if host == group {
+            format!("shard:{group}")
+        } else {
+            format!("shard:{host}:{group}")
         }
     }
 
@@ -552,12 +558,9 @@ impl DistributedIndex {
     /// a whole-machine loss rather than a single-copy loss.
     pub fn fault_labels_for_server(&self, server: usize) -> Vec<String> {
         let mut labels = Vec::new();
-        for g in 0..self.shards.len() {
-            if self.primary_host[g] == server {
-                labels.push(self.copy_label(g, 0));
-            }
-            for c in 1..=self.replication {
-                if self.replica_host[g][c - 1] == server {
+        for (g, hosts) in self.placement.host.iter().enumerate() {
+            for (c, &host) in hosts.iter().enumerate() {
+                if host == server {
                     labels.push(self.copy_label(g, c));
                 }
             }
@@ -565,24 +568,13 @@ impl DistributedIndex {
         labels
     }
 
-    /// Selects how queries route group reads (default
-    /// [`ReadRouting::Primary`]). Routing never changes what a query
-    /// answers, only which copy does the work.
-    pub fn set_read_routing(&mut self, routing: ReadRouting) {
-        self.read_routing = routing;
-    }
-
-    /// The active read-routing mode.
-    pub fn read_routing(&self) -> ReadRouting {
-        self.read_routing
-    }
-
     /// Virtual servers that look permanently lost: they host at least
     /// one copy, and **every** copy they host has failed at least
     /// `threshold` consecutive consultations. A copy that merely wasn't
-    /// consulted (routed mode skips copies) keeps its streak, so a
-    /// quiet server is never declared lost. `threshold == 0` declares
-    /// nothing.
+    /// consulted (a healthy group reads one copy per query) keeps its
+    /// streak, so a quiet server is never declared lost and a dead one
+    /// is declared within `threshold × (R + 1)` queries.
+    /// `threshold == 0` declares nothing.
     pub fn lost_servers(&self, threshold: u32) -> Vec<usize> {
         if threshold == 0 {
             return Vec::new();
@@ -590,21 +582,11 @@ impl DistributedIndex {
         let n = self.shards.len();
         let mut hosted = vec![0usize; n];
         let mut struck = vec![0usize; n];
-        for g in 0..n {
-            let hp = self.primary_host[g];
-            if hp < n {
-                hosted[hp] += 1;
-                if self.copy_fail_streak[g][0] >= threshold {
-                    struck[hp] += 1;
-                }
-            }
-            for c in 1..=self.replication {
-                let h = self.replica_host[g][c - 1];
-                if h < n {
-                    hosted[h] += 1;
-                    if self.copy_fail_streak[g][c] >= threshold {
-                        struck[h] += 1;
-                    }
+        for (hosts, streaks) in self.placement.host.iter().zip(&self.placement.fail_streak) {
+            for (&host, &streak) in hosts.iter().zip(streaks) {
+                hosted[host] += 1;
+                if streak >= threshold {
+                    struck[host] += 1;
                 }
             }
         }
@@ -613,9 +595,9 @@ impl DistributedIndex {
             .collect()
     }
 
-    /// The 99th percentile of the last [`SLOW_RING`] query
-    /// critical paths (slowest shard per query) — the control plane's
-    /// latency trigger. Zero until a query has run.
+    /// The 99th percentile of the last `SLOW_RING` (64) query critical
+    /// paths (slowest shard per query) — the control plane's latency
+    /// trigger. Zero until a query has run.
     pub fn observed_shard_p99(&self) -> Duration {
         if self.recent_slow.is_empty() {
             return Duration::ZERO;
@@ -658,14 +640,24 @@ impl DistributedIndex {
         }
         self.replicas = replicas;
         self.replication = replication;
-        let servers = self.shards.len();
-        self.copy_health = vec![vec![true; replication + 1]; servers];
-        self.route_cursor = vec![0; servers];
-        self.primary_host = default_primary_hosts(servers);
-        self.replica_host = default_replica_hosts(servers, replication);
-        self.copy_fail_streak = vec![vec![0; replication + 1]; servers];
-        self.refresh_health_gauge();
+        self.reset_placement();
         Ok(())
+    }
+
+    /// Back to the default ring for the current cluster shape.
+    fn reset_placement(&mut self) {
+        self.placement = Placement::default_ring(self.shards.len(), self.replication);
+        self.register_metrics();
+    }
+
+    /// Fetches the metric handles (one `ir_read_route_total` series per
+    /// copy index) and brings the health gauge up to date.
+    fn register_metrics(&mut self) {
+        self.metrics = self
+            .obs
+            .registry()
+            .map(|registry| IrMetrics::register(registry, self.replication + 1));
+        self.refresh_health_gauge();
     }
 
     /// Connects the index to an observability handle: every evaluation
@@ -673,8 +665,7 @@ impl DistributedIndex {
     /// attaches one child span per shard. A disabled handle disconnects.
     pub fn set_obs(&mut self, o: &obs::Obs) {
         self.obs = o.clone();
-        self.metrics = o.registry().map(IrMetrics::register);
-        self.refresh_health_gauge();
+        self.register_metrics();
     }
 
     /// Point-in-time health of every shard group — the distribution
@@ -684,7 +675,7 @@ impl DistributedIndex {
             .iter()
             .enumerate()
             .map(|(g, primary)| {
-                let copies = &self.copy_health[g];
+                let copies = &self.placement.healthy[g];
                 ShardHealth {
                     shard: g,
                     documents: primary.document_count(),
@@ -700,7 +691,8 @@ impl DistributedIndex {
     fn refresh_health_gauge(&self) {
         if let Some(m) = &self.metrics {
             let healthy: usize = self
-                .copy_health
+                .placement
+                .healthy
                 .iter()
                 .map(|g| g.iter().filter(|h| **h).count())
                 .sum();
@@ -725,17 +717,8 @@ impl DistributedIndex {
                 m.shard_seconds
                     .observe_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
             }
-            if let Some(registry) = self.obs.registry() {
-                for copy in result.served_by.iter().flatten() {
-                    registry
-                        .labeled_counter(
-                            "ir_read_route_total",
-                            READ_ROUTE_HELP,
-                            "replica",
-                            &copy.to_string(),
-                        )
-                        .inc();
-                }
+            for &copy in result.served_by.iter().flatten() {
+                m.read_route[copy].inc();
             }
         }
         self.refresh_health_gauge();
@@ -991,27 +974,7 @@ impl DistributedIndex {
         validate_layout(&layout, snapshots.len())?;
         let replication = replication as usize;
         validate_replication(replication, snapshots.len())?;
-        let servers = shards.len();
-        Ok(DistributedIndex {
-            shards,
-            replicas,
-            replication,
-            layout,
-            faults: None,
-            shard_deadline: Duration::from_millis(250),
-            hang: Duration::from_millis(500),
-            obs: obs::Obs::disabled(),
-            metrics: None,
-            wal: None,
-            copy_health: vec![vec![true; replication + 1]; servers],
-            last_cutover_epoch: 0,
-            read_routing: ReadRouting::default(),
-            route_cursor: vec![0; servers],
-            primary_host: default_primary_hosts(servers),
-            replica_host: default_replica_hosts(servers, replication),
-            copy_fail_streak: vec![vec![0; replication + 1]; servers],
-            recent_slow: std::collections::VecDeque::new(),
-        })
+        Ok(Self::assemble(shards, replicas, replication, layout))
     }
 
     /// The routing slot a URL hashes to (layout-independent).
@@ -1142,11 +1105,7 @@ impl DistributedIndex {
         self.shards = new_primaries;
         self.replicas = new_replicas;
         self.layout = new_layout.to_vec();
-        self.copy_health = vec![vec![true; self.replication + 1]; shards_after];
-        self.route_cursor = vec![0; shards_after];
-        self.primary_host = default_primary_hosts(shards_after);
-        self.replica_host = default_replica_hosts(shards_after, self.replication);
-        self.copy_fail_streak = vec![vec![0; self.replication + 1]; shards_after];
+        self.reset_placement();
         self.last_cutover_epoch = cutover;
         if let Some(wal) = self.wal.clone() {
             for shard in &mut self.shards {
@@ -1158,7 +1117,6 @@ impl DistributedIndex {
             m.rebalance_moves.add(moved_docs as u64);
             m.rebalance_cutover.set(i64::try_from(cutover).unwrap_or(i64::MAX));
         }
-        self.refresh_health_gauge();
         Ok(RebalanceReport {
             shards_before,
             shards_after,
@@ -1230,7 +1188,7 @@ impl DistributedIndex {
 
     /// The fault-blind **reference** evaluation: each primary's local
     /// top-`k` in turn in the caller's thread, then the master merge. No
-    /// fault plan, no deadline, no routing, no health bookkeeping — a
+    /// fault plan, no deadline, no rotation, no health bookkeeping — a
     /// serial answer is always complete (`quality == 1.0`), which is
     /// what the tests and E5/E16 compare [`search`] against.
     ///
@@ -1275,18 +1233,21 @@ impl DistributedIndex {
     /// independently), and the master merge ranks what came back. With
     /// `candidates`, each server ranks only the candidate documents it
     /// holds ("a very interesting a-priori restriction of the ranking
-    /// candidate set"); everything else — faults, failover, routing,
-    /// hedging, health, the budget — is the same for both kinds.
+    /// candidate set"); everything else — faults, failover, hedging,
+    /// health, the budget — is the same for both kinds.
     ///
-    /// Every copy is isolated: a panic is caught in its thread, an
-    /// injected fault marks it failed, and a copy that does not answer
-    /// within the collection window is abandoned (its thread still
-    /// winds down — injected hangs are bounded). For each group the
-    /// preferred copy's answer is taken; if it failed but another copy
-    /// answered, the query **fails over** within the same window and
-    /// the group still counts as ok. The merge ranks whatever survived;
-    /// [`Error::AllShardsFailed`] is returned only when no group
-    /// answered through any copy.
+    /// Each group's read goes to the one copy its cursor selects; the
+    /// group's remaining copies are consulted only to rescue it (the
+    /// selected copy erred) or to hedge it (no answer by half the
+    /// window). Every copy is isolated: a panic is caught in its
+    /// thread, an injected fault marks it failed, and a copy that does
+    /// not answer within the collection window is abandoned (its thread
+    /// still winds down — injected hangs are bounded). For each group
+    /// the selected copy's answer is taken; if it failed but another
+    /// copy answered, the query **fails over** within the same window
+    /// and the group still counts as ok. The merge ranks whatever
+    /// survived; [`Error::AllShardsFailed`] is returned only when no
+    /// group answered through any copy.
     ///
     /// The collection window is the *minimum* of the configured shard
     /// deadline and the budget's remaining wall-clock time, so a query
@@ -1316,28 +1277,22 @@ impl DistributedIndex {
         let sizes = self.shard_sizes();
         let plan = self.faults.clone();
         let hang = self.hang;
-        let routed = self.read_routing == ReadRouting::RoundRobin && copies > 1;
         let window = match budget.remaining_time() {
             Some(left) => left.min(self.shard_deadline),
             None => self.shard_deadline,
         };
         let started = Instant::now();
         let deadline = started + window;
-        // Under routed reads a hung selected copy must not cost the
-        // group its answer: unanswered groups get their remaining
-        // copies at half the window, leaving the hedge wave the other
-        // half to answer in.
+        // A hung selected copy must not cost the group its answer:
+        // unanswered groups get their remaining copies at half the
+        // window, leaving the hedge wave the other half to answer in.
         let hedge_at = started + window / 2;
-        // The copy each group's read goes to first: the rotation cursor
-        // under RoundRobin (advanced even past unhealthy copies — the
-        // probe doubles as failure detection), always the primary
-        // otherwise.
-        let mut preferred = vec![0usize; n];
-        if routed {
-            for (g, cursor) in self.route_cursor.iter_mut().enumerate() {
-                preferred[g] = *cursor % copies;
-                *cursor = (*cursor + 1) % copies;
-            }
+        // The copy each group's read goes to: wherever its cursor
+        // stands, which then moves on — even past unhealthy copies, the
+        // read doubles as failure detection.
+        let preferred = self.placement.cursor.clone();
+        for cursor in &mut self.placement.cursor {
+            *cursor = (*cursor + 1) % copies;
         }
         // The central node stems and stops the query once; the servers
         // get the term identification along with the top-N request.
@@ -1379,29 +1334,18 @@ impl DistributedIndex {
                 });
                 true
             };
-            // First wave: every copy under Primary routing, exactly one
-            // selected copy per group under RoundRobin.
-            let mut pending = 0usize;
-            for (g, &first) in preferred.iter().enumerate() {
-                if routed {
-                    if launch(g, first) {
-                        pending += 1;
-                    }
-                } else {
-                    for c in 0..copies {
-                        if launch(g, c) {
-                            pending += 1;
-                        }
-                    }
-                }
+            for (g, &selected) in preferred.iter().enumerate() {
+                launch(g, selected);
             }
+            let mut pending = n;
             // Collect *inside* the scope: the scope exit still joins a
             // hung server thread, but the deadline bounds how long the
             // merge waits for answers. Groups land on the rescue queue
             // when their selected copy fails (or the hedge fires) and
             // get their remaining copies spawned at the loop top.
             let mut need_rescue: Vec<usize> = Vec::new();
-            let mut hedged = !routed;
+            // Without replicas there is nothing to hedge with.
+            let mut hedged = copies == 1;
             while pending > 0 || !need_rescue.is_empty() {
                 for g in need_rescue.drain(..) {
                     for c in 0..copies {
@@ -1437,7 +1381,7 @@ impl DistributedIndex {
                         }
                         if ok {
                             group_ok[g] = true;
-                        } else if routed && !group_ok[g] {
+                        } else if !group_ok[g] {
                             need_rescue.push(g);
                         }
                         slots[g][c] = Some(answer);
@@ -1467,20 +1411,17 @@ impl DistributedIndex {
         }
 
         // Health and failure streaks reflect exactly what each
-        // *consulted* copy did this round; unconsulted copies (routed
-        // mode) keep their previous state.
+        // *consulted* copy did this round; unconsulted copies keep
+        // their previous state.
         for g in 0..n {
             for c in 0..copies {
                 if !spawned[g][c] {
                     continue;
                 }
                 let ok = matches!(&slots[g][c], Some(Ok(_)));
-                self.copy_health[g][c] = ok;
-                self.copy_fail_streak[g][c] = if ok {
-                    0
-                } else {
-                    self.copy_fail_streak[g][c].saturating_add(1)
-                };
+                self.placement.healthy[g][c] = ok;
+                let streak = &mut self.placement.fail_streak[g][c];
+                *streak = if ok { 0 } else { streak.saturating_add(1) };
             }
         }
         // Per group: take the preferred copy's answer if it is good,
@@ -1562,57 +1503,39 @@ impl DistributedIndex {
         let pinned_epoch = self.epoch();
         let mut units: Vec<RereplUnit> = Vec::new();
         for g in 0..n {
-            let mut dead_slots = Vec::new();
-            if self.primary_host[g] == lost {
-                dead_slots.push(0);
-            }
-            for c in 1..=self.replication {
-                if self.replica_host[g][c - 1] == lost {
-                    dead_slots.push(c);
-                }
-            }
+            let hosts = &self.placement.host[g];
+            let dead_slots: Vec<usize> = (0..hosts.len()).filter(|&c| hosts[c] == lost).collect();
             if dead_slots.is_empty() {
                 continue;
             }
             // Source: the group's lowest-numbered copy on a surviving
             // host. Copies mirror each other byte for byte, so any
             // survivor is an exact source.
-            let (snapshot, epoch) = if self.primary_host[g] != lost {
-                let primary = &mut self.shards[g];
-                (primary.snapshot()?, primary.epoch())
-            } else {
-                let survivor = (1..=self.replication)
-                    .find(|c| self.replica_host[g][c - 1] != lost)
-                    .ok_or_else(|| {
-                        Error::Config(format!(
-                            "group {g} has no surviving copy to re-replicate from"
-                        ))
-                    })?;
-                let replica = &mut self.replicas[g][survivor - 1];
-                (replica.snapshot()?, replica.epoch())
+            let survivor = hosts.iter().position(|&h| h != lost).ok_or_else(|| {
+                Error::Config(format!(
+                    "group {g} has no surviving copy to re-replicate from"
+                ))
+            })?;
+            // Hosts that keep a copy of this group, plus (below) the
+            // ones its rebuilt copies land on.
+            let mut taken: Vec<usize> = hosts.iter().copied().filter(|&h| h != lost).collect();
+            let source = match survivor {
+                0 => &mut self.shards[g],
+                c => &mut self.replicas[g][c - 1],
             };
+            let (snapshot, epoch) = (source.snapshot()?, source.epoch());
             // Place each rebuilt copy on the smallest surviving host
             // not already holding a copy of this group (falling back to
             // any survivor when the cluster is too small to keep the
             // copies host-disjoint).
             for slot in dead_slots {
-                let mut taken: Vec<usize> = Vec::new();
-                if self.primary_host[g] != lost {
-                    taken.push(self.primary_host[g]);
-                }
-                for c in 1..=self.replication {
-                    let host = self.replica_host[g][c - 1];
-                    if host != lost {
-                        taken.push(host);
-                    }
-                }
-                taken.extend(units.iter().filter(|u| u.group == g).map(|u| u.host));
                 let host = (0..n)
                     .find(|h| *h != lost && !taken.contains(h))
                     .or_else(|| (0..n).find(|h| *h != lost))
                     .ok_or_else(|| {
                         Error::Config("no surviving host to place a rebuilt copy".into())
                     })?;
+                taken.push(host);
                 units.push(RereplUnit {
                     group: g,
                     copy: slot,
@@ -1677,13 +1600,12 @@ impl DistributedIndex {
                     copy.set_wal(wal.clone());
                 }
                 self.shards[unit.group] = copy;
-                self.primary_host[unit.group] = unit.host;
             } else {
                 self.replicas[unit.group][unit.copy - 1] = copy;
-                self.replica_host[unit.group][unit.copy - 1] = unit.host;
             }
-            self.copy_health[unit.group][unit.copy] = true;
-            self.copy_fail_streak[unit.group][unit.copy] = 0;
+            self.placement.host[unit.group][unit.copy] = unit.host;
+            self.placement.healthy[unit.group][unit.copy] = true;
+            self.placement.fail_streak[unit.group][unit.copy] = 0;
         }
         if let Some(m) = &self.metrics {
             m.rereplication_objects.add(installed as u64);
@@ -1728,11 +1650,6 @@ pub struct RereplicationJob {
 }
 
 impl RereplicationJob {
-    /// The virtual server this job heals around.
-    pub fn lost_server(&self) -> usize {
-        self.lost
-    }
-
     /// Copies staged for rebuild.
     pub fn objects(&self) -> usize {
         self.units.len()
@@ -2243,10 +2160,20 @@ mod tests {
 
     #[test]
     fn replicas_ride_on_their_groups_budget_unit() {
-        // Work budget of exactly `servers` units: with R=1 there are
-        // twice as many answers, but only one unit per *group* may be
-        // charged — replication must not make budgets twice as tight.
+        // Work budget of exactly `servers` units, and a slow primary
+        // that answers only after its group was hedged: group 1 gets
+        // two good answers, but only one unit per *group* may be
+        // charged — replication must not make budgets tighter.
         let mut d = build_replicated(3, 90, 1);
+        d.set_shard_deadline(Duration::from_millis(200));
+        d.set_fault_plan(
+            FaultPlan::seeded(7)
+                .with_delay_site(
+                    "shard:1",
+                    faults::DelaySpec::always(Duration::from_millis(140)),
+                )
+                .shared(),
+        );
         let budget = Budget::with_work(3);
         let r = d.search("winner", 10, None, &budget).unwrap();
         assert_eq!(r.shards_ok, 3);
@@ -2423,28 +2350,29 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_routing_answers_identically_to_primary_routing() {
-        let mut primary_only = build_replicated(4, 200, 2);
-        let mut routed = build_replicated(4, 200, 2);
-        routed.set_read_routing(ReadRouting::RoundRobin);
-        for q in ["winner tennis", "tennis", "winner", "report number3"] {
-            let a = primary_only.query_parallel(q, 10).unwrap();
-            let b = routed.query_parallel(q, 10).unwrap();
-            assert_eq!(a, b, "routing changed the answer for {q:?}");
-            assert_eq!(a.served_by, vec![Some(0); 4], "primary routing must not touch replicas");
-            assert_eq!(b.failovers, 0);
-            assert_eq!(b.served_by.len(), 4);
-            assert!(b.served_by.iter().all(Option::is_some));
+    fn round_robin_routing_answers_identically_to_the_serial_reference() {
+        // Four queries over three copies: every copy index serves, and
+        // the rotation wraps.
+        let mut d = build_replicated(4, 200, 2);
+        for (i, q) in ["winner tennis", "tennis", "winner", "report number3"]
+            .into_iter()
+            .enumerate()
+        {
+            let reference = d.query_serial(q, 10);
+            let routed = d.query_parallel(q, 10).unwrap();
+            assert_eq!(routed, reference, "the serving copy changed the answer for {q:?}");
+            assert_eq!(routed.failovers, 0);
+            assert_eq!(routed.served_by, vec![Some(i % 3); 4]);
         }
     }
 
     #[test]
     fn round_robin_rotates_across_copies() {
         let mut d = build_replicated(3, 90, 2);
-        d.set_read_routing(ReadRouting::RoundRobin);
         let mut seen: Vec<Vec<usize>> = vec![Vec::new(); 3];
         for _ in 0..3 {
             let r = d.query_parallel("winner", 10).unwrap();
+            assert_eq!(r.failovers, 0);
             for (g, copy) in r.served_by.iter().enumerate() {
                 seen[g].push(copy.unwrap());
             }
@@ -2461,8 +2389,7 @@ mod tests {
     #[test]
     fn a_failed_routed_copy_is_rescued_exactly() {
         let mut d = build_replicated(3, 120, 1);
-        d.set_read_routing(ReadRouting::RoundRobin);
-        // First routed query hits copy 0 everywhere; kill group 1's
+        // The first query selects copy 0 everywhere; kill group 1's
         // primary so its selected copy fails and the replica rescues.
         d.set_fault_plan(
             FaultPlan::seeded(31)
@@ -2473,15 +2400,12 @@ mod tests {
         assert!(!r.is_degraded(), "rescue should have covered: {r:?}");
         assert_eq!(r.failovers, 1);
         assert_eq!(r.served_by[1], Some(1));
-        let mut healthy = build_replicated(3, 120, 1);
-        let expected = healthy.query_parallel("winner tennis", 10).unwrap();
-        assert_eq!(r.hits, expected.hits);
+        assert_eq!(r.hits, d.query_serial("winner tennis", 10).hits);
     }
 
     #[test]
     fn a_hung_routed_copy_is_hedged_within_the_window() {
         let mut d = build_replicated(3, 120, 1);
-        d.set_read_routing(ReadRouting::RoundRobin);
         d.set_shard_deadline(Duration::from_millis(200));
         d.set_hang_duration(Duration::from_millis(400));
         d.set_fault_plan(
@@ -2500,24 +2424,43 @@ mod tests {
 
     #[test]
     fn failure_streaks_accumulate_and_declare_loss() {
-        let mut d = build_replicated(4, 120, 1);
+        let (threshold, replicas) = (3u32, 1usize);
+        let mut d = build_replicated(4, 120, replicas);
+        let reference = d.query_serial("winner", 10);
+        // A quiet cluster declares nothing, however long it runs.
+        for _ in 0..5 {
+            d.query_parallel("winner", 10).unwrap();
+            assert_eq!(d.lost_servers(threshold), Vec::<usize>::new());
+        }
         let plan = FaultPlan::seeded(33);
         for label in d.fault_labels_for_server(2) {
             plan.set_site(label, FaultSpec::always_error());
         }
         d.set_fault_plan(plan.shared());
-        assert_eq!(d.lost_servers(3), Vec::<usize>::new());
-        for _ in 0..2 {
-            d.query_parallel("winner", 10).unwrap();
-            assert_eq!(d.lost_servers(3), Vec::<usize>::new(), "below threshold");
+        // Each query selects one of the `R + 1` copies the dead server
+        // hosts, so its streaks reach the threshold within
+        // `threshold × (R + 1)` queries — not `threshold` — and every
+        // query on the way is rescued exactly.
+        let bound = threshold as usize * (replicas + 1);
+        let mut asked = 0;
+        while d.lost_servers(threshold).is_empty() {
+            asked += 1;
+            assert!(asked <= bound, "not declared lost within {bound} queries");
+            let r = d.query_parallel("winner", 10).unwrap();
+            assert_eq!(r.hits, reference.hits, "query {asked}");
+            assert_eq!(r.shards_failed, 0, "query {asked}");
+            assert_eq!(r.failovers, 1, "query {asked}");
         }
-        d.query_parallel("winner", 10).unwrap();
-        assert_eq!(d.lost_servers(3), vec![2]);
+        assert_eq!(d.lost_servers(threshold), vec![2]);
+        assert!(asked > threshold as usize, "a streak counts consultations, not queries");
         // A healthy copy answering resets its streak: drop the faults
-        // and the server recovers.
+        // and `R + 1` clean queries — one consultation of every copy —
+        // clear them all.
         d.set_fault_plan(FaultPlan::none().shared());
-        d.query_parallel("winner", 10).unwrap();
-        assert_eq!(d.lost_servers(3), Vec::<usize>::new());
+        for _ in 0..=replicas {
+            d.query_parallel("winner", 10).unwrap();
+        }
+        assert!(d.placement.fail_streak.iter().flatten().all(|&s| s == 0));
     }
 
     #[test]

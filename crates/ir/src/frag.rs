@@ -148,7 +148,7 @@ impl<'a> FragmentedIndex<'a> {
     /// Evaluates `text` fragment by fragment and **stops as soon as the
     /// top `k` can no longer change** — the paper's top-N optimisation
     /// hook ("both database top-N optimization techniques (e.g. [DR99,
-    /// CK98]) and IR top-N optimization techniques (e.g. [Bro95]) can
+    /// CK98]) and IR top-N optimization techniques (e.g. \[Bro95\]) can
     /// be exploited here"), in the braking-distance style of Carey &
     /// Kossmann: after each fragment, an upper bound on the score any
     /// document could still gain from the remaining fragments is

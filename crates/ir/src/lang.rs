@@ -1,7 +1,7 @@
 //! Language detection for HTML pages.
 //!
 //! The paper's Internet-scale grammar lists "language detection for HTML
-//! pages [TNO01]" among the generic detectors. This is a compact
+//! pages \[TNO01\]" among the generic detectors. This is a compact
 //! stop-word-profile classifier (the practical core of the era's n-gram
 //! detectors): each language is characterised by its most frequent
 //! function words; a page is scored by how much of it is covered by each

@@ -2,7 +2,7 @@
 //! retrieval" at the physical level.
 //!
 //! "We support a variant of the tf·idf ranking model, derived from the
-//! well founded probabilistic retrieval model of [Hie98]. … we
+//! well founded probabilistic retrieval model of \[Hie98\]. … we
 //! transparently integrate the necessary relations into our database":
 //! the **T** (vocabulary), **D** (documents), **DT** (document/term
 //! pairs), **TF** (pair frequencies) and **IDF** (`idf = 1/df`)
@@ -48,8 +48,7 @@ pub mod text;
 
 pub use control::{ClusterView, ControlConfig, ControlDecision, ControlPolicy};
 pub use distrib::{
-    DistributedIndex, DistributedResult, ReadRouting, RereplicationJob, ShardHealth,
-    ROUTE_SLOTS,
+    DistributedIndex, DistributedResult, RereplicationJob, ShardHealth, ROUTE_SLOTS,
 };
 pub use error::{Error, Result};
 pub use frag::FragmentedIndex;

@@ -115,7 +115,7 @@ impl HeadIndex {
 
 /// A binary association table: `head: Vec<Oid>` aligned with a typed tail
 /// [`Column`], plus a sorted-run head index for cheap lookups that works
-/// through `&self` (see [`HeadIndex`]).
+/// through `&self` (the private `HeadIndex`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bat {
     head: Vec<Oid>,

@@ -502,7 +502,7 @@ impl Registry {
         out
     }
 
-    /// JSON dump of every series, for benches and machine diffing:
+    /// JSON dump of every series, for incident reports and machine diffing:
     /// `{"name": 3, "labelled{k=\"v\"}": 7, "hist": {"sum": …}}`.
     pub fn render_json(&self) -> crate::report::Json {
         use crate::report::Json;

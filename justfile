@@ -9,6 +9,7 @@ verify:
     cargo build --release --offline
     cargo test --offline -q
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    just doc
     just bench-e2e-smoke
     BENCH_SMOKE=1 cargo bench --offline -p bench
     just loc
@@ -68,6 +69,12 @@ test:
 
 clippy:
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# The API docs with every rustdoc warning an error: a link to a deleted
+# or private item, or a bracketed citation read as a link, fails the
+# gate instead of rotting.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # The flagship scenario, healthy and under injected faults.
 demo:

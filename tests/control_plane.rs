@@ -1,7 +1,7 @@
 //! The self-healing distribution control plane, end to end: the
 //! tick-driven policy splitting a hot cluster (rate-limited by its
 //! cooldown), a permanently lost server being declared and healed by
-//! background re-replication, round-robin replica read-scaling, and the
+//! background re-replication, reads rotating over the replicas, and the
 //! chaos sweeps that prove every one of those transitions is atomic.
 //!
 //! The invariants, in order of appearance:
@@ -10,7 +10,8 @@
 //!   onto more servers — answers byte-identical across the cutover —
 //!   and the cooldown keeps it from thrashing;
 //! * a server whose every hosted copy fails `loss_threshold`
-//!   consecutive consultations is declared lost, and one control tick
+//!   consecutive consultations is declared lost — within
+//!   `loss_threshold × (R + 1)` queries — and one control tick
 //!   rebuilds its copies onto survivors: `ir_replicas_healthy` returns
 //!   to full and queries answer exactly throughout;
 //! * an injected fault at any `control:*` / `rereplicate:*` site aborts
@@ -19,8 +20,8 @@
 //! * two policy-triggered rebalances followed by a crash (no
 //!   checkpoint) replay their WAL layout records idempotently into one
 //!   consistent final layout;
-//! * round-robin read-scaling spreads reads over replicas without
-//!   changing a single answer byte, and EXPLAIN shows the route.
+//! * reads rotate evenly over every copy of a group without changing a
+//!   single answer byte, and EXPLAIN shows the route.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,6 +34,10 @@ use faults::{FaultAction, FaultPlan, FaultSpec};
 use ir::ControlConfig;
 use websim::{crawl, Site, SiteSpec};
 
+#[path = "common/cluster.rs"]
+mod cluster;
+use cluster::{query_until_declared, ranking};
+
 fn spec() -> SiteSpec {
     SiteSpec {
         players: 6,
@@ -41,20 +46,12 @@ fn spec() -> SiteSpec {
     }
 }
 
-fn config(site: &Arc<Site>, servers: usize, replicas: usize, scaled: bool) -> EngineConfig {
+fn config(site: &Arc<Site>, servers: usize, replicas: usize) -> EngineConfig {
     EngineConfig {
         text_servers: servers,
         text_replicas: replicas,
-        text_read_scaling: scaled,
         ..ausopen::config(Arc::clone(site))
     }
-}
-
-/// Layout-independent ranking projection (oids are shard-local).
-fn ranking(hits: &[ir::SearchHit]) -> Vec<(String, u64)> {
-    hits.iter()
-        .map(|h| (h.url.clone(), h.score.to_bits()))
-        .collect()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -85,7 +82,7 @@ const TEXT_QUERY: &str = r#"
 #[test]
 fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
     let site = Arc::new(Site::generate(spec()));
-    let mut engine = Engine::new(config(&site, 2, 0, false)).unwrap();
+    let mut engine = Engine::new(config(&site, 2, 0)).unwrap();
     engine.populate(&crawl(&site)).unwrap();
     let q = qlang::parse(TEXT_QUERY).unwrap();
     let before = engine.query(&q).unwrap();
@@ -139,15 +136,15 @@ fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
 }
 
 /// Tentpole, healing half: kill one server permanently (R = 2). Every
-/// query during the outage answers exactly via failover; after
-/// `loss_threshold` consecutive failures the server is declared lost,
-/// and one control tick re-replicates its copies onto survivors —
+/// query during the outage answers exactly via failover; once every
+/// copy the server hosts has failed `loss_threshold` consecutive
+/// consultations it is declared lost, and one control tick re-replicates its copies onto survivors —
 /// `ir_replicas_healthy` back to full, subsequent queries exact with no
 /// failover needed.
 #[test]
 fn a_lost_server_is_declared_and_rereplicated_to_full_health() {
     let site = Arc::new(Site::generate(spec()));
-    let mut engine = Engine::new(config(&site, 4, 2, false)).unwrap();
+    let mut engine = Engine::new(config(&site, 4, 2)).unwrap();
     let o = obs::Obs::enabled();
     engine.set_obs(&o);
     engine.populate(&crawl(&site)).unwrap();
@@ -167,15 +164,13 @@ fn a_lost_server_is_declared_and_rereplicated_to_full_health() {
     );
     engine.text_index_mut().set_fault_plan(plan.shared());
 
-    // Three consecutive failing consultations declare the loss; each
-    // query still answers exactly (failover, not degradation).
-    for round in 1..=3 {
-        let result = engine.text_index_mut().query_parallel("winner", 10).unwrap();
-        assert_eq!(ranking(&result.hits), clean, "round {round}");
-        assert_eq!(result.shards_failed, 0, "round {round}");
-        assert!(result.failovers >= 1, "round {round}");
-    }
-    assert_eq!(engine.text_index().lost_servers(3), vec![victim]);
+    // Each query selects one of the victim's copies, which fails over
+    // (exactly, not degraded) and lengthens that copy's streak.
+    query_until_declared(engine.text_index_mut(), victim, 3, &clean, |text| {
+        let result = text.query_parallel("winner", 10).unwrap();
+        assert!(result.failovers >= 1);
+        result
+    });
 
     let svc = QueryService::new(engine);
     let mut plane = ControlPlane::new(ControlConfig::default(), None);
@@ -223,7 +218,7 @@ fn killing_rereplication_at_any_site_aborts_byte_identically() {
     // group 0's replica, so the consulted sites are groups 0 and 1.
     for site_label in ["control:rereplicate", "rereplicate:1:0", "rereplicate:1:1"] {
         let site = Arc::new(Site::generate(spec()));
-        let mut engine = Engine::new(config(&site, 3, 1, false)).unwrap();
+        let mut engine = Engine::new(config(&site, 3, 1)).unwrap();
         engine.populate(&crawl(&site)).unwrap();
         let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).hits);
 
@@ -233,11 +228,9 @@ fn killing_rereplication_at_any_site_aborts_byte_identically() {
             FaultSpec::always_error(),
         );
         engine.text_index_mut().set_fault_plan(Arc::clone(&plan));
-        for _ in 0..3 {
-            let result = engine.text_index_mut().query_parallel("winner", 10).unwrap();
-            assert_eq!(ranking(&result.hits), clean, "site {site_label}");
-        }
-        assert_eq!(engine.text_index().lost_servers(3), vec![victim], "site {site_label}");
+        query_until_declared(engine.text_index_mut(), victim, 3, &clean, |text| {
+            text.query_parallel("winner", 10).unwrap()
+        });
 
         // Arm the kill, snapshot the ground truth.
         plan.set_script(site_label, vec![FaultAction::Error]);
@@ -293,7 +286,7 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     let site = Arc::new(Site::generate(spec()));
     let pages = crawl(&site);
     let dir = tmp("policy_replay");
-    let make = || config(&site, 1, 0, false);
+    let make = || config(&site, 1, 0);
 
     let (mut engine, _) = Engine::open(make(), &dir).unwrap();
     engine.populate(&pages).unwrap();
@@ -341,29 +334,29 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite: round-robin read-scaling. A replicated engine with
-/// `text_read_scaling` answers byte-identically to the primary-routed
-/// reference, reads spread over replica copies (the
-/// `ir_read_route_total{replica="1"}` counter moves), and EXPLAIN
-/// ANALYZE's READ-ROUTE line says which copy served each group.
+/// Satellite: reads rotate over the replicas. A replicated engine
+/// answers byte-identically to an unreplicated one, reads spread over
+/// replica copies (the `ir_read_route_total{replica="1"}` counter
+/// moves), and EXPLAIN ANALYZE's READ-ROUTE line — printed whenever the
+/// cluster has replicas — says which copy served each group.
 #[test]
 fn round_robin_read_scaling_answers_exactly_and_explains_the_route() {
     let site = Arc::new(Site::generate(spec()));
     let pages = crawl(&site);
-    let mut reference = Engine::new(config(&site, 3, 1, false)).unwrap();
+    let mut reference = Engine::new(config(&site, 3, 0)).unwrap();
     reference.populate(&pages).unwrap();
-    let mut scaled = Engine::new(config(&site, 3, 1, true)).unwrap();
+    let mut scaled = Engine::new(config(&site, 3, 1)).unwrap();
     let o = obs::Obs::enabled();
     scaled.set_obs(&o);
     scaled.populate(&pages).unwrap();
 
     let q = qlang::parse(TEXT_QUERY).unwrap();
-    let expected = reference.query(&q).unwrap();
+    let expected = reference.execute(&q, &QueryOptions::default()).unwrap();
     let outcome = scaled.execute(&q, &QueryOptions::default()).unwrap();
-    assert_eq!(outcome.hits, expected, "routing must not change answers");
+    assert_eq!(outcome.hits, expected.hits, "the serving copy must not change answers");
     let status = outcome.text.as_ref().unwrap();
-    assert!(status.routed);
     assert_eq!(status.served_by.len(), 3);
+    assert_eq!(status.failovers, 0);
 
     // Drive the rotation: over a few raw parallel queries every group
     // cycles its copies, so replica 1 serves some group at least once.
@@ -380,7 +373,44 @@ fn round_robin_read_scaling_answers_exactly_and_explains_the_route() {
     );
 
     let explain = scaled.explain(&q, Some(&outcome));
-    assert!(explain.contains("READ-ROUTE: round-robin read-scaling"), "{explain}");
+    assert!(explain.contains("READ-ROUTE: one rotating copy per group"), "{explain}");
+    let explain = reference.explain(&q, Some(&expected));
+    assert!(!explain.contains("READ-ROUTE"), "no replicas, no route to report: {explain}");
+}
+
+/// On the benchmark's cluster shape (2 servers × 1 replica) every query
+/// reads each group once, alternating between its two copies: over `2N`
+/// queries each copy index serves `2N` group reads and nothing fails
+/// over.
+#[test]
+fn reads_split_evenly_over_both_copies_of_a_two_by_one_cluster() {
+    let site = Arc::new(Site::generate(spec()));
+    let mut engine = Engine::new(config(&site, 2, 1)).unwrap();
+    let o = obs::Obs::enabled();
+    engine.set_obs(&o);
+    engine.populate(&crawl(&site)).unwrap();
+
+    let scrape = |engine: &Engine| {
+        let text = engine.metrics_text();
+        (
+            metric_value(&text, "ir_read_route_total{replica=\"0\"}"),
+            metric_value(&text, "ir_read_route_total{replica=\"1\"}"),
+            metric_value(&text, "ir_failovers_total"),
+        )
+    };
+    let before = scrape(&engine);
+    let n = 3;
+    // Distinct top-N values: none of the requests is an answer-cache hit.
+    for top in 1..=2 * n {
+        let q = qlang::parse(&format!(r#"FROM Player TEXT history CONTAINS "Winner" TOP {top}"#))
+            .unwrap();
+        engine.execute(&q, &QueryOptions::default()).unwrap();
+    }
+    let after = scrape(&engine);
+    let reads = (2 * n) as f64;
+    assert_eq!(after.0 - before.0, reads, "primaries");
+    assert_eq!(after.1 - before.1, reads, "replicas");
+    assert_eq!(after.2 - before.2, 0.0, "failovers");
 }
 
 /// With a telemetry layer attached the control plane swaps the
@@ -391,7 +421,7 @@ fn round_robin_read_scaling_answers_exactly_and_explains_the_route() {
 #[test]
 fn doc_threshold_splits_survive_the_windowed_p99_override() {
     let site = Arc::new(Site::generate(spec()));
-    let mut engine = Engine::new(config(&site, 2, 0, false)).unwrap();
+    let mut engine = Engine::new(config(&site, 2, 0)).unwrap();
     let o = obs::Obs::enabled();
     engine.set_obs(&o);
     engine.populate(&crawl(&site)).unwrap();

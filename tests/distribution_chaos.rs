@@ -12,7 +12,7 @@
 //!   instead of dragging the query to its own deadline;
 //! * a candidate-restricted query is an ordinary query of the cluster:
 //!   it fails over, degrades, feeds the loss and latency signals and
-//!   rotates over replicas exactly like an unrestricted one;
+//!   rotates over the copies exactly like an unrestricted one;
 //! * split/merge rebalancing preserves every query's `(url, score)`
 //!   ranking byte for byte, at any layout;
 //! * a fault-plan sweep killing each shard's migration stream mid-
@@ -29,8 +29,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use faults::{Budget, FaultAction, FaultPlan, FaultSpec};
-use ir::{DistributedIndex, ReadRouting, Rebalancer, ScoreModel, ROUTE_SLOTS};
+use ir::{DistributedIndex, Rebalancer, ScoreModel, ROUTE_SLOTS};
 use websim::{crawl, Site, SiteSpec};
+
+#[path = "common/cluster.rs"]
+mod cluster;
+use cluster::{query_until_declared, ranking};
 
 fn corpus(n: usize) -> Vec<(String, String)> {
     (0..n)
@@ -57,15 +61,6 @@ fn build(servers: usize, replicas: usize, n: usize) -> DistributedIndex {
     }
     d.commit().expect("commit");
     d
-}
-
-/// Layout-independent ranking projection: oids are shard-local and are
-/// re-minted when a document migrates, so byte-identity across layouts
-/// and failovers is on `(url, score-bits)` in rank order.
-fn ranking(hits: &[ir::SearchHit]) -> Vec<(String, u64)> {
-    hits.iter()
-        .map(|h| (h.url.clone(), h.score.to_bits()))
-        .collect()
 }
 
 const QUERY_SET: &[&str] = &[
@@ -188,10 +183,10 @@ fn a_restricted_query_fails_over_or_degrades_like_any_other() {
 
 /// Restricted queries feed the control plane's signals — the failure
 /// streaks behind loss declaration, the critical-path ring and
-/// histogram behind the p99 trigger — and rotate over replicas under
-/// round-robin read routing.
+/// histogram behind the p99 trigger — and rotate over the copies of
+/// each group like any other read.
 #[test]
-fn restricted_queries_feed_loss_detection_latency_and_read_routing() {
+fn restricted_queries_feed_loss_detection_latency_and_the_read_rotation() {
     let candidates = even_documents(90);
     let clean = ranking(
         &build(3, 0, 90)
@@ -200,6 +195,14 @@ fn restricted_queries_feed_loss_detection_latency_and_read_routing() {
             .hits,
     );
 
+    let mut rotating = build(3, 1, 90);
+    let first = rotating.query_restricted("winner", 10, &candidates).expect("first");
+    let second = rotating.query_restricted("winner", 10, &candidates).expect("second");
+    assert_eq!(first.served_by, vec![Some(0); 3]);
+    assert_eq!(second.served_by, vec![Some(1); 3]);
+    assert_eq!(ranking(&first.hits), clean);
+    assert_eq!(ranking(&second.hits), clean);
+
     let o = obs::Obs::enabled();
     let critical_paths = || {
         o.registry()
@@ -207,36 +210,38 @@ fn restricted_queries_feed_loss_detection_latency_and_read_routing() {
             .histogram("ir_critical_path_seconds", "", obs::DEFAULT_TIME_BUCKETS)
             .count()
     };
-    let mut d = build(3, 0, 90);
+    let mut d = build(3, 1, 90);
     d.set_obs(&o);
+    let victim = 1;
     let plan = FaultPlan::seeded(9);
-    plan.set_site("shard:1", FaultSpec::always_error());
+    plan.set_sites(d.fault_labels_for_server(victim), FaultSpec::always_error());
     d.set_fault_plan(plan.shared());
     assert_eq!(d.observed_shard_p99(), Duration::ZERO);
     assert_eq!(critical_paths(), 0);
-    for round in 1..=3u64 {
-        assert!(d.lost_servers(3).is_empty(), "declared lost before round {round}");
-        d.query_restricted("winner", 10, &candidates).expect("survivors");
-        assert_eq!(critical_paths(), round);
-    }
+    let asked = query_until_declared(&mut d, victim, 3, &clean, |d| {
+        d.query_restricted("winner", 10, &candidates).expect("a copy of every group survives")
+    });
+    assert_eq!(critical_paths(), asked as u64);
     assert!(d.observed_shard_p99() > Duration::ZERO);
-    assert_eq!(d.lost_servers(3), vec![1], "three failed consultations in a row");
-    assert!(!d.shard_health()[1].primary_healthy);
+    assert!(!d.shard_health()[victim].primary_healthy);
 
-    let mut routed = build(3, 1, 90);
-    routed.set_read_routing(ReadRouting::RoundRobin);
-    let first = routed.query_restricted("winner", 10, &candidates).expect("first");
-    let second = routed.query_restricted("winner", 10, &candidates).expect("second");
-    assert_eq!(first.served_by, vec![Some(0); 3]);
-    assert_eq!(second.served_by, vec![Some(1); 3]);
-    assert_eq!(ranking(&first.hits), clean);
-    assert_eq!(ranking(&second.hits), clean);
+    // Without replicas every query consults the dead primary (and
+    // degrades): `threshold × (0 + 1)` queries declare it.
+    let mut bare = build(3, 0, 90);
+    let plan = FaultPlan::seeded(9);
+    plan.set_site("shard:1", FaultSpec::always_error());
+    bare.set_fault_plan(plan.shared());
+    for round in 1..=3 {
+        assert!(bare.lost_servers(3).is_empty(), "declared lost before round {round}");
+        bare.query_restricted("winner", 10, &candidates).expect("survivors");
+    }
+    assert_eq!(bare.lost_servers(3), vec![1], "three failed consultations in a row");
 }
 
 /// Through the engine: on a cluster with a dead text server, a `TEXT …
 /// WITHIN` query and the same query ranked globally report the same
-/// cluster — same text status, same DEGRADED notes — and `routed` is
-/// stamped only when replicas actually took routed reads.
+/// cluster — same text status, same DEGRADED notes — and on a
+/// replicated cluster both kinds move the same read rotation.
 #[test]
 fn within_queries_report_the_cluster_like_global_ones() {
     use dlsearch::{ausopen, qlang, Engine, EngineConfig, QueryOptions};
@@ -260,7 +265,7 @@ fn within_queries_report_the_cluster_like_global_ones() {
     let b = engine.execute(&within, &QueryOptions::default()).unwrap();
     let status = a.text.as_ref().expect("a text query reports its status");
     assert_eq!(status.failed_shards, vec![2]);
-    assert!(!status.routed, "no replicas, no routed read");
+    assert_eq!(status.served_by, vec![Some(0), Some(0), None, Some(0)], "no replicas to read");
     assert_eq!(a.degraded, vec!["DEGRADED: 3 of 4 text servers answered".to_owned()]);
     assert_eq!(b.text, a.text);
     assert_eq!(b.degraded, a.degraded);
@@ -268,30 +273,18 @@ fn within_queries_report_the_cluster_like_global_ones() {
     // No conceptual predicate: the candidates are every player.
     assert_eq!(b.hits, a.hits);
 
-    let scaled = |replicas: usize| {
-        let mut engine = Engine::new(EngineConfig {
-            text_servers: 3,
-            text_replicas: replicas,
-            text_read_scaling: true,
-            ..ausopen::config(Arc::clone(&site))
-        })
-        .unwrap();
-        engine.populate(&pages).unwrap();
-        engine
-    };
-    let mut replicated = scaled(1);
+    let mut replicated = Engine::new(EngineConfig {
+        text_servers: 3,
+        text_replicas: 1,
+        ..ausopen::config(Arc::clone(&site))
+    })
+    .unwrap();
+    replicated.populate(&pages).unwrap();
     let first = replicated.execute(&within, &QueryOptions::default()).unwrap();
-    // A different spelling of the same query would hit the answer
-    // cache; a different top-N does not.
-    let again =
-        qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" WITHIN TOP 9"#).unwrap();
-    let second = replicated.execute(&again, &QueryOptions::default()).unwrap();
+    let second = replicated.execute(&global, &QueryOptions::default()).unwrap();
     let (first, second) = (first.text.unwrap(), second.text.unwrap());
-    assert!(first.routed && second.routed);
     assert_eq!(first.served_by, vec![Some(0); 3]);
     assert_eq!(second.served_by, vec![Some(1); 3]);
-    let unreplicated = scaled(0).execute(&within, &QueryOptions::default()).unwrap();
-    assert!(!unreplicated.text.unwrap().routed, "read scaling without replicas routes nothing");
 }
 
 /// Splitting onto more servers and merging back preserves every query

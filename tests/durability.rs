@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dlsearch::persist::{self, RecoveryReport, STORE_META, STORE_TEXT, STORE_VIEWS};
-use dlsearch::{ausopen, qlang, Engine, EngineConfig, Error};
+use dlsearch::{ausopen, qlang, Engine, EngineConfig, Error, QueryOptions};
 use faults::{FaultPlan, IoFault};
 use monet::storage::{FaultyBackend, FsBackend};
 use monet::wal::{WalHandle, WalRecord};
@@ -128,6 +128,38 @@ fn zero_fault_round_trip_is_byte_identical() {
         "epochs must resume from the manifest, not restart at zero"
     );
     assert_eq!(answers(&mut reopened), answer_before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replicated engine spreads its reads over the copies of each group
+/// after a restart as before it: replicas and their placement are
+/// derived state rebuilt by the open, and no setting rides along that
+/// the restored index could drop.
+#[test]
+fn a_reopened_replicated_engine_rotates_its_reads() {
+    let site = Arc::new(Site::generate(spec()));
+    let dir = tmp("rotation");
+    let replicated = || EngineConfig {
+        text_servers: 2,
+        text_replicas: 1,
+        ..config(&site)
+    };
+    let mut engine = Engine::new(replicated()).unwrap();
+    engine.populate(&crawl(&site)).unwrap();
+    engine.persist_to(&dir).unwrap();
+    drop(engine);
+
+    let (mut reopened, _) = Engine::open(replicated(), &dir).unwrap();
+    let query = qlang::parse(r#"FROM Player TEXT history CONTAINS "Winner" TOP 10"#).unwrap();
+    let first = reopened.execute(&query, &QueryOptions::default()).unwrap();
+    reopened.invalidate_query_cache();
+    let second = reopened.execute(&query, &QueryOptions::default()).unwrap();
+    assert!(!first.hits.is_empty());
+    assert_eq!(first.hits, second.hits);
+    let (first, second) = (first.text.unwrap(), second.text.unwrap());
+    assert_eq!(first.served_by, vec![Some(0); 2]);
+    assert_eq!(second.served_by, vec![Some(1); 2]);
+    assert_eq!((first.failovers, second.failovers), (0, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
