@@ -1180,36 +1180,18 @@ impl Engine {
         // stage worth parallelising (each document runs the detector
         // cascade).
         let stage = std::time::Instant::now();
-        let object_ids: Vec<String> = self
-            .webspace
-            .schema()
-            .classes()
-            .iter()
-            .flat_map(|c| {
-                self.webspace
-                    .objects_of(&c.name)
-                    .map(|o| o.id.clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-
         let mut text_docs: Vec<(String, String)> = Vec::new();
         // Media analysis jobs in source order. Locations already in
         // the meta-index (or queued earlier in this run) are shared
         // media objects — analysed once.
         let mut media_jobs: Vec<(String, Vec<Token>)> = Vec::new();
         let mut queued: HashSet<String> = HashSet::new();
-        for id in object_ids {
-            let object = self
-                .webspace
-                .object(&id)
-                .expect("id enumerated from the index")
-                .clone();
-            let class = self
-                .schema
-                .class(&object.class)
-                .ok_or_else(|| Error::Config(format!("unknown class {}", object.class)))?
-                .clone();
+        let objects = self.webspace.schema().classes().iter().flat_map(|class| {
+            self.webspace
+                .objects_of(&class.name)
+                .map(move |object| (class, object))
+        });
+        for (class, object) in objects {
             for attr_def in &class.attributes {
                 let Some(value) = object.attr(&attr_def.name) else {
                     continue;

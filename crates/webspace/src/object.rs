@@ -114,7 +114,7 @@ impl WebObject {
 }
 
 /// An instance of a schema association, linking two objects by id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Association {
     /// The association name (must exist in the schema).
     pub name: String,

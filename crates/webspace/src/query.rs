@@ -12,7 +12,8 @@
 //! selects objects of a class, filters on attribute predicates, and
 //! walks association chains; the result is conceptual data, not URLs.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +23,10 @@ use crate::schema::WebspaceSchema;
 use crate::view::MaterializedView;
 
 /// A predicate on one attribute of the current class.
+///
+/// `Eq` and `Contains` compare the attribute's lexical form
+/// case-insensitively, and the case folding is ASCII-only: `A` matches
+/// `a`, but `É` does not match `é`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Predicate {
     /// Attribute equals the given text (case-insensitive).
@@ -58,22 +63,37 @@ impl Predicate {
         match self {
             Predicate::Eq { attr, value } => object
                 .attr(attr)
-                .map(|v| v.lexical().eq_ignore_ascii_case(value))
-                .unwrap_or(false),
+                .is_some_and(|v| lexical(v).eq_ignore_ascii_case(value)),
             Predicate::Contains { attr, needle } => object
                 .attr(attr)
-                .map(|v| {
-                    v.lexical()
-                        .to_ascii_lowercase()
-                        .contains(&needle.to_ascii_lowercase())
-                })
-                .unwrap_or(false),
+                .is_some_and(|v| contains_ignore_ascii_case(&lexical(v), needle)),
             Predicate::IntRange { attr, lo, hi } => match object.attr(attr) {
                 Some(AttrValue::Int(i)) => i >= lo && i <= hi,
                 _ => false,
             },
         }
     }
+}
+
+/// `value.lexical()` without the copy where the value already is text.
+fn lexical(value: &AttrValue) -> Cow<'_, str> {
+    match value {
+        AttrValue::Text(s) | AttrValue::Uri(s) | AttrValue::Media { location: s, .. } => {
+            Cow::Borrowed(s)
+        }
+        AttrValue::Int(_) | AttrValue::Float(_) => Cow::Owned(value.lexical()),
+    }
+}
+
+/// `haystack.to_ascii_lowercase().contains(&needle.to_ascii_lowercase())`
+/// without either copy: ASCII folding maps bytes one to one, so a byte
+/// window compare finds the same matches.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// One join step: follow an association from the current class, filter
@@ -164,12 +184,23 @@ impl WebspaceMetrics {
 }
 
 /// The merged object graph of a webspace.
+///
+/// Besides the objects and associations in insertion order, `add_view`
+/// maintains three indexes so a query looks up instead of scanning:
+/// `by_class` (class → object positions), `adjacency` (association
+/// name → from id → association positions) and `association_set` (the
+/// duplicate check). Adjacency stores association positions, not target
+/// objects: a target is resolved through `by_id` when a query runs, so
+/// one whose object arrives in a later view resolves then.
 #[derive(Debug, Clone)]
 pub struct WebspaceIndex {
     schema: WebspaceSchema,
     objects: Vec<WebObject>,
     by_id: HashMap<String, usize>,
+    by_class: HashMap<String, Vec<usize>>,
     associations: Vec<Association>,
+    association_set: HashSet<Association>,
+    adjacency: HashMap<String, HashMap<String, Vec<usize>>>,
     metrics: Option<WebspaceMetrics>,
 }
 
@@ -180,7 +211,10 @@ impl WebspaceIndex {
             schema,
             objects: Vec::new(),
             by_id: HashMap::new(),
+            by_class: HashMap::new(),
             associations: Vec::new(),
+            association_set: HashSet::new(),
+            adjacency: HashMap::new(),
             metrics: None,
         }
     }
@@ -198,33 +232,56 @@ impl WebspaceIndex {
 
     /// Merges one materialized view into the index. Objects with an id
     /// already present merge their attributes (later documents win on
-    /// conflicts); class mismatches are errors.
+    /// conflicts); class mismatches are errors, and a view that has one
+    /// leaves the index untouched.
     pub fn add_view(&mut self, view: &MaterializedView) -> Result<()> {
         view.validate(&self.schema)?;
+        // Every class is checked before anything is mutated: against the
+        // index, and against an earlier object of this same view.
+        let mut new_classes: HashMap<&str, &str> = HashMap::new();
+        for object in &view.objects {
+            let class = match self.by_id.get(&object.id) {
+                Some(&idx) => self.objects[idx].class.as_str(),
+                None => new_classes.entry(&object.id).or_insert(&object.class),
+            };
+            if class != object.class {
+                return Err(Error::Query(format!(
+                    "object `{}` is both {class} and {}",
+                    object.id, object.class
+                )));
+            }
+        }
         for object in &view.objects {
             match self.by_id.get(&object.id) {
                 Some(&idx) => {
                     let existing = &mut self.objects[idx];
-                    if existing.class != object.class {
-                        return Err(Error::Query(format!(
-                            "object `{}` is both {} and {}",
-                            object.id, existing.class, object.class
-                        )));
-                    }
                     for (k, v) in &object.attrs {
                         existing.attrs.insert(k.clone(), v.clone());
                     }
                 }
                 None => {
-                    self.by_id.insert(object.id.clone(), self.objects.len());
+                    let idx = self.objects.len();
+                    self.by_id.insert(object.id.clone(), idx);
+                    self.by_class
+                        .entry(object.class.clone())
+                        .or_default()
+                        .push(idx);
                     self.objects.push(object.clone());
                 }
             }
         }
         for assoc in &view.associations {
-            if !self.associations.contains(assoc) {
-                self.associations.push(assoc.clone());
+            if self.association_set.contains(assoc) {
+                continue;
             }
+            self.adjacency
+                .entry(assoc.name.clone())
+                .or_default()
+                .entry(assoc.from.clone())
+                .or_default()
+                .push(self.associations.len());
+            self.association_set.insert(assoc.clone());
+            self.associations.push(assoc.clone());
         }
         Ok(())
     }
@@ -234,9 +291,29 @@ impl WebspaceIndex {
         self.by_id.get(id).map(|&i| &self.objects[i])
     }
 
-    /// All objects of `class`.
+    /// All objects of `class`, in insertion order.
     pub fn objects_of<'a>(&'a self, class: &'a str) -> impl Iterator<Item = &'a WebObject> + 'a {
-        self.objects.iter().filter(move |o| o.class == class)
+        self.members(class).iter().map(|&i| &self.objects[i])
+    }
+
+    /// Positions of the objects of `class`, in insertion order.
+    fn members(&self, class: &str) -> &[usize] {
+        self.by_class.get(class).map_or(&[], Vec::as_slice)
+    }
+
+    /// Positions of the present targets of `association` from object
+    /// `from`, in association insertion order.
+    fn target_positions<'a>(
+        &'a self,
+        from: &str,
+        association: &str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.adjacency
+            .get(association)
+            .and_then(|by_from| by_from.get(from))
+            .into_iter()
+            .flatten()
+            .filter_map(|&a| self.by_id.get(&self.associations[a].to).copied())
     }
 
     /// Number of objects.
@@ -251,10 +328,8 @@ impl WebspaceIndex {
 
     /// Targets of `association` from object `from`.
     pub fn targets(&self, from: &str, association: &str) -> Vec<&WebObject> {
-        self.associations
-            .iter()
-            .filter(|a| a.name == association && a.from == from)
-            .filter_map(|a| self.object(&a.to))
+        self.target_positions(from, association)
+            .map(|i| &self.objects[i])
             .collect()
     }
 
@@ -298,49 +373,58 @@ impl WebspaceIndex {
         }
 
         // Seed: objects of the starting class passing all predicates.
-        // One work unit per candidate object examined.
+        // One work unit per candidate object examined. Rows are object
+        // positions stored flat, `width` to a row (every row of a stage
+        // has the same length), so a row costs no allocation until its
+        // ids are copied out for the answer.
         let mut examined: u64 = 0;
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for o in self.objects_of(&query.from_class) {
+        let mut rows: Vec<usize> = Vec::new();
+        for &i in self.members(&query.from_class) {
             examined += 1;
             budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
                 rows: rows.len(),
                 cause,
             })?;
-            if query.predicates.iter().all(|p| p.holds(o)) {
-                rows.push(vec![o.id.clone()]);
+            if query.predicates.iter().all(|p| p.holds(&self.objects[i])) {
+                rows.push(i);
             }
         }
 
         // Walk the association chain, paying one unit per expanded row.
+        let mut width = 1;
         for step in &query.joins {
             if let Some(m) = &self.metrics {
                 m.joins_walked.inc();
             }
             let mut next = Vec::new();
-            for row in rows {
+            for row in rows.chunks_exact(width) {
                 examined += 1;
                 budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
-                    rows: next.len(),
+                    rows: next.len() / (width + 1),
                     cause,
                 })?;
-                let last = row.last().expect("rows are non-empty").clone();
-                for target in self.targets(&last, &step.association) {
-                    if step.predicates.iter().all(|p| p.holds(target)) {
-                        let mut extended = row.clone();
-                        extended.push(target.id.clone());
-                        next.push(extended);
+                let last = &self.objects[row[width - 1]].id;
+                for t in self.target_positions(last, &step.association) {
+                    if step.predicates.iter().all(|p| p.holds(&self.objects[t])) {
+                        next.extend_from_slice(row);
+                        next.push(t);
                     }
                 }
             }
             rows = next;
+            width += 1;
         }
 
         if let Some(m) = &self.metrics {
             m.rows_examined.add(examined);
-            m.rows_out.add(rows.len() as u64);
+            m.rows_out.add((rows.len() / width) as u64);
         }
-        Ok(rows.into_iter().map(|chain| QueryResult { chain }).collect())
+        Ok(rows
+            .chunks_exact(width)
+            .map(|row| QueryResult {
+                chain: row.iter().map(|&i| self.objects[i].id.clone()).collect(),
+            })
+            .collect())
     }
 }
 
@@ -515,5 +599,38 @@ mod tests {
         view.objects
             .push(WebObject::new("Article", "player:seles"));
         assert!(index.add_view(&view).is_err());
+    }
+
+    #[test]
+    fn a_rejected_view_leaves_the_index_untouched() {
+        let mut index = populated();
+        let objects = index.object_count();
+        let associations = index.associations().len();
+        let articles = index.objects_of("Article").count();
+
+        let mut view = MaterializedView::new("bad.html", "AustralianOpen");
+        view.objects.push(WebObject::new("Article", "article:day2"));
+        view.objects.push(
+            WebObject::new("Player", "player:seles").with("country", AttrValue::Text("FRA".into())),
+        );
+        view.objects.push(WebObject::new("Article", "player:seles"));
+        view.associations
+            .push(Association::new("About", "article:day2", "player:seles"));
+        assert!(index.add_view(&view).is_err());
+
+        assert_eq!(index.object_count(), objects);
+        assert!(index.object("article:day2").is_none());
+        assert_eq!(index.associations().len(), associations);
+        assert_eq!(index.objects_of("Article").count(), articles);
+        assert!(index.targets("article:day2", "About").is_empty());
+        let seles = index.object("player:seles").unwrap();
+        assert_eq!(seles.attr("country").unwrap().lexical(), "USA");
+
+        // A new id given two classes within one view is a conflict too.
+        let mut view = MaterializedView::new("twice.html", "AustralianOpen");
+        view.objects.push(WebObject::new("Article", "x:1"));
+        view.objects.push(WebObject::new("Player", "x:1"));
+        assert!(index.add_view(&view).is_err());
+        assert_eq!(index.object_count(), objects);
     }
 }

@@ -45,6 +45,72 @@ bench-e2e-smoke:
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke
     cargo test --offline --manifest-path benchmark/Cargo.toml
 
+# The protocol a perf claim rests on (benchmark/README.md "Steadiness"):
+# `n` alternating pairs of 10 s dlbench runs of one workload, dlbench
+# built at `rev` (in a worktree under .bench_build/pairs/) against the
+# working tree. Pair i runs on seed 40 + i, `rev` first in odd pairs and
+# the working tree first in even ones. Every run's output stays in
+# .bench_build/pairs/<workload>-<time>/; the table gives, per end-to-end
+# metric of BENCHMARK.json, each side's q1 / median / q3 (the quartiles
+# of Python's `statistics.quantiles`, as the acceptance rule computes
+# them) and in how many pairs the working tree was the better side.
+# Nothing under benchmark/ changes but its ignored build and results.
+bench-pairs workload rev n:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    unset CARGO_TARGET_DIR
+    sha=$(git rev-parse --verify "{{rev}}^{commit}")
+    base=.bench_build/pairs/rev-$sha
+    [ -d "$base" ] || git worktree add --detach "$base" "$sha"
+    cargo build --release --offline --quiet --manifest-path "$base/benchmark/Cargo.toml"
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+    out=.bench_build/pairs/{{workload}}-$(date +%Y%m%d-%H%M%S)
+    mkdir -p "$out"
+    run() {
+        "$1/benchmark/target/release/dlbench" --workload "{{workload}}" --seed "$3" \
+            --seconds 10 --trace 0 > "$out/$2-$3.txt"
+    }
+    for i in $(seq 1 "{{n}}"); do
+        seed=$((40 + i))
+        if [ $((i % 2)) -eq 1 ]; then
+            run "$base" rev "$seed"; run . change "$seed"
+        else
+            run . change "$seed"; run "$base" rev "$seed"
+        fi
+        echo "pair $i of {{n}} (seed $seed) done" >&2
+    done
+    python3 - "$out" "{{n}}" "{{rev}}" <<'EOF' | tee "$out/summary.txt"
+    import json, statistics, sys
+    out, n, rev = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+    seeds = [40 + i for i in range(1, n + 1)]
+    def result(side, seed):
+        lines = open(f"{out}/{side}-{seed}.txt").read().splitlines()
+        return json.loads(next(l for l in reversed(lines) if l.startswith("{")))
+    runs = {side: [result(side, s) for s in seeds] for side in ("rev", "change")}
+    def quartiles(v):
+        q = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        return f"{q[0]:.4g} / {statistics.median(v):.4g} / {q[2]:.4g}"
+    print(f"{out}: {n} pairs, {rev} vs the working tree")
+    print(f"{'metric':<28} {'rev q1 / median / q3':>34} {'change q1 / median / q3':>34} {'ratio':>7}  won")
+    for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
+        name = m["name"]
+        old = [r["metrics"][name]["value"] for r in runs["rev"] if name in r["metrics"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"] if name in r["metrics"]]
+        if len(old) != n or len(new) != n:
+            continue
+        higher = m["better"] == "higher"
+        won = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
+        tied = sum(c == p for p, c in zip(old, new))
+        base = statistics.median(old)
+        ratio = f"x{statistics.median(new) / base:.3f}" if base else "-"
+        ties = f" ({tied} tied)" if tied else ""
+        print(f"{name:<28} {quartiles(old):>34} {quartiles(new):>34} {ratio:>7}  {won}/{n}{ties}")
+    for side in ("rev", "change"):
+        failed = sum(r["failed"] for r in runs[side])
+        correct = all(r["correct"] for r in runs[side])
+        print(f"{side}: failed {failed}, correct in every run: {correct}")
+    EOF
+
 # Size of the Rust code under `crates/`: non-blank, non-comment lines of
 # every `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`) and
 # of the bench binaries, as a subtotal per crate and a total — plus the
