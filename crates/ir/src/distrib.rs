@@ -761,32 +761,45 @@ impl DistributedIndex {
     /// Routes a document to its primary server (stable per-document
     /// assignment) and indexes it on every copy of that group.
     pub fn index_document(&mut self, url: &str, text: &str) -> Result<()> {
-        let group = self.route(url);
-        self.shards[group].index_document(url, text)?;
-        for copy in &mut self.replicas[group] {
-            copy.index_document(url, text)?;
-        }
-        Ok(())
+        self.index_documents([(url, text)])
     }
 
     /// Bulk entry point: routes a batch of `(url, text)` documents and
-    /// indexes each shard's slice in one call, preserving input order
-    /// within every shard (routing is order-independent, so the stored
-    /// state is identical to repeated [`index_document`] calls).
+    /// indexes each group's slice, preserving input order within every
+    /// group (routing is order-independent, so the stored state is
+    /// identical to repeated [`index_document`] calls).
+    ///
+    /// All or nothing on validation: a URL already held by any copy of
+    /// its group, or repeated within the batch, rejects the batch before
+    /// the first log record or mutation. Each document is then tokenised,
+    /// stemmed and counted once, and every copy of its group appends the
+    /// same rows. Primaries log their slice's `(url, text)` records
+    /// before applying it; replicas never log.
     ///
     /// [`index_document`]: DistributedIndex::index_document
     pub fn index_documents<'a, I>(&mut self, docs: I) -> Result<()>
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let mut per_shard: Vec<Vec<(&str, &str)>> = vec![Vec::new(); self.shards.len()];
+        let mut per_group: Vec<Vec<(&str, &str)>> = vec![Vec::new(); self.shards.len()];
+        let mut seen = HashSet::new();
         for (url, text) in docs {
-            per_shard[self.route(url)].push((url, text));
+            let group = self.route(url);
+            let held = self.shards[group].contains_url(url)
+                || self.replicas[group].iter().any(|copy| copy.contains_url(url));
+            if held || !seen.insert(url) {
+                return Err(Error::Document(format!("`{url}` already indexed")));
+            }
+            per_group[group].push((url, text));
         }
-        for (group, batch) in per_shard.into_iter().enumerate() {
-            self.shards[group].index_documents(batch.iter().copied())?;
-            for copy in &mut self.replicas[group] {
-                copy.index_documents(batch.iter().copied())?;
+        for (group, batch) in per_group.iter().enumerate() {
+            self.shards[group].log_documents(batch)?;
+            for (url, text) in batch {
+                let doc = DocExport::analyse(url, text);
+                self.shards[group].insert(&doc)?;
+                for copy in &mut self.replicas[group] {
+                    copy.insert(&doc)?;
+                }
             }
         }
         Ok(())
@@ -1952,6 +1965,79 @@ mod tests {
         let labels = d.fault_labels_for_server(1);
         assert_eq!(labels.len(), 3, "{labels:?}");
         assert!(labels.contains(&"shard:1".to_owned()));
+    }
+
+    #[test]
+    fn batched_and_one_by_one_ingest_store_identical_copies() {
+        let docs: Vec<(String, String)> = corpus(120)
+            .into_iter()
+            .map(|(url, body)| (url, format!("{body} The Champions were winning matches; café")))
+            .collect();
+        let mut batched = DistributedIndex::with_replication(2, ScoreModel::TfIdf, 1).unwrap();
+        batched
+            .index_documents(docs.iter().map(|(u, b)| (u.as_str(), b.as_str())))
+            .unwrap();
+        let mut single = DistributedIndex::with_replication(2, ScoreModel::TfIdf, 1).unwrap();
+        for (url, body) in &docs {
+            single.index_document(url, body).unwrap();
+        }
+        assert_eq!(
+            batched.content_snapshot_shards().unwrap(),
+            single.content_snapshot_shards().unwrap()
+        );
+        for d in [&mut batched, &mut single] {
+            for g in 0..d.servers() {
+                let primary = d.shards[g].snapshot().unwrap();
+                for copy in &mut d.replicas[g] {
+                    assert_eq!(copy.snapshot().unwrap(), primary, "group {g}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_cluster_and_the_log_untouched() {
+        let dir = std::env::temp_dir().join(format!("ir-rejected-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = monet::wal::open_shared(monet::storage::FsBackend::shared(), &dir).unwrap();
+        let mut d = DistributedIndex::with_replication(2, ScoreModel::TfIdf, 1).unwrap();
+        d.set_wal(WalHandle::new(Arc::clone(&wal), 0));
+        let docs = corpus(40);
+        let (old, new) = docs.split_at(20);
+        d.index_documents(old.iter().map(|(u, b)| (u.as_str(), b.as_str())))
+            .unwrap();
+        let state = |d: &DistributedIndex| {
+            let copies: Vec<(usize, u64)> = d
+                .shards
+                .iter()
+                .chain(d.replicas.iter().flatten())
+                .map(|copy| (copy.document_count(), copy.epoch()))
+                .collect();
+            (copies, wal.lock().unwrap().next_lsn())
+        };
+        let before = state(&d);
+        // Group 0 gets fresh documents first; group 1's only document
+        // is already indexed, so the batch fails after group 0 passed.
+        let held = old.iter().find(|(u, _)| d.route(u) == 1).unwrap();
+        let mut batch: Vec<(&str, &str)> = new
+            .iter()
+            .filter(|(u, _)| d.route(u) == 0)
+            .map(|(u, b)| (u.as_str(), b.as_str()))
+            .collect();
+        assert!(!batch.is_empty());
+        batch.push((held.0.as_str(), held.1.as_str()));
+        assert!(d.index_documents(batch.iter().copied()).is_err());
+        assert_eq!(state(&d), before);
+        // A URL repeated within the batch is refused the same way.
+        let (url, body) = &new[0];
+        assert!(d.index_documents([(url.as_str(), body.as_str()); 2]).is_err());
+        assert_eq!(state(&d), before);
+        // Nothing was consumed: the fresh documents still go in.
+        batch.pop();
+        d.index_documents(batch.iter().copied()).unwrap();
+        let indexed: usize = d.shards.iter().map(TextIndex::document_count).sum();
+        assert_eq!(indexed, old.len() + batch.len());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

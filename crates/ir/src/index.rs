@@ -100,6 +100,25 @@ pub struct DocExport {
 }
 
 impl DocExport {
+    /// Tokenises, stems and counts `text` once: the rows every copy of
+    /// the document appends. A document's length is its token count,
+    /// which is `Σ tf` by construction.
+    pub(crate) fn analyse(url: &str, text: &str) -> DocExport {
+        let mut stems = tokenize_and_stem(text);
+        stems.sort_unstable();
+        let mut terms: Vec<(String, i64)> = Vec::new();
+        for stem in stems {
+            match terms.last_mut() {
+                Some((last, tf)) if *last == stem => *tf += 1,
+                _ => terms.push((stem, 1)),
+            }
+        }
+        DocExport {
+            url: url.to_owned(),
+            terms,
+        }
+    }
+
     /// Token count (`Σ tf`) — the DL value the document re-creates on
     /// import (document length is the sum of its term frequencies by
     /// construction).
@@ -290,74 +309,85 @@ impl TextIndex {
     /// Indexes one document body; returns its doc oid. The document
     /// is invisible to queries until the next [`TextIndex::commit`].
     pub fn index_document(&mut self, url: &str, text: &str) -> Result<Oid> {
-        if self.contains_url(url) {
-            return Err(Error::Document(format!("`{url}` already indexed")));
-        }
-        // Log before any relation mutates; a failed append aborts the
-        // whole operation with the index untouched.
-        if let Some(wal) = &self.wal {
-            wal.log(WAL_OP_INDEX, &[url.as_bytes(), text.as_bytes()])?;
-        }
-        let terms = tokenize_and_stem(text);
-        // Count per-term occurrences.
-        let mut counts: HashMap<&str, i64> = HashMap::new();
-        for t in &terms {
-            *counts.entry(t.as_str()).or_insert(0) += 1;
-        }
-        let mut sorted: Vec<(&str, i64)> = counts.into_iter().collect();
-        sorted.sort_unstable();
-        self.insert(url, terms.len() as i64, sorted)
+        self.index_documents([(url, text)]).map(|oids| oids[0])
     }
 
-    /// Appends one document's rows to D, DL, T and — one row each per
-    /// `(stem, tf)` pair, in lockstep — DT_doc, DT_term and TF.
-    fn insert<'a>(
-        &mut self,
-        url: &str,
-        len: i64,
-        terms: impl IntoIterator<Item = (&'a str, i64)>,
-    ) -> Result<Oid> {
-        let doc = self.db.mint();
+    /// Logs one `(url, text)` record per document, under a single lock
+    /// acquisition, when a WAL is attached. Callers log before they
+    /// [`insert`](Self::insert), so the log never lags the relations.
+    pub(crate) fn log_documents(&self, docs: &[(&str, &str)]) -> Result<()> {
+        if let Some(wal) = &self.wal {
+            let groups: Vec<Vec<&[u8]>> = docs
+                .iter()
+                .map(|(url, text)| vec![url.as_bytes(), text.as_bytes()])
+                .collect();
+            wal.log_batch(WAL_OP_INDEX, &groups)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one analysed document: a row each to D and DL, a T row
+    /// per new stem, and — one row each per `(stem, tf)` pair, in
+    /// lockstep — DT_doc, DT_term and TF. Oids are minted in the
+    /// document's term order (the doc, then per term its T oid when
+    /// new and its pair), and each relation is resolved once per
+    /// document. The caller has checked the URL is new.
+    pub(crate) fn insert(&mut self, doc: &DocExport) -> Result<Oid> {
+        let id = self.db.mint();
         self.db
             .get_or_create(D, ColumnKind::Str)
-            .append_str(doc, url)?;
+            .append_str(id, doc.url.as_str())?;
         self.db
             .get_or_create(DL, ColumnKind::Int)
-            .append_int(doc, len)?;
-        for (term, tf) in terms {
+            .append_int(id, doc.token_count().max(0))?;
+        // `(term ordinal, pair oid)` per row, and the stems new to T.
+        let mut rows = Vec::with_capacity(doc.terms.len());
+        let mut new_terms = Vec::new();
+        for (term, _) in &doc.terms {
             // Intern once into the catalog dictionary; T's string column
             // stores the same code, so the stem bytes live exactly once.
             let code = self.db.pool().intern(term);
             let ord = match self.vocab.get(&code) {
-                Some(ord) => *ord,
+                Some(&ord) => ord,
                 None => {
                     let o = self.db.mint();
-                    self.db
-                        .get_or_create(T, ColumnKind::Str)
-                        .append_str(o, term)?;
                     let ord = self.term_oids.len() as u32;
                     self.vocab.insert(code, ord);
                     self.term_oids.push(o);
                     self.df.push(0);
+                    new_terms.push((o, term.as_str()));
                     ord
                 }
             };
-            let pair = self.db.mint();
-            self.db
-                .get_or_create(DT_DOC, ColumnKind::Oid)
-                .append_oid(pair, doc)?;
-            self.db
-                .get_or_create(DT_TERM, ColumnKind::Oid)
-                .append_oid(self.term_oids[ord as usize], pair)?;
-            self.db
-                .get_or_create(TF, ColumnKind::Int)
-                .append_int(pair, tf)?;
-            self.df[ord as usize] += 1;
-            self.dirty_terms.push(ord);
+            rows.push((ord, self.db.mint()));
+        }
+        if !new_terms.is_empty() {
+            let t = self.db.get_or_create(T, ColumnKind::Str);
+            for (o, term) in new_terms {
+                t.append_str(o, term)?;
+            }
+        }
+        if !rows.is_empty() {
+            let dt_doc = self.db.get_or_create(DT_DOC, ColumnKind::Oid);
+            for &(_, pair) in &rows {
+                dt_doc.append_oid(pair, id)?;
+            }
+            let dt_term = self.db.get_or_create(DT_TERM, ColumnKind::Oid);
+            for &(ord, pair) in &rows {
+                dt_term.append_oid(self.term_oids[ord as usize], pair)?;
+            }
+            let tf_bat = self.db.get_or_create(TF, ColumnKind::Int);
+            for (&(_, pair), (_, tf)) in rows.iter().zip(&doc.terms) {
+                tf_bat.append_int(pair, *tf)?;
+            }
+            for &(ord, _) in &rows {
+                self.df[ord as usize] += 1;
+                self.dirty_terms.push(ord);
+            }
         }
         self.committed = false;
         self.epoch += 1;
-        Ok(doc)
+        Ok(id)
     }
 
     /// Indexes a batch of `(url, text)` documents in order — the bulk
@@ -381,22 +411,12 @@ impl TextIndex {
                 return Err(Error::Document(format!("`{url}` already indexed")));
             }
         }
-        if let Some(wal) = &self.wal {
-            let groups: Vec<Vec<&[u8]>> = docs
-                .iter()
-                .map(|(url, text)| vec![url.as_bytes(), text.as_bytes()])
-                .collect();
-            wal.log_batch(WAL_OP_INDEX, &groups)?;
-        }
-        // Already logged above; suspend the handle so the per-document
-        // path does not log each insert a second time.
-        let wal = self.wal.take();
-        let result = docs
-            .iter()
-            .map(|(url, text)| self.index_document(url, text))
-            .collect();
-        self.wal = wal;
-        result
+        // Log before any relation mutates; a failed append aborts the
+        // whole operation with the index untouched.
+        self.log_documents(&docs)?;
+        docs.iter()
+            .map(|(url, text)| self.insert(&DocExport::analyse(url, text)))
+            .collect()
     }
 
     /// Derives IDF entries for the terms touched since the last commit
@@ -598,8 +618,7 @@ impl TextIndex {
         if self.contains_url(&doc.url) {
             return Err(Error::Document(format!("`{}` already indexed", doc.url)));
         }
-        let terms = doc.terms.iter().map(|(stem, tf)| (stem.as_str(), *tf));
-        self.insert(&doc.url, doc.token_count().max(0), terms)
+        self.insert(doc)
     }
 }
 

@@ -63,12 +63,24 @@ pub fn tokenize_and_stem(text: &str) -> Vec<String> {
 
 /// Porter's stemming algorithm (M.F. Porter, "An algorithm for suffix
 /// stripping", 1980). Words shorter than 3 letters return unchanged.
+///
+/// The stemmer's domain is the English alphabet: only a word that is
+/// three or more ASCII letters once lowercased is stemmed, and it is
+/// stemmed over its bytes (for such a word bytes and letters coincide).
+/// Every other word — digits, non-ASCII letters — is returned
+/// lowercased and otherwise untouched.
 pub fn porter_stem(word: &str) -> String {
-    let w: Vec<char> = word.to_lowercase().chars().collect();
-    if w.len() < 3 || !w.iter().all(|c| c.is_ascii_alphabetic()) {
-        return w.into_iter().collect();
+    let lower = if word.is_ascii() {
+        word.to_ascii_lowercase()
+    } else {
+        word.to_lowercase()
+    };
+    if lower.len() < 3 || !lower.bytes().all(|b| b.is_ascii_alphabetic()) {
+        return lower;
     }
-    let mut s = Stem { w };
+    let mut s = Stem {
+        w: lower.into_bytes(),
+    };
     s.step1a();
     s.step1b();
     s.step1c();
@@ -77,11 +89,13 @@ pub fn porter_stem(word: &str) -> String {
     s.step4();
     s.step5a();
     s.step5b();
-    s.w.into_iter().collect()
+    String::from_utf8(s.w).expect("the stemmer writes ASCII letters only")
 }
 
+/// A word being stemmed: lowercase ASCII letters. The rule tables are
+/// ASCII too, so suffix tests and rewrites are byte-slice operations.
 struct Stem {
-    w: Vec<char>,
+    w: Vec<u8>,
 }
 
 impl Stem {
@@ -89,8 +103,8 @@ impl Stem {
     /// than A, E, I, O or U, and other than Y preceded by a consonant.")
     fn is_cons(&self, i: usize) -> bool {
         match self.w[i] {
-            'a' | 'e' | 'i' | 'o' | 'u' => false,
-            'y' => i == 0 || !self.is_cons(i - 1),
+            b'a' | b'e' | b'i' | b'o' | b'u' => false,
+            b'y' => i == 0 || !self.is_cons(i - 1),
             _ => true,
         }
     }
@@ -141,23 +155,22 @@ impl Stem {
         self.is_cons(len - 3)
             && !self.is_cons(len - 2)
             && self.is_cons(len - 1)
-            && !matches!(c, 'w' | 'x' | 'y')
+            && !matches!(c, b'w' | b'x' | b'y')
     }
 
     fn ends_with(&self, suffix: &str) -> bool {
-        let s: Vec<char> = suffix.chars().collect();
-        self.w.len() >= s.len() && self.w[self.w.len() - s.len()..] == s[..]
+        self.w.ends_with(suffix.as_bytes())
     }
 
     /// Length of the stem if `suffix` were removed.
     fn stem_len(&self, suffix: &str) -> usize {
-        self.w.len() - suffix.chars().count()
+        self.w.len() - suffix.len()
     }
 
     fn replace(&mut self, suffix: &str, with: &str) {
         let keep = self.stem_len(suffix);
         self.w.truncate(keep);
-        self.w.extend(with.chars());
+        self.w.extend_from_slice(with.as_bytes());
     }
 
     /// If the word ends with `suffix` and the remaining stem has measure
@@ -205,11 +218,12 @@ impl Stem {
         };
         if matched {
             if self.ends_with("at") || self.ends_with("bl") || self.ends_with("iz") {
-                self.w.push('e');
-            } else if self.double_cons() && !matches!(self.w[self.w.len() - 1], 'l' | 's' | 'z') {
+                self.w.push(b'e');
+            } else if self.double_cons() && !matches!(self.w[self.w.len() - 1], b'l' | b's' | b'z')
+            {
                 self.w.pop();
             } else if self.measure(self.w.len()) == 1 && self.ends_cvc(self.w.len()) {
-                self.w.push('e');
+                self.w.push(b'e');
             }
         }
     }
@@ -217,7 +231,7 @@ impl Stem {
     fn step1c(&mut self) {
         if self.ends_with("y") && self.has_vowel(self.stem_len("y")) {
             let n = self.w.len();
-            self.w[n - 1] = 'i';
+            self.w[n - 1] = b'i';
         }
     }
 
@@ -276,7 +290,7 @@ impl Stem {
         // "ion" needs a preceding s or t.
         if self.ends_with("ion") {
             let keep = self.stem_len("ion");
-            if keep >= 1 && matches!(self.w[keep - 1], 's' | 't') && self.measure(keep) > 1 {
+            if keep >= 1 && matches!(self.w[keep - 1], b's' | b't') && self.measure(keep) > 1 {
                 self.replace("ion", "");
             }
             return;
@@ -303,7 +317,7 @@ impl Stem {
 
     fn step5b(&mut self) {
         if self.double_cons()
-            && self.w[self.w.len() - 1] == 'l'
+            && self.w[self.w.len() - 1] == b'l'
             && self.measure(self.w.len()) > 1
         {
             self.w.pop();

@@ -219,11 +219,15 @@ impl Db {
     /// open-time CRC check, and the bulkload path only ever touches
     /// relations it created.
     pub fn get_or_create(&mut self, name: &str, kind: ColumnKind) -> &mut Bat {
-        let pool = self.pool.clone();
+        // One tree walk, and the pool is borrowed, not cloned. Probing
+        // first and copying the name only on a miss costs a second walk
+        // on every hit: slower than the copy once a store holds a few
+        // hundred path relations with long common prefixes.
+        let pool = &self.pool;
         let slot = self
             .bats
             .entry(name.to_owned())
-            .or_insert_with(|| Slot::eager(Bat::with_kind_in(kind, &pool)));
+            .or_insert_with(|| Slot::eager(Bat::with_kind_in(kind, pool)));
         slot.materialize(name)
             .unwrap_or_else(|e| panic!("relation {name:?}: lazy decode failed: {e}"));
         slot.cell

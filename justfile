@@ -53,7 +53,11 @@ bench-e2e-smoke:
 # .bench_build/pairs/<workload>-<time>/; the table gives, per end-to-end
 # metric of BENCHMARK.json, each side's q1 / median / q3 (the quartiles
 # of Python's `statistics.quantiles`, as the acceptance rule computes
-# them) and in how many pairs the working tree was the better side.
+# them) and in how many pairs the working tree was the better side. A
+# metric is marked "unresolved" when `rev`'s own interquartile range,
+# as a share of its median, exceeds the metric's bound: its runs spread
+# wider than the change the bound allows, so neither a gain nor a loss
+# on it can be told from noise (a bimodal `recover_s`, say).
 # Nothing under benchmark/ changes but its ignored build and results.
 bench-pairs workload rev n:
     #!/usr/bin/env bash
@@ -88,7 +92,9 @@ bench-pairs workload rev n:
         return json.loads(next(l for l in reversed(lines) if l.startswith("{")))
     runs = {side: [result(side, s) for s in seeds] for side in ("rev", "change")}
     def quartiles(v):
-        q = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        return statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+    def spread(v):
+        q = quartiles(v)
         return f"{q[0]:.4g} / {statistics.median(v):.4g} / {q[2]:.4g}"
     print(f"{out}: {n} pairs, {rev} vs the working tree")
     print(f"{'metric':<28} {'rev q1 / median / q3':>34} {'change q1 / median / q3':>34} {'ratio':>7}  won")
@@ -104,7 +110,10 @@ bench-pairs workload rev n:
         base = statistics.median(old)
         ratio = f"x{statistics.median(new) / base:.3f}" if base else "-"
         ties = f" ({tied} tied)" if tied else ""
-        print(f"{name:<28} {quartiles(old):>34} {quartiles(new):>34} {ratio:>7}  {won}/{n}{ties}")
+        q = quartiles(old)
+        iqr = (q[2] - q[0]) / abs(base) if base else 0.0
+        unresolved = f"  unresolved (rev IQR {iqr:.0%} > bound {m['bound']:.0%})" if iqr > m["bound"] else ""
+        print(f"{name:<28} {spread(old):>34} {spread(new):>34} {ratio:>7}  {won}/{n}{ties}{unresolved}")
     for side in ("rev", "change"):
         failed = sum(r["failed"] for r in runs[side])
         correct = all(r["correct"] for r in runs[side])
