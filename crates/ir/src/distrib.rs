@@ -771,10 +771,13 @@ impl DistributedIndex {
     ///
     /// All or nothing on validation: a URL already held by any copy of
     /// its group, or repeated within the batch, rejects the batch before
-    /// the first log record or mutation. Each document is then tokenised,
-    /// stemmed and counted once, and every copy of its group appends the
-    /// same rows. Primaries log their slice's `(url, text)` records
-    /// before applying it; replicas never log.
+    /// the first log record or mutation. Every primary then logs its
+    /// slice's `(url, text)` records, in group order; replicas never
+    /// log. Only then does each group with documents apply its slice,
+    /// on a thread of its own: each document is tokenised, stemmed and
+    /// counted once, and every copy of the group appends the same rows.
+    /// If a group's log write fails, the groups logged before it are
+    /// still applied, so the relations never lag or lead the log.
     ///
     /// [`index_document`]: DistributedIndex::index_document
     pub fn index_documents<'a, I>(&mut self, docs: I) -> Result<()>
@@ -792,17 +795,62 @@ impl DistributedIndex {
             }
             per_group[group].push((url, text));
         }
+        let mut logged = Ok(());
+        let mut jobs = Vec::with_capacity(per_group.len());
         for (group, batch) in per_group.iter().enumerate() {
-            self.shards[group].log_documents(batch)?;
+            if logged.is_ok() {
+                logged = self.shards[group].log_documents(batch);
+            }
+            jobs.push((logged.is_ok() && !batch.is_empty()).then_some(batch));
+        }
+        self.for_each_group(jobs, |primary, replicas, batch| {
             for (url, text) in batch {
                 let doc = DocExport::analyse(url, text);
-                self.shards[group].insert(&doc)?;
-                for copy in &mut self.replicas[group] {
+                primary.insert(&doc)?;
+                for copy in replicas.iter_mut() {
                     copy.insert(&doc)?;
                 }
             }
+            Ok(())
+        })?;
+        logged
+    }
+
+    /// Runs `work` on the copies of every group whose job is `Some`:
+    /// the primary, then its replicas. Each such group gets a scoped
+    /// thread of its own, or the caller's thread when it is the only
+    /// one. Copies share no catalog, pool or log handle that `work`
+    /// mutates, so the stored state does not depend on scheduling.
+    /// Returns the first error in group order.
+    fn for_each_group<J: Send>(
+        &mut self,
+        jobs: Vec<Option<J>>,
+        work: impl Fn(&mut TextIndex, &mut [TextIndex], J) -> Result<()> + Sync,
+    ) -> Result<()> {
+        let groups: Vec<_> = self
+            .shards
+            .iter_mut()
+            .zip(&mut self.replicas)
+            .zip(jobs)
+            .filter_map(|((primary, replicas), job)| Some((primary, replicas, job?)))
+            .collect();
+        if groups.len() <= 1 {
+            return groups
+                .into_iter()
+                .try_for_each(|(primary, replicas, job)| work(primary, replicas, job));
         }
-        Ok(())
+        let work = &work;
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = groups
+                .into_iter()
+                .map(|(primary, replicas, job)| scope.spawn(move || work(primary, replicas, job)))
+                .collect();
+            let results: Vec<Result<()>> = threads
+                .into_iter()
+                .map(|t| t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect();
+            results.into_iter().collect()
+        })
     }
 
     /// A counter that advances whenever any server's index mutates (via
@@ -1164,22 +1212,26 @@ impl DistributedIndex {
     /// and pushes them to every copy. A layout cutover calls this
     /// directly — its fresh shards are locally committed but still
     /// carry local idf.
+    ///
+    /// Local document frequencies are current at insert, so they are
+    /// gathered before anything commits; each group then commits and
+    /// applies the global values on its own thread.
     fn distribute_global_df(&mut self) -> Result<()> {
         let mut global: std::collections::HashMap<String, usize> =
             std::collections::HashMap::new();
-        for shard in &mut self.shards {
-            shard.commit()?;
+        for shard in &self.shards {
             for (stem, df) in shard.df_map() {
                 *global.entry(stem).or_insert(0) += df;
             }
         }
-        for shard in &mut self.shards {
-            shard.apply_global_df(&global)?;
-        }
-        for copy in self.replicas.iter_mut().flatten() {
-            copy.apply_global_df(&global)?;
-        }
-        Ok(())
+        let jobs = vec![Some(()); self.shards.len()];
+        self.for_each_group(jobs, |primary, replicas, ()| {
+            primary.apply_global_df(&global)?;
+            for copy in replicas.iter_mut() {
+                copy.apply_global_df(&global)?;
+            }
+            Ok(())
+        })
     }
 
     /// Documents per server — the balance the per-document assignment
@@ -1973,11 +2025,26 @@ mod tests {
             .into_iter()
             .map(|(url, body)| (url, format!("{body} The Champions were winning matches; café")))
             .collect();
-        let mut batched = DistributedIndex::with_replication(2, ScoreModel::TfIdf, 1).unwrap();
+        let mut batched = DistributedIndex::with_replication(3, ScoreModel::TfIdf, 2).unwrap();
+        // A batch that routes to group 1 alone is applied inline; the
+        // rest goes to every group at once, one thread per group. Each
+        // group still sees its documents in input order.
+        let (head, rest) = docs.split_at(40);
+        let (inline, threaded): (Vec<_>, Vec<_>) =
+            head.iter().partition(|(u, _)| batched.route(u) == 1);
+        assert!(!inline.is_empty());
         batched
-            .index_documents(docs.iter().map(|(u, b)| (u.as_str(), b.as_str())))
+            .index_documents(inline.iter().map(|(u, b)| (u.as_str(), b.as_str())))
             .unwrap();
-        let mut single = DistributedIndex::with_replication(2, ScoreModel::TfIdf, 1).unwrap();
+        batched
+            .index_documents(
+                threaded
+                    .into_iter()
+                    .chain(rest)
+                    .map(|(u, b)| (u.as_str(), b.as_str())),
+            )
+            .unwrap();
+        let mut single = DistributedIndex::with_replication(3, ScoreModel::TfIdf, 2).unwrap();
         for (url, body) in &docs {
             single.index_document(url, body).unwrap();
         }

@@ -24,20 +24,24 @@ use crate::error::{Error, Result};
 use crate::oid::Oid;
 use crate::value::{Column, ColumnKind, StrPool, Value};
 
-/// Head-lookup index: a sorted-run base over a loaded prefix plus a hash
-/// overlay for rows appended since.
+/// Head-lookup index over three consecutive row ranges:
 ///
-/// The base is three flat vectors — `runs` (distinct heads, ascending),
-/// `offsets` (`runs.len() + 1` cumulative counts) and `slots` (row
-/// positions grouped by head, ascending within a head). Unlike the old
-/// per-head `HashMap<Oid, Vec<u32>>` it allocates nothing per head, is
-/// rebuilt from a freshly decoded head column in one sort pass, and
-/// lookups are a binary search — so it stays cheap at snapshot-load time
-/// even for relations with hundreds of thousands of distinct heads.
+/// * **base**, rows `[0, base_rows)`: three flat vectors — `runs`
+///   (distinct heads, ascending), `offsets` (`runs.len() + 1` cumulative
+///   counts) and `slots` (row positions grouped by head, ascending
+///   within a head), built in one sort pass and probed by binary search;
+/// * **sorted tail**, rows `[base_rows, sorted_rows)`, whose heads are
+///   non-decreasing. The head column is its own index there: a head's
+///   rows form one contiguous range, found by binary search. D, DL, T,
+///   DT_doc, TF and every XML path relation append freshly minted,
+///   ascending oids, so their appends cost nothing beyond the column
+///   push, and a column restored in head order needs no base at all;
+/// * **overlay**, rows `[sorted_rows, len)`: from the first
+///   out-of-order head on, appends land in a per-head hash map until it
+///   grows heavy and [`Bat::append`] folds every row into a new base.
 ///
-/// Appends land in `overlay` (covering rows `base_rows..`), keeping the
-/// index live without touching the base; [`Bat::ensure_index`] folds the
-/// overlay back into the base.
+/// [`Bat::positions`] returns base, then sorted tail, then overlay
+/// positions, so they come out ascending.
 #[derive(Debug, Clone, Default)]
 struct HeadIndex {
     runs: Vec<Oid>,
@@ -45,18 +49,22 @@ struct HeadIndex {
     slots: Vec<u32>,
     /// Rows `[0, base_rows)` are covered by the sorted-run base.
     base_rows: u32,
-    /// Rows `[base_rows, base_rows + overlaid)` are covered here.
+    /// Rows `[base_rows, sorted_rows)` have non-decreasing heads.
+    sorted_rows: u32,
+    /// Rows `[sorted_rows, len)` are covered here.
     overlay: HashMap<Oid, Vec<u32>>,
-    overlaid: u32,
 }
 
 impl HeadIndex {
-    /// Rebuilds the base over the whole head column; clears the overlay.
+    /// Re-indexes the whole head column and clears the overlay: a
+    /// column already in head order becomes one sorted tail, any other
+    /// is sorted into the base.
     fn rebuild(&mut self, head: &[Oid]) {
-        self.overlay.clear();
-        self.overlaid = 0;
-        self.runs.clear();
-        self.offsets.clear();
+        *self = HeadIndex::default();
+        if head.windows(2).all(|w| w[0] <= w[1]) {
+            self.sorted_rows = head.len() as u32;
+            return;
+        }
         let mut slots: Vec<u32> = (0..head.len() as u32).collect();
         slots.sort_unstable_by_key(|&p| (head[p as usize], p));
         self.offsets.push(0);
@@ -70,12 +78,9 @@ impl HeadIndex {
             }
         }
         self.offsets.push(slots.len() as u32);
-        if self.runs.is_empty() {
-            // offsets must always be runs.len() + 1 entries.
-            self.offsets.truncate(1);
-        }
         self.slots = slots;
         self.base_rows = head.len() as u32;
+        self.sorted_rows = self.base_rows;
     }
 
     /// Positions in the base with head `h` (ascending), or `&[]`.
@@ -86,30 +91,46 @@ impl HeadIndex {
         }
     }
 
+    /// Positions in the sorted tail with head `h`: one range.
+    fn sorted_positions(&self, head: &[Oid], h: Oid) -> std::ops::Range<u32> {
+        let tail = &head[self.base_rows as usize..self.sorted_rows as usize];
+        let lo = tail.partition_point(|&x| x < h) as u32;
+        let hi = tail.partition_point(|&x| x <= h) as u32;
+        self.base_rows + lo..self.base_rows + hi
+    }
+
     /// Positions in the overlay with head `h` (ascending), or `&[]`.
     fn overlay_positions(&self, h: Oid) -> &[u32] {
         self.overlay.get(&h).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Records an append at row `pos` (which must equal the current
-    /// total row count).
-    fn note_append(&mut self, h: Oid, pos: u32) {
-        self.overlay.entry(h).or_default().push(pos);
-        self.overlaid += 1;
+    /// Records an append of head `h` at row `head.len()`; `head` is the
+    /// column before the push.
+    fn note_append(&mut self, head: &[Oid], h: Oid) {
+        let pos = head.len() as u32;
+        if pos == self.sorted_rows && (pos == self.base_rows || head[pos as usize - 1] <= h) {
+            self.sorted_rows += 1;
+        } else {
+            self.overlay.entry(h).or_default().push(pos);
+        }
     }
 
-    /// Whether the overlay is worth folding into the base.
-    fn overlay_is_heavy(&self) -> bool {
-        self.overlaid as usize > (self.base_rows as usize / 2).max(4096)
+    /// Whether an overlay over rows `[sorted_rows, rows)` is worth
+    /// folding into the base.
+    fn overlay_is_heavy(&self, rows: usize) -> bool {
+        let sorted = self.sorted_rows as usize;
+        rows - sorted > (sorted / 2).max(4096)
     }
 
+    /// Heap bytes by capacity; the sorted tail borrows the head column
+    /// and costs nothing.
     fn resident_bytes(&self) -> usize {
         self.runs.capacity() * std::mem::size_of::<Oid>()
             + self.offsets.capacity() * 4
             + self.slots.capacity() * 4
-            // Rough overlay estimate: key + one slot + map overhead.
-            + self.overlay.len() * 48
-            + self.overlaid as usize * 4
+            // Buckets hold a key and a `Vec` header, plus a control byte.
+            + self.overlay.capacity() * (std::mem::size_of::<(Oid, Vec<u32>)>() + 1)
+            + self.overlay.values().map(|v| v.capacity() * 4).sum::<usize>()
     }
 }
 
@@ -220,15 +241,6 @@ impl Bat {
         self.head.is_empty()
     }
 
-    /// Folds the append overlay into the sorted-run base if it has grown
-    /// heavy. Lookups are correct without calling this — it is a
-    /// compaction hint for callers that just finished a bulk load.
-    pub fn ensure_index(&mut self) {
-        if self.index.overlay_is_heavy() {
-            self.index.rebuild(&self.head);
-        }
-    }
-
     /// Rebuilds the head index from scratch (e.g. after deserialisation
     /// through the no-op serde path).
     pub fn refresh_index(&mut self) {
@@ -236,14 +248,18 @@ impl Bat {
     }
 
     /// Appends an association; fails if the value kind does not match the
-    /// tail column kind.
+    /// tail column kind. An append in head order only extends the
+    /// index's sorted tail; an out-of-order one goes to the overlay,
+    /// which is folded into the base once it grows heavy.
     pub fn append(&mut self, head: Oid, value: Value) -> Result<()> {
-        let pos = self.head.len() as u32;
         self.tail
             .push(value)
             .map_err(|(expected, got)| Error::TypeMismatch { expected, got })?;
+        self.index.note_append(&self.head, head);
         self.head.push(head);
-        self.index.note_append(head, pos);
+        if self.index.overlay_is_heavy(self.head.len()) {
+            self.index.rebuild(&self.head);
+        }
         Ok(())
     }
 
@@ -298,14 +314,16 @@ impl Bat {
     }
 
     /// Positions of associations whose head equals `head`, ascending.
-    /// Purely a read: the index stays live across appends (overlay) and
-    /// is rebuilt on delete, so no `&mut` access is needed.
+    /// Purely a read: the index stays live across appends (sorted tail
+    /// or overlay) and is rebuilt on delete, so no `&mut` access is
+    /// needed.
     pub fn positions(&self, head: Oid) -> impl Iterator<Item = u32> + '_ {
         self.index
             .base_positions(head)
             .iter()
-            .chain(self.index.overlay_positions(head))
             .copied()
+            .chain(self.index.sorted_positions(&self.head, head))
+            .chain(self.index.overlay_positions(head).iter().copied())
     }
 
     /// All tails associated with `head`.
@@ -799,6 +817,33 @@ mod tests {
         for h in 0..7 {
             let ps: Vec<u32> = b.positions(oid(h)).collect();
             assert!(ps.windows(2).all(|w| w[0] < w[1]), "ascending positions");
+        }
+    }
+
+    #[test]
+    fn in_order_appends_skip_the_overlay_and_a_heavy_overlay_folds() {
+        let mut b = Bat::new_int();
+        for i in 0..10_000 {
+            b.append_int(oid(i / 3), i as i64).unwrap();
+        }
+        assert!(b.index.overlay.is_empty());
+        assert_eq!((b.index.base_rows, b.index.sorted_rows), (0, 10_000));
+        assert_eq!(b.positions(oid(5)).collect::<Vec<_>>(), vec![15, 16, 17]);
+        // Out of order from here on: the overlay takes every row until it
+        // outgrows half the sorted rows, and the next append folds it.
+        for i in 0..5_000 {
+            b.append_int(oid(i * 7 % 1_000), 0).unwrap();
+        }
+        assert_eq!(b.index.sorted_rows, 10_000);
+        assert!(!b.index.overlay.is_empty());
+        b.append_int(oid(0), 0).unwrap();
+        assert!(b.index.overlay.is_empty());
+        assert_eq!(b.index.base_rows, 15_001);
+        for h in [0, 5, 999, 3_333] {
+            let scan: Vec<u32> = (0..b.len() as u32)
+                .filter(|&p| b.head[p as usize] == oid(h))
+                .collect();
+            assert_eq!(b.positions(oid(h)).collect::<Vec<_>>(), scan);
         }
     }
 

@@ -1,6 +1,8 @@
 //! Property-based tests for the BAT store invariants.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::{BTreeMap, HashSet};
+
 use monet::{Bat, Db, Oid, Value};
 use proptest::prelude::*;
 
@@ -175,5 +177,145 @@ proptest! {
         got_sorted.sort_by_key(key);
         expected_sorted.sort_by_key(key);
         prop_assert_eq!(got_sorted, expected_sorted);
+    }
+}
+
+/// One mutation of a BAT's head column, for the head-index property.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `n` appends with non-decreasing heads `from, from + stride, …`.
+    InOrder {
+        from: u64,
+        n: u64,
+        stride: u64,
+    },
+    /// Appends of arbitrary heads, mostly out of order.
+    Scattered(Vec<u64>),
+    /// Enough scattered appends to outgrow any overlay and force a fold.
+    Flood {
+        seed: u64,
+        n: u64,
+    },
+    /// The last head appended again.
+    Repeat,
+    Upsert(u64),
+    DeleteHead(u64),
+    DeleteHeads(Vec<u64>),
+    Refresh,
+    FromParts,
+}
+
+const HEADS: u64 = 96;
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..HEADS, 1u64..48, 0u64..3).prop_map(|(from, n, stride)| Step::InOrder {
+            from,
+            n,
+            stride
+        }),
+        (0..HEADS, 1u64..48, 0u64..3).prop_map(|(from, n, stride)| Step::InOrder {
+            from,
+            n,
+            stride
+        }),
+        prop::collection::vec(0..HEADS, 1..24).prop_map(Step::Scattered),
+        prop::collection::vec(0..HEADS, 1..24).prop_map(Step::Scattered),
+        Just(Step::Repeat),
+        (0..HEADS).prop_map(Step::Upsert),
+        (0..HEADS).prop_map(Step::DeleteHead),
+        prop::collection::vec(0..HEADS, 0..6).prop_map(Step::DeleteHeads),
+        Just(Step::Refresh),
+        Just(Step::FromParts),
+    ]
+}
+
+/// Steps, and in one case out of eight a flood somewhere among them.
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    (
+        prop::collection::vec(arb_step(), 1..16),
+        0u8..8,
+        any::<u64>(),
+        4_200u64..4_400,
+    )
+        .prop_map(|(mut steps, flood, seed, n)| {
+            if flood == 0 {
+                let at = (seed % steps.len() as u64) as usize;
+                steps.insert(at, Step::Flood { seed, n });
+            }
+            steps
+        })
+}
+
+fn apply(bat: &mut Bat, step: &Step, next: &mut i64) {
+    let mut push = |bat: &mut Bat, h: u64| {
+        bat.append_int(Oid::from_raw(h), *next).unwrap();
+        *next += 1;
+    };
+    match step {
+        Step::InOrder { from, n, stride } => {
+            for i in 0..*n {
+                push(bat, from + i * stride);
+            }
+        }
+        Step::Scattered(heads) => heads.iter().for_each(|&h| push(bat, h)),
+        Step::Flood { seed, n } => {
+            for i in 0..*n {
+                push(
+                    bat,
+                    seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)) % (4 * HEADS),
+                );
+            }
+        }
+        Step::Repeat => {
+            if let Some(h) = bat.heads().last() {
+                push(bat, h.raw());
+            }
+        }
+        Step::Upsert(h) => {
+            bat.upsert(Oid::from_raw(*h), Value::Int(*next)).unwrap();
+            *next += 1;
+        }
+        Step::DeleteHead(h) => {
+            bat.delete_head(Oid::from_raw(*h));
+        }
+        Step::DeleteHeads(hs) => {
+            let hs: HashSet<Oid> = hs.iter().map(|&h| Oid::from_raw(h)).collect();
+            bat.delete_heads(&hs);
+        }
+        Step::Refresh => bat.refresh_index(),
+        Step::FromParts => {
+            *bat = Bat::from_parts(bat.heads().collect(), bat.tail().clone()).unwrap();
+        }
+    }
+}
+
+/// Every head's `positions` equals a scan of the head column.
+fn assert_positions_match_scan(bat: &Bat, after: &Step) {
+    let mut scan: BTreeMap<Oid, Vec<u32>> = BTreeMap::new();
+    for (p, h) in bat.heads().enumerate() {
+        scan.entry(h).or_default().push(p as u32);
+    }
+    let probes = (0..4 * HEADS + 48 * 3)
+        .map(Oid::from_raw)
+        .chain(scan.keys().copied());
+    for h in probes {
+        let got: Vec<u32> = bat.positions(h).collect();
+        let want = scan.get(&h).map(Vec::as_slice).unwrap_or(&[]);
+        assert_eq!(got, want, "head {h:?} after {after:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn head_index_agrees_with_a_scan_of_the_head_column(steps in arb_steps()) {
+        let mut bat = Bat::new_int();
+        let mut next = 0;
+        for step in &steps {
+            apply(&mut bat, step, &mut next);
+            assert_positions_match_scan(&bat, step);
+        }
     }
 }
