@@ -179,6 +179,10 @@ pub fn decode_response(xml: &str) -> Result<Vec<Token>, WireError> {
     Ok(tokens)
 }
 
+/// How long an injected [`FaultAction::Hang`] stalls a call — longer
+/// than any sane per-call deadline in tests.
+const HANG: Duration = Duration::from_millis(200);
+
 /// A server hosting external detector implementations.
 ///
 /// An attached [`FaultPlan`] is consulted once per call under the label
@@ -188,17 +192,12 @@ pub fn decode_response(xml: &str) -> Result<Vec<Token>, WireError> {
 pub struct RpcServer {
     handlers: HashMap<String, DetectorFn>,
     faults: Option<Arc<FaultPlan>>,
-    hang: Duration,
 }
 
 impl RpcServer {
     /// An empty server.
     pub fn new() -> Self {
-        RpcServer {
-            handlers: HashMap::new(),
-            faults: None,
-            hang: Duration::from_millis(200),
-        }
+        Self::default()
     }
 
     /// Registers a handler for calls to `name`.
@@ -211,13 +210,6 @@ impl RpcServer {
     /// `rpc:<detector>`).
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// How long an injected [`FaultAction::Hang`] stalls (default
-    /// 200 ms — longer than any sane per-call deadline in tests).
-    pub fn with_hang_duration(mut self, hang: Duration) -> Self {
-        self.hang = hang;
         self
     }
 
@@ -235,7 +227,7 @@ impl RpcServer {
                             "injected transport error".into(),
                         )));
                     }
-                    FaultAction::Hang => std::thread::sleep(self.hang),
+                    FaultAction::Hang => std::thread::sleep(HANG),
                     FaultAction::Garbage => {
                         return "<<corrupted response>>".into();
                     }

@@ -109,12 +109,6 @@ impl Budget {
         self
     }
 
-    /// Adds (or replaces) a work allowance of `units`.
-    pub fn and_work(mut self, units: u64) -> Self {
-        self.work = Some(AtomicI64::new(i64::try_from(units).unwrap_or(i64::MAX)));
-        self
-    }
-
     /// True when no limit of any kind is set (the production default).
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.work.is_none() && !self.cancelled.load(Ordering::Relaxed)

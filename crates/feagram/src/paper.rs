@@ -2,7 +2,7 @@
 //! report: line numbers removed, and the fragments of Figures 6 and 7
 //! concatenated into the one video feature grammar they describe).
 //!
-//! Downstream crates (the Feature Detector Engine, examples, benches)
+//! Downstream crates (the Feature Detector Engine, examples, tests)
 //! parse these constants rather than re-typing the grammars, so the repo
 //! stays honest about reproducing the published artefacts.
 

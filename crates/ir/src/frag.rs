@@ -118,11 +118,6 @@ impl<'a> FragmentedIndex<'a> {
         })
     }
 
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
-
     /// Per-fragment `(tuples, max_idf, min_idf)` — lets experiments show
     /// the skew the paper exploits.
     pub fn fragment_profile(&self) -> Vec<(usize, f64, f64)> {

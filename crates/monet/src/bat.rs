@@ -221,10 +221,6 @@ impl Bat {
     pub fn new_str() -> Self {
         Self::with_kind(ColumnKind::Str)
     }
-    /// Empty `oid × bit` BAT.
-    pub fn new_bit() -> Self {
-        Self::with_kind(ColumnKind::Bit)
-    }
 
     /// The tail type.
     pub fn kind(&self) -> ColumnKind {
@@ -410,20 +406,6 @@ impl Bat {
                 .iter()
                 .zip(vs)
                 .filter(|(_, v)| **v == i)
-                .map(|(h, _)| *h)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Heads with boolean tail equal to `b`.
-    pub fn select_bit_eq(&self, b: bool) -> Vec<Oid> {
-        match &self.tail {
-            Column::Bit(vs) => self
-                .head
-                .iter()
-                .zip(vs)
-                .filter(|(_, v)| **v == b)
                 .map(|(h, _)| *h)
                 .collect(),
             _ => Vec::new(),

@@ -12,7 +12,7 @@
 //!   [`StrPool`] — the dictionary is stored once per store, not once per
 //!   column;
 //! * relations restored from a v3 snapshot occupy **lazy slots**: the
-//!   catalog knows each relation's name, kind and row count from the
+//!   catalog knows each relation's name and row count from the
 //!   snapshot directory, but decodes the columns only on first access,
 //!   so opening a 10^5-document store does not deserialize every BAT.
 
@@ -31,14 +31,13 @@ use crate::value::{ColumnKind, DictStats, StrPool};
 /// decode from a snapshot.
 ///
 /// `cell` is write-once; `pending` holds the undecoded snapshot slice
-/// until the first access materializes it. The `kind`/`rows` hints let
+/// until the first access materializes it. The `rows` hint lets
 /// schema-level queries ([`Db::relation_count`],
 /// [`Db::association_count`]) answer without decoding anything.
 #[derive(Debug)]
 struct Slot {
     cell: OnceLock<Bat>,
     pending: Mutex<Option<LazyRelation>>,
-    kind: ColumnKind,
     rows: u64,
 }
 
@@ -50,25 +49,21 @@ fn lock_pending(slot: &Slot) -> std::sync::MutexGuard<'_, Option<LazyRelation>> 
 
 impl Slot {
     fn eager(bat: Bat) -> Slot {
-        let kind = bat.kind();
         let rows = bat.len() as u64;
         let cell = OnceLock::new();
         let _ = cell.set(bat);
         Slot {
             cell,
             pending: Mutex::new(None),
-            kind,
             rows,
         }
     }
 
     fn lazy(rel: LazyRelation) -> Slot {
-        let kind = rel.kind();
         let rows = rel.rows();
         Slot {
             cell: OnceLock::new(),
             pending: Mutex::new(Some(rel)),
-            kind,
             rows,
         }
     }
@@ -238,12 +233,6 @@ impl Db {
     /// Whether a BAT named `name` exists.
     pub fn contains(&self, name: &str) -> bool {
         self.bats.contains_key(name)
-    }
-
-    /// The tail kind of relation `name`, if it exists. Answered from
-    /// the snapshot directory for lazy slots — no decode needed.
-    pub fn relation_kind(&self, name: &str) -> Option<ColumnKind> {
-        self.bats.get(name).map(|s| s.kind)
     }
 
     /// Names of all relations, sorted. Does not materialize lazy slots.

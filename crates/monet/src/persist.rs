@@ -184,10 +184,6 @@ pub(crate) struct LazyRelation {
 }
 
 impl LazyRelation {
-    pub(crate) fn kind(&self) -> ColumnKind {
-        self.kind
-    }
-
     pub(crate) fn rows(&self) -> u64 {
         self.rows
     }
@@ -214,7 +210,6 @@ impl LazyRelation {
 /// parsed, relation payloads untouched.
 #[derive(Debug)]
 pub struct SnapshotReader {
-    bytes: Arc<Vec<u8>>,
     next_oid: u64,
     pool: StrPool,
     entries: Vec<(String, LazyRelation)>,
@@ -309,7 +304,6 @@ impl SnapshotReader {
             )));
         }
         Ok(SnapshotReader {
-            bytes,
             next_oid,
             pool,
             entries,
@@ -324,11 +318,6 @@ impl SnapshotReader {
     /// Relation names in snapshot order, without decoding anything.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// Total snapshot size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
     }
 
     /// Builds a catalog whose relations decode on first access.
@@ -354,11 +343,6 @@ impl SnapshotReader {
 /// Writes a snapshot atomically (temp file + rename) through `backend`.
 pub fn save_atomic(db: &Db, backend: &dyn StorageBackend, path: &std::path::Path) -> Result<()> {
     write_atomic(backend, path, &snapshot(db)?)
-}
-
-/// Reads a snapshot through `backend`.
-pub fn load_via(backend: &dyn StorageBackend, path: &std::path::Path) -> Result<Db> {
-    restore(&backend.read(path)?)
 }
 
 /// Writes a snapshot to a file (non-atomic; prefer [`save_atomic`]).

@@ -80,18 +80,6 @@ pub fn nodes_at_budgeted(
     }
 }
 
-/// `(parent, child)` pairs at element path `path` (len ≥ 2).
-pub fn edges_at(store: &XmlStore, path: &Path) -> Result<Vec<(Oid, Oid)>> {
-    let rel = path.to_string();
-    match store.db().get(&rel) {
-        Ok(bat) => Ok(bat
-            .iter()
-            .filter_map(|(h, v)| v.as_oid().map(|c| (h, c)))
-            .collect()),
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
 /// `(node, value)` pairs for attribute `name` on nodes at element path
 /// `path`.
 pub fn attr_values(store: &XmlStore, path: &Path, name: &str) -> Result<Vec<(Oid, String)>> {

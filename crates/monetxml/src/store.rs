@@ -12,10 +12,11 @@
 //! * **update** — [`XmlStore::delete_document`] removes a stored document
 //!   so the maintenance machinery (FDS) can replace invalidated trees.
 //!
-//! Two deliberately *worse* code paths are kept as benchmark baselines,
-//! mirroring the paper's own strawmen: [`XmlStore::bulkload_str_naive`]
-//! (hash the full path string for every single insert — the "first naïve
-//! approach" of the bulkload section) and the edge-table storage mode in
+//! Two deliberately *worse* code paths are kept as baselines that tests
+//! compare the real ones against, mirroring the paper's own strawmen:
+//! [`XmlStore::bulkload_str_naive`] (hash the full path string for every
+//! single insert — the "first naïve approach" of the bulkload section)
+//! and the edge-table storage mode in
 //! [`crate::query::nodes_at_edges`] (node-at-a-time traversal, the
 //! "plain data guides" competitor).
 

@@ -254,12 +254,6 @@ impl<'a> Loader<'a> {
             .ok_or_else(|| Error::Store("loader saw no root element".into()))?;
         Ok((root, self.stats))
     }
-
-    /// Current live state size (open-element frames); exposed for the
-    /// memory-bound experiment E1.
-    pub fn live_frames(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 /// Walks an in-memory [`Document`] through a [`Loader`] — the DOM-side
@@ -451,6 +445,37 @@ mod tests {
             db.get_mut("sys").unwrap().first_tail_of(root),
             Some(Value::Str("image".into()))
         );
+
+        // The SAX loader on generated documents 80× apart in size: its
+        // live frames follow the height (root + levels + leaf) only.
+        for (depth, nodes) in [(4, 283), (8, 22_963)] {
+            let xml = nested_doc(depth, 3);
+            let mut store = crate::XmlStore::new();
+            store.bulkload_str("nested.xml", &xml).unwrap();
+            let stats = store.last_stats();
+            assert_eq!(stats.nodes, nodes);
+            assert_eq!(stats.max_depth, depth + 2, "depth {depth}");
+        }
+    }
+
+    /// `<root>` over `depth` levels of `width` children each, every
+    /// path ending in `<leaf>x</leaf>`.
+    fn nested_doc(depth: usize, width: usize) -> String {
+        fn level(out: &mut String, depth: usize, width: usize) {
+            if depth == 0 {
+                out.push_str("<leaf>x</leaf>");
+                return;
+            }
+            for i in 0..width {
+                out.push_str(&format!("<n{i}>"));
+                level(out, depth - 1, width);
+                out.push_str(&format!("</n{i}>"));
+            }
+        }
+        let mut out = String::from("<root>");
+        level(&mut out, depth, width);
+        out.push_str("</root>");
+        out
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # invocation must stay --offline (deps are vendored in-tree under shims/).
 
 # Build, test, and lint — the full pre-merge gate. Includes the
-# end-to-end benchmark's quick pass and a smoke pass (tiny workload)
-# over every remaining bench binary so the harness itself cannot rot.
+# end-to-end benchmark's quick pass, so `dlbench`, the one timing
+# harness, cannot rot.
 verify:
     just manifest-paths
     cargo build --release --offline
@@ -11,14 +11,13 @@ verify:
     cargo clippy --offline --workspace --all-targets -- -D warnings
     just doc
     just bench-e2e-smoke
-    BENCH_SMOKE=1 cargo bench --offline -p bench
     just loc
 
 # Every path a workspace manifest names — each member the `crates/*`
 # and `shims/*` globs pick up, each `path = "…"` dependency or target —
 # must be a file git tracks. A path that exists here but is ignored or
-# untracked builds on this machine and nowhere else (how the criterion
-# shim went missing from every clean clone).
+# untracked builds on this machine and nowhere else (how a shim the
+# root manifest named once went missing from every clean clone).
 manifest-paths:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -121,11 +120,11 @@ bench-pairs workload rev n:
     EOF
 
 # Size of the Rust code under `crates/`: non-blank, non-comment lines of
-# every `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`) and
-# of the bench binaries, as a subtotal per crate and a total — plus the
-# two crates the query path lives in, `core + ir`, on a line of their
-# own. A PR that claims "less code" quotes the total and the `core + ir`
-# line at its parent and at its head.
+# every `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`),
+# as a subtotal per crate and a total — plus the two crates the query
+# path lives in, `core + ir`, on a line of their own. A PR that claims
+# "less code" quotes the total and the `core + ir` line at its parent
+# and at its head.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -134,7 +133,7 @@ loc:
          counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines[crate]++; total++ }
          END { for (c in lines) printf "%6d crates/%s\n", lines[c], c | "sort -k2"; close("sort -k2")
                printf "%6d total\n%6d core + ir\n", total, lines["core"] + lines["ir"] }' \
-        crates/*/src/*.rs crates/bench/benches/*.rs
+        crates/*/src/*.rs
 
 build:
     cargo build --offline
