@@ -111,8 +111,8 @@ pub enum RevisionLevel {
 /// The distinction drives recovery: a [`DetectorError::Reject`] is a
 /// verdict about the media object (the algorithm ran and said no), while
 /// a [`DetectorError::Unavailable`] is an infrastructure failure (the
-/// algorithm never ran) — the parse records an incomplete node and the
-/// scheduler retries later.
+/// algorithm never ran) — the parse records an incomplete node and a
+/// later heal re-parses it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectorError {
     /// The detector ran and rejected its input.
@@ -168,11 +168,10 @@ struct Registered {
 ///
 /// Initial registration takes `&mut self` (setup-time structural
 /// change); everything else — running detectors, firing hooks, the call
-/// counters, and live [`DetectorRegistry::upgrade`] /
-/// [`DetectorRegistry::replace`] swaps — works through `&self`, so a
-/// single registry can be shared across ingestion workers *and* a
-/// background maintenance job can install a new implementation while
-/// the engine keeps serving.
+/// counters, and live [`DetectorRegistry::replace`] swaps — works
+/// through `&self`, so a single registry can be shared across ingestion
+/// workers *and* a background maintenance job can install a new
+/// implementation while the engine keeps serving.
 #[derive(Default)]
 pub struct DetectorRegistry {
     impls: RwLock<HashMap<String, Registered>>,
@@ -229,23 +228,6 @@ impl DetectorRegistry {
             .expect("impl lock")
             .get(name)
             .map(|r| r.version)
-    }
-
-    /// Replaces the implementation of `name` and bumps its version at
-    /// `level`; returns the new version.
-    pub fn upgrade(
-        &self,
-        name: &str,
-        level: RevisionLevel,
-        run: DetectorFn,
-    ) -> Result<Version> {
-        let mut impls = self.impls.write().expect("impl lock");
-        let reg = impls
-            .get_mut(name)
-            .ok_or_else(|| Error::UnregisteredDetector(name.to_owned()))?;
-        reg.version = reg.version.bumped(level);
-        reg.run = run;
-        Ok(reg.version)
     }
 
     /// Installs exactly (`version`, `run`) for `name` and returns the
@@ -430,14 +412,11 @@ mod tests {
     fn upgrade_bumps_version_and_swaps_impl() {
         let mut reg = DetectorRegistry::new();
         reg.register("d", Version::new(1, 0, 0), Box::new(|_| Ok(vec![])));
-        let v = reg
-            .upgrade(
-                "d",
-                RevisionLevel::Minor,
-                Box::new(|_| Ok(vec![Token::new("x", 1i64)])),
-            )
+        let v = reg.version("d").unwrap().bumped(RevisionLevel::Minor);
+        let _old = reg
+            .replace("d", v, Box::new(|_| Ok(vec![Token::new("x", 1i64)])))
             .unwrap();
-        assert_eq!(v, Version::new(1, 1, 0));
+        assert_eq!(reg.version("d"), Some(Version::new(1, 1, 0)));
         assert_eq!(reg.run("d", &[]).unwrap().len(), 1);
     }
 

@@ -921,12 +921,13 @@ mod tests {
             fde.parse(mmo_tokens("http://x/v.mpg")).unwrap()
         };
         // Upgrade segment: its stored output must not be reused.
-        reg.upgrade(
-            "segment",
-            crate::detector::RevisionLevel::Minor,
-            Box::new(|_| Ok(vec![])),
-        )
-        .unwrap();
+        let bumped = reg
+            .version("segment")
+            .unwrap()
+            .bumped(crate::detector::RevisionLevel::Minor);
+        let _old = reg
+            .replace("segment", bumped, Box::new(|_| Ok(vec![])))
+            .unwrap();
         let cache = harvest_cache(&g, &reg, &tree, |_| true);
         // header + tennis remain; segment is out.
         assert!(cache

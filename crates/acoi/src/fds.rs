@@ -22,26 +22,35 @@
 //! cache, so only the invalidated closure's detectors execute. The
 //! savings are reported in [`MaintenanceReport`] — they are what
 //! experiment E3 measures against a full rebuild.
+//!
+//! This module only plans ([`Fds::plan`], [`Fds::heal_plan`]) and
+//! re-parses one object at a time ([`Fds::reparse_object`],
+//! [`Fds::heal_object`]). Carrying a plan over the stored trees is the
+//! `core` crate's maintenance job: it runs every non-correction plan as
+//! one background job, whatever its priority, and readers keep the
+//! trees of the epoch they pinned until the job commits.
 
 use std::collections::BTreeSet;
 
 use feagram::{DepGraph, Grammar};
 
-use crate::detector::{DetectorFn, DetectorRegistry, RevisionLevel};
+use crate::detector::{DetectorRegistry, RevisionLevel};
 use crate::error::Result;
 use crate::fde::{harvest_cache, DetectorCache, Fde};
 use crate::metaindex::MetaIndex;
 use crate::token::Token;
 use crate::tree::ParseTree;
 
-/// Scheduling priority of a revalidation.
+/// The paper's scheduling priority of a revalidation. Only
+/// [`Priority::None`] changes what maintenance does (nothing); `Low` and
+/// `High` plans run alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// No action required (corrections).
     None,
-    /// Data stays queryable; revalidate lazily (minor revisions).
+    /// The paper's low priority: data stays queryable (minor revisions).
     Low,
-    /// Data unusable; revalidate immediately (major revisions).
+    /// The paper's high priority: stored data unusable (major revisions).
     High,
 }
 
@@ -108,13 +117,13 @@ pub struct MaintenanceReport {
     pub detector_calls_saved: usize,
 }
 
-/// The scheduler. Owns the dependency graph of one grammar.
+/// The FDS. Owns the dependency graph of one grammar.
 pub struct Fds {
     depgraph: DepGraph,
 }
 
 impl Fds {
-    /// Builds the scheduler (and the dependency graph) for a grammar.
+    /// Builds the FDS (and the dependency graph) for a grammar.
     pub fn new(grammar: &Grammar) -> Self {
         Fds {
             depgraph: DepGraph::build(grammar),
@@ -159,30 +168,12 @@ impl Fds {
         }
     }
 
-    /// Installs a new implementation of `detector` at `level` and
-    /// incrementally maintains the meta-index: only objects whose stored
-    /// trees contain the detector are re-parsed, and within each re-parse
-    /// every detector outside the invalidated closure reuses its stored
-    /// output instead of executing.
-    pub fn upgrade_detector(
-        &self,
-        grammar: &Grammar,
-        registry: &DetectorRegistry,
-        index: &mut MetaIndex,
-        detector: &str,
-        level: RevisionLevel,
-        new_impl: DetectorFn,
-    ) -> Result<MaintenanceReport> {
-        registry.upgrade(detector, level, new_impl)?;
-        self.apply_revision(grammar, registry, index, detector, level)
-    }
-
     /// Re-parses one object for a revision of `detector` whose new
     /// implementation is already installed in the registry. Returns
     /// `None` (untouched) when the stored tree cannot contain the
     /// detector; otherwise the new tree plus the call accounting. The
-    /// caller decides where the result lands — the synchronous paths
-    /// insert it straight back, a background job keeps it as a delta.
+    /// result is not installed anywhere: a maintenance job keeps it as
+    /// a delta and applies it to the live index at cutover.
     pub fn reparse_object(
         &self,
         grammar: &Grammar,
@@ -197,19 +188,7 @@ impl Fds {
             return Ok(None);
         }
         let cache = harvest_cache(grammar, registry, &tree, |d| !stale.contains(d));
-        let initial = index
-            .initial_tokens(source)
-            .map(<[Token]>::to_vec)
-            .unwrap_or_default();
-        let mut fde = Fde::new(grammar, registry);
-        let new_tree = fde.parse_with_cache(initial.clone(), &cache)?;
-        let stats = fde.stats();
-        Ok(Some(ObjectReparse {
-            tree: new_tree,
-            initial,
-            detector_calls: stats.detector_calls,
-            detector_calls_saved: stats.cache_hits,
-        }))
+        reparse(grammar, registry, index, source, &cache).map(Some)
     }
 
     /// Re-parses one object iff its stored tree holds a
@@ -234,103 +213,7 @@ impl Fds {
         // Rejected nodes carry no version, so the harvest naturally
         // excludes them; every healthy detector is reused.
         let cache = harvest_cache(grammar, registry, &tree, |_| true);
-        let initial = index
-            .initial_tokens(source)
-            .map(<[Token]>::to_vec)
-            .unwrap_or_default();
-        let mut fde = Fde::new(grammar, registry);
-        let new_tree = fde.parse_with_cache(initial.clone(), &cache)?;
-        let stats = fde.stats();
-        Ok(Some(ObjectReparse {
-            tree: new_tree,
-            initial,
-            detector_calls: stats.detector_calls,
-            detector_calls_saved: stats.cache_hits,
-        }))
-    }
-
-    /// Maintains the index for an implementation change that is already
-    /// installed in the registry (the work a [`crate::Scheduler`] defers).
-    pub fn apply_revision(
-        &self,
-        grammar: &Grammar,
-        registry: &DetectorRegistry,
-        index: &mut MetaIndex,
-        detector: &str,
-        level: RevisionLevel,
-    ) -> Result<MaintenanceReport> {
-        let plan = self.plan(grammar, detector, level);
-
-        if plan.priority == Priority::None {
-            // Corrections invalidate nothing.
-            return Ok(MaintenanceReport {
-                objects_untouched: index.sources().len(),
-                plan,
-                objects_reparsed: 0,
-                detector_calls: 0,
-                detector_calls_saved: 0,
-            });
-        }
-
-        let stale = plan.stale_symbols();
-        let mut report = MaintenanceReport {
-            plan,
-            objects_reparsed: 0,
-            objects_untouched: 0,
-            detector_calls: 0,
-            detector_calls_saved: 0,
-        };
-
-        // Cheap pre-filter: if no stored path mentions the detector at
-        // all, nothing is affected.
-        let sources: Vec<String> = index.sources().to_vec();
-        for source in sources {
-            match self.reparse_object(grammar, registry, index, &source, detector, &stale)? {
-                None => report.objects_untouched += 1,
-                Some(done) => {
-                    report.detector_calls += done.detector_calls;
-                    report.detector_calls_saved += done.detector_calls_saved;
-                    index.insert(&source, done.initial, &done.tree)?;
-                    report.objects_reparsed += 1;
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Re-parses every object whose stored tree has a rejected-with-cause
-    /// node for `detector` (its implementation was unavailable when the
-    /// object was populated). Healthy detector results are reused from
-    /// the stored tree, so a heal only runs the recovered detector and
-    /// whatever lives beneath it; if the detector is *still* unavailable
-    /// the tree simply keeps its rejected marker for the next heal wave.
-    pub fn heal_detector(
-        &self,
-        grammar: &Grammar,
-        registry: &DetectorRegistry,
-        index: &mut MetaIndex,
-        detector: &str,
-    ) -> Result<MaintenanceReport> {
-        let mut report = MaintenanceReport {
-            plan: Self::heal_plan(detector),
-            objects_reparsed: 0,
-            objects_untouched: 0,
-            detector_calls: 0,
-            detector_calls_saved: 0,
-        };
-        let sources: Vec<String> = index.sources().to_vec();
-        for source in sources {
-            match self.heal_object(grammar, registry, index, &source, detector)? {
-                None => report.objects_untouched += 1,
-                Some(done) => {
-                    report.detector_calls += done.detector_calls;
-                    report.detector_calls_saved += done.detector_calls_saved;
-                    index.insert(&source, done.initial, &done.tree)?;
-                    report.objects_reparsed += 1;
-                }
-            }
-        }
-        Ok(report)
+        reparse(grammar, registry, index, source, &cache).map(Some)
     }
 
     /// The synthetic plan a heal runs under: nothing is invalidated
@@ -363,21 +246,40 @@ impl Fds {
         if still_valid(source) {
             return Ok(false);
         }
-        let initial = index
-            .initial_tokens(source)
-            .map(<[Token]>::to_vec)
-            .unwrap_or_default();
-        let mut fde = Fde::new(grammar, registry);
-        let tree = fde.parse_with_cache(initial.clone(), &DetectorCache::new())?;
-        index.insert(source, initial, &tree)?;
+        let done = reparse(grammar, registry, index, source, &DetectorCache::new())?;
+        index.insert(source, done.initial, &done.tree)?;
         Ok(true)
     }
+}
+
+/// Parses `source` again from its stored initial tokens, reusing every
+/// detector result in `cache`.
+fn reparse(
+    grammar: &Grammar,
+    registry: &DetectorRegistry,
+    index: &MetaIndex,
+    source: &str,
+    cache: &DetectorCache,
+) -> Result<ObjectReparse> {
+    let initial = index
+        .initial_tokens(source)
+        .map(<[Token]>::to_vec)
+        .unwrap_or_default();
+    let mut fde = Fde::new(grammar, registry);
+    let tree = fde.parse_with_cache(initial.clone(), cache)?;
+    let stats = fde.stats();
+    Ok(ObjectReparse {
+        tree,
+        initial,
+        detector_calls: stats.detector_calls,
+        detector_calls_saved: stats.cache_hits,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::Version;
+    use crate::detector::{DetectorFn, Version};
     use crate::token::Token;
     use feagram::{parse_grammar, FeatureValue};
 
@@ -446,6 +348,13 @@ mod tests {
         index
     }
 
+    /// Installs `run` as `detector`'s implementation at the version
+    /// bumped by `level`, the swap a maintenance job performs at begin.
+    fn install(reg: &DetectorRegistry, detector: &str, level: RevisionLevel, run: DetectorFn) {
+        let version = reg.version(detector).unwrap().bumped(level);
+        let _old = reg.replace(detector, version, run).unwrap();
+    }
+
     #[test]
     fn correction_revision_is_a_noop() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
@@ -453,19 +362,20 @@ mod tests {
         let mut index = populated_index(&g, &mut reg, 3);
         let fds = Fds::new(&g);
         reg.reset_counts();
-        let report = fds
-            .upgrade_detector(
-                &g,
-                &reg,
-                &mut index,
-                "tennis",
-                RevisionLevel::Correction,
-                Box::new(|_| Ok(vec![])),
-            )
-            .unwrap();
-        assert_eq!(report.plan.priority, Priority::None);
-        assert_eq!(report.objects_reparsed, 0);
-        assert_eq!(report.objects_untouched, 3);
+        install(&reg, "tennis", RevisionLevel::Correction, Box::new(|_| Ok(vec![])));
+        let plan = fds.plan(&g, "tennis", RevisionLevel::Correction);
+        assert_eq!(plan.priority, Priority::None);
+        assert!(plan.stale_symbols().is_empty());
+        assert!(plan.enclosing.is_empty());
+        // A correction invalidates nothing: even re-parsing an object
+        // reuses every stored result, the corrected detector's included.
+        for source in index.sources().to_vec() {
+            let done = fds
+                .reparse_object(&g, &reg, &mut index, &source, "tennis", &plan.stale_symbols())
+                .unwrap()
+                .unwrap();
+            assert_eq!(done.detector_calls, 0);
+        }
         assert_eq!(reg.total_calls(), 0);
     }
 
@@ -478,33 +388,36 @@ mod tests {
         reg.reset_counts();
 
         // New tennis implementation: player closer to the net.
-        let report = fds
-            .upgrade_detector(
-                &g,
-                &reg,
-                &mut index,
-                "tennis",
-                RevisionLevel::Minor,
-                Box::new(|inputs| {
-                    let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
-                    Ok(vec![
-                        Token::new("frameNo", begin),
-                        Token::new("xPos", 320.0),
-                        Token::new("yPos", 150.0),
-                        Token::new("Area", 1000i64),
-                        Token::new("Ecc", 0.7),
-                        Token::new("Orient", 5.0),
-                    ])
-                }),
-            )
-            .unwrap();
-
-        assert_eq!(report.plan.priority, Priority::Low);
-        assert_eq!(report.objects_reparsed, 2);
-        // Per object: tennis ran twice (2 tennis shots), header and
-        // segment were reused from the stored tree.
-        assert_eq!(report.detector_calls, 4);
-        assert_eq!(report.detector_calls_saved, 4); // header+segment × 2 objects
+        install(
+            &reg,
+            "tennis",
+            RevisionLevel::Minor,
+            Box::new(|inputs| {
+                let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
+                Ok(vec![
+                    Token::new("frameNo", begin),
+                    Token::new("xPos", 320.0),
+                    Token::new("yPos", 150.0),
+                    Token::new("Area", 1000i64),
+                    Token::new("Ecc", 0.7),
+                    Token::new("Orient", 5.0),
+                ])
+            }),
+        );
+        let plan = fds.plan(&g, "tennis", RevisionLevel::Minor);
+        assert_eq!(plan.priority, Priority::Low);
+        let stale = plan.stale_symbols();
+        for source in index.sources().to_vec() {
+            let done = fds
+                .reparse_object(&g, &reg, &mut index, &source, "tennis", &stale)
+                .unwrap()
+                .unwrap();
+            // tennis ran twice (2 tennis shots); header and segment were
+            // reused from the stored tree.
+            assert_eq!(done.detector_calls, 2);
+            assert_eq!(done.detector_calls_saved, 2);
+            index.insert(&source, done.initial, &done.tree).unwrap();
+        }
         assert_eq!(reg.call_count("header"), 0);
         assert_eq!(reg.call_count("segment"), 0);
         assert_eq!(reg.call_count("tennis"), 4);
@@ -528,32 +441,32 @@ mod tests {
         reg.reset_counts();
 
         // New segmentation: everything is one big tennis shot.
-        let report = fds
-            .upgrade_detector(
-                &g,
-                &reg,
-                &mut index,
-                "segment",
-                RevisionLevel::Major,
-                Box::new(|_| {
-                    Ok(vec![
-                        Token::new("frameNo", 0i64),
-                        Token::new("frameNo", 399i64),
-                        Token::new("type", "tennis"),
-                    ])
-                }),
-            )
-            .unwrap();
-
-        assert_eq!(report.plan.priority, Priority::High);
+        install(
+            &reg,
+            "segment",
+            RevisionLevel::Major,
+            Box::new(|_| {
+                Ok(vec![
+                    Token::new("frameNo", 0i64),
+                    Token::new("frameNo", 399i64),
+                    Token::new("type", "tennis"),
+                ])
+            }),
+        );
+        let plan = fds.plan(&g, "segment", RevisionLevel::Major);
+        assert_eq!(plan.priority, Priority::High);
         // segment's downward closure contains tennis (and netplay), so
-        // tennis re-ran; header stayed cached.
-        assert!(report.plan.invalidated.contains("tennis"));
+        // tennis re-runs; header stays cached.
+        assert!(plan.invalidated.contains("tennis"));
+        let url = "http://x/video0.mpg";
+        let done = fds
+            .reparse_object(&g, &reg, &mut index, url, "segment", &plan.stale_symbols())
+            .unwrap()
+            .unwrap();
         assert_eq!(reg.call_count("header"), 0);
         assert_eq!(reg.call_count("segment"), 1);
         assert_eq!(reg.call_count("tennis"), 1);
-        let tree = index.tree(&g, "http://x/video0.mpg").unwrap();
-        assert_eq!(tree.find_all("shot").len(), 1);
+        assert_eq!(done.tree.find_all("shot").len(), 1);
     }
 
     #[test]
@@ -579,18 +492,15 @@ mod tests {
             index.insert(url, initial, &tree).unwrap();
         }
         let fds = Fds::new(&g);
-        let report = fds
-            .upgrade_detector(
-                &g,
-                &reg,
-                &mut index,
-                "tennis",
-                RevisionLevel::Major,
-                Box::new(|_| Ok(vec![])),
-            )
-            .unwrap();
-        assert_eq!(report.objects_reparsed, 1);
-        assert_eq!(report.objects_untouched, 1);
+        install(&reg, "tennis", RevisionLevel::Major, Box::new(|_| Ok(vec![])));
+        let stale = fds.plan(&g, "tennis", RevisionLevel::Major).stale_symbols();
+        let mut touched = |url| {
+            fds.reparse_object(&g, &reg, &mut index, url, "tennis", &stale)
+                .unwrap()
+                .is_some()
+        };
+        assert!(touched("http://x/v.mpg"));
+        assert!(!touched("http://x/i.jpg"));
     }
 
     #[test]
@@ -638,17 +548,21 @@ mod tests {
 
         let fds = Fds::new(&g);
         reg.reset_counts();
-        let report = fds.heal_detector(&g, &reg, &mut index, "tennis").unwrap();
-        assert_eq!(report.objects_reparsed, 1);
-        assert_eq!(report.objects_untouched, 1);
+        let healthy = fds
+            .heal_object(&g, &reg, &mut index, "http://x/video1.mpg", "tennis")
+            .unwrap();
+        assert!(healthy.is_none());
+        let healed = fds
+            .heal_object(&g, &reg, &mut index, "http://x/video0.mpg", "tennis")
+            .unwrap()
+            .unwrap();
         // header and segment were reused from the stored tree.
         assert_eq!(reg.call_count("header"), 0);
         assert_eq!(reg.call_count("segment"), 0);
         assert_eq!(reg.call_count("tennis"), 1);
         // The healed tree is complete.
-        let tree = index.tree(&g, "http://x/video0.mpg").unwrap();
-        assert!(tree.rejected_nodes().is_empty());
-        assert!(!tree.find_all("netplay").is_empty());
+        assert!(healed.tree.rejected_nodes().is_empty());
+        assert!(!healed.tree.find_all("netplay").is_empty());
     }
 
     #[test]

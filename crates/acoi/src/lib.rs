@@ -20,19 +20,17 @@
 //!   ([`external::WireError`]) and injectable via a `faults::FaultPlan`.
 //! * [`supervise`] — supervised detector execution: per-call deadlines
 //!   on worker threads, bounded retries with jittered backoff, and a
-//!   per-detector circuit breaker feeding the FDS's healing queue.
+//!   per-detector circuit breaker; the holes an outage leaves in a parse
+//!   tree are filled by a later heal.
 //! * [`fde`] — the **Feature Detector Engine**: a recursive-descent
 //!   parser with backtracking that runs detectors on demand, validates
 //!   their output against the production rules, and produces the parse
 //!   tree (data-driven population of the meta-index).
 //! * [`fds`] — the **Feature Detector Scheduler**: localises the effect
-//!   of detector revisions through the dependency graph and schedules
-//!   incremental re-parses instead of full rebuilds (demand-driven
-//!   maintenance).
-//! * [`scheduler`] — deferred maintenance with the paper's priorities:
-//!   minor revisions queue at low priority while queries keep using the
-//!   stale-but-usable data; major revisions queue at high priority and
-//!   mark affected trees unusable until processed.
+//!   of detector revisions through the dependency graph and re-parses
+//!   one object incrementally instead of rebuilding it (demand-driven
+//!   maintenance); `core`'s maintenance job carries a plan over the
+//!   stored trees.
 //! * [`metaindex`] — stored parse trees in the Monet XML store, keyed by
 //!   source location.
 
@@ -44,7 +42,6 @@ pub mod external;
 pub mod fde;
 pub mod fds;
 pub mod metaindex;
-pub mod scheduler;
 pub mod supervise;
 pub mod token;
 pub mod tree;
@@ -55,7 +52,6 @@ pub use external::{RpcClient, RpcServer, WireError};
 pub use fde::{Fde, FdeStats, StackMode};
 pub use fds::{Fds, MaintenanceReport};
 pub use metaindex::MetaIndex;
-pub use scheduler::Scheduler;
 pub use supervise::{BreakerState, Supervisor, SupervisorConfig, SupervisorStats};
 pub use token::Token;
 pub use tree::{PNodeId, ParseTree};

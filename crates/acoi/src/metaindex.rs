@@ -135,16 +135,6 @@ impl MetaIndex {
     pub fn heal_backlog(&mut self) -> std::collections::BTreeMap<String, usize> {
         self.store.rejected_counts()
     }
-
-    /// Whether any stored tree can contain symbol `name`, judged from
-    /// the path summary (cheap pre-filter before loading trees).
-    pub fn any_path_mentions(&self, name: &str) -> bool {
-        self.store
-            .summary()
-            .element_paths()
-            .iter()
-            .any(|p| p.steps().iter().any(|s| s.label() == name))
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +211,4 @@ mod tests {
         assert!(idx.heal_backlog().is_empty());
     }
 
-    #[test]
-    fn path_mention_prefilter() {
-        let mut idx = MetaIndex::new();
-        idx.insert("s", vec![], &sample_tree()).unwrap();
-        assert!(idx.any_path_mentions("location"));
-        assert!(!idx.any_path_mentions("tennis"));
-    }
 }

@@ -71,11 +71,6 @@ impl SymbolTable {
         self.classes.get(name)
     }
 
-    /// Whether `name` is a detector.
-    pub fn is_detector(&self, name: &str) -> bool {
-        matches!(self.classes.get(name), Some(SymbolClass::Detector))
-    }
-
     /// Whether `name` is a terminal; returns its ADT.
     pub fn terminal_type(&self, name: &str) -> Option<&str> {
         match self.classes.get(name) {
@@ -175,6 +170,6 @@ mod tests {
             .unwrap();
         assert_eq!(t.terminal_type("frameNo"), Some("int"));
         assert_eq!(t.terminal_type("other"), None);
-        assert!(!t.is_detector("frameNo"));
+        assert!(!matches!(t.class("frameNo"), Some(SymbolClass::Detector)));
     }
 }

@@ -528,12 +528,6 @@ impl DistributedIndex {
         self.placement.host[group][1..].to_vec()
     }
 
-    /// The virtual host currently holding group `g`'s primary (`g`
-    /// itself unless re-replication relocated it).
-    pub fn primary_server(&self, group: usize) -> usize {
-        self.placement.host[group][0]
-    }
-
     /// The fault-plan label copy `c` (0 = primary) of group `g` is
     /// consulted under. A primary on its home host keeps the historic
     /// `shard:<g>` label; a primary relocated by re-replication is
@@ -2630,11 +2624,11 @@ mod tests {
         }
         let installed = d.commit_rereplication(job).unwrap();
         assert_eq!(installed, 2);
-        assert_ne!(d.primary_server(2), 2, "primary must move off the dead host");
+        assert_ne!(d.placement.host[2][0], 2, "primary must move off the dead host");
         assert!(!d.replica_servers(1).contains(&2));
         // Copies of each affected group stay host-disjoint.
         for g in [1usize, 2] {
-            let mut hosts = vec![d.primary_server(g)];
+            let mut hosts = vec![d.placement.host[g][0]];
             hosts.extend(d.replica_servers(g));
             hosts.sort_unstable();
             hosts.dedup();
@@ -2659,7 +2653,7 @@ mod tests {
         let layout_before = d.layout().to_vec();
         let content_before = d.content_snapshot_shards().unwrap();
         let placement_before: Vec<(usize, Vec<usize>)> = (0..4)
-            .map(|g| (d.primary_server(g), d.replica_servers(g)))
+            .map(|g| (d.placement.host[g][0], d.replica_servers(g)))
             .collect();
         let plan = FaultPlan::seeded(35);
         plan.set_site("rereplicate:2:2", FaultSpec::always_error());
@@ -2683,7 +2677,7 @@ mod tests {
         assert_eq!(d.layout(), &layout_before[..]);
         assert_eq!(d.content_snapshot_shards().unwrap(), content_before);
         let placement_after: Vec<(usize, Vec<usize>)> = (0..4)
-            .map(|g| (d.primary_server(g), d.replica_servers(g)))
+            .map(|g| (d.placement.host[g][0], d.replica_servers(g)))
             .collect();
         assert_eq!(placement_before, placement_after);
     }

@@ -8,9 +8,6 @@
 //! * **lookups** — find tails for a head (hash-indexed),
 //! * **joins** — `self.tail ⋈ other.head`, the backbone of path-expression
 //!   evaluation in Monet XML,
-//! * **semijoins** — restrict to a set of heads,
-//! * **grouping / aggregation** — counts and sums per head (used by the IR
-//!   level for `tf` and score accumulation),
 //! * **ordering / slicing** — sort by tail, take top-N.
 //!
 //! Mutation is append-mostly; deletion by head exists to support the FDS's
@@ -335,11 +332,6 @@ impl Bat {
         Some(self.tail.get(p as usize))
     }
 
-    /// Whether any association has head `head`.
-    pub fn contains_head(&self, head: Oid) -> bool {
-        self.positions(head).next().is_some()
-    }
-
     /// Heads whose tail satisfies `pred`. Order follows storage order;
     /// duplicates are kept (one per matching association).
     pub fn select_by(&self, mut pred: impl FnMut(&Value) -> bool) -> Vec<Oid> {
@@ -398,20 +390,6 @@ impl Bat {
         Ok(out)
     }
 
-    /// Heads with integer tail equal to `i`.
-    pub fn select_int_eq(&self, i: i64) -> Vec<Oid> {
-        match &self.tail {
-            Column::Int(vs) => self
-                .head
-                .iter()
-                .zip(vs)
-                .filter(|(_, v)| **v == i)
-                .map(|(h, _)| *h)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
     /// Heads with oid tail equal to `o` — i.e. "find parents of `o`" when
     /// the BAT stores parent→child edges.
     pub fn select_oid_eq(&self, o: Oid) -> Vec<Oid> {
@@ -425,11 +403,6 @@ impl Bat {
                 .collect(),
             _ => Vec::new(),
         }
-    }
-
-    /// Heads with float tail in `[lo, hi]` (integers widen).
-    pub fn select_flt_range(&self, lo: f64, hi: f64) -> Vec<Oid> {
-        self.select_by(|v| v.as_flt().is_some_and(|f| f >= lo && f <= hi))
     }
 
     /// Reverses an `oid × oid` BAT: tails become heads and vice versa.
@@ -466,55 +439,6 @@ impl Bat {
             for p in other.positions(*t) {
                 out.append(*h, other.tail.get(p as usize))?;
             }
-        }
-        Ok(out)
-    }
-
-    /// Restricts to associations whose head is in `keep`.
-    pub fn semijoin(&self, keep: &std::collections::HashSet<Oid>) -> Bat {
-        let mut out = Bat::with_kind(self.kind());
-        for i in 0..self.len() {
-            if keep.contains(&self.head[i]) {
-                out.append(self.head[i], self.tail.get(i))
-                    .expect("same-kind append cannot fail");
-            }
-        }
-        out
-    }
-
-    /// Counts associations per head: an `oid × int` BAT. The IR level uses
-    /// this to derive `tf` from the document/term pair relation.
-    pub fn group_count(&self) -> Bat {
-        let mut counts: HashMap<Oid, i64> = HashMap::new();
-        for h in &self.head {
-            *counts.entry(*h).or_insert(0) += 1;
-        }
-        let mut out = Bat::new_int();
-        let mut keys: Vec<_> = counts.into_iter().collect();
-        keys.sort_unstable_by_key(|(h, _)| *h);
-        for (h, c) in keys {
-            out.append_int(h, c).expect("int append");
-        }
-        out
-    }
-
-    /// Sums float tails per head: an `oid × flt` BAT (score accumulation).
-    pub fn group_sum_flt(&self) -> Result<Bat> {
-        let Column::Flt(tails) = &self.tail else {
-            return Err(Error::TypeMismatch {
-                expected: ColumnKind::Flt,
-                got: self.tail.kind(),
-            });
-        };
-        let mut sums: HashMap<Oid, f64> = HashMap::new();
-        for (h, v) in self.head.iter().zip(tails) {
-            *sums.entry(*h).or_insert(0.0) += v;
-        }
-        let mut keys: Vec<_> = sums.into_iter().collect();
-        keys.sort_unstable_by_key(|(h, _)| *h);
-        let mut out = Bat::new_flt();
-        for (h, s) in keys {
-            out.append_flt(h, s)?;
         }
         Ok(out)
     }
@@ -590,11 +514,6 @@ impl Bat {
         }
     }
 
-    /// Distinct heads, in first-appearance order.
-    pub fn distinct_heads(&self) -> Vec<Oid> {
-        let mut seen = std::collections::HashSet::new();
-        self.head.iter().copied().filter(|h| seen.insert(*h)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -634,8 +553,9 @@ mod tests {
         for (h, v) in [(1, 10), (2, 20), (3, 10)] {
             b.append_int(oid(h), v).unwrap();
         }
-        assert_eq!(b.select_int_eq(10), vec![oid(1), oid(3)]);
-        assert_eq!(b.select_flt_range(15.0, 25.0), vec![oid(2)]);
+        assert_eq!(b.select_by(|v| *v == Value::Int(10)), vec![oid(1), oid(3)]);
+        let in_range = |v: &Value| v.as_flt().is_some_and(|f| (15.0..=25.0).contains(&f));
+        assert_eq!(b.select_by(in_range), vec![oid(2)]);
         assert!(b.select_str_eq("x").is_empty());
     }
 
@@ -672,40 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_filters_heads() {
-        let mut b = Bat::new_int();
-        b.append_int(oid(1), 1).unwrap();
-        b.append_int(oid(2), 2).unwrap();
-        let keep: HashSet<_> = [oid(2)].into();
-        let s = b.semijoin(&keep);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(oid(2), Value::Int(2))]);
-    }
-
-    #[test]
-    fn group_count_counts_per_head() {
-        let mut b = Bat::new_str();
-        for (h, s) in [(1, "a"), (1, "b"), (2, "c"), (1, "d")] {
-            b.append_str(oid(h), s).unwrap();
-        }
-        let g = b.group_count();
-        let rows: Vec<_> = g.iter().collect();
-        assert_eq!(
-            rows,
-            vec![(oid(1), Value::Int(3)), (oid(2), Value::Int(1))]
-        );
-    }
-
-    #[test]
-    fn group_sum_accumulates() {
-        let mut b = Bat::new_flt();
-        b.append_flt(oid(1), 0.5).unwrap();
-        b.append_flt(oid(1), 0.25).unwrap();
-        b.append_flt(oid(2), 1.0).unwrap();
-        let g = b.group_sum_flt().unwrap();
-        assert_eq!(g.first_tail_of(oid(1)), Some(Value::Flt(0.75)));
-    }
-
-    #[test]
     fn top_n_orders_descending_with_deterministic_ties() {
         let mut b = Bat::new_flt();
         b.append_flt(oid(3), 0.5).unwrap();
@@ -724,8 +610,8 @@ mod tests {
         b.append_int(oid(1), 3).unwrap();
         assert_eq!(b.delete_head(oid(1)), 2);
         assert_eq!(b.len(), 1);
-        assert!(!b.contains_head(oid(1)));
-        assert!(b.contains_head(oid(2)));
+        assert!(b.first_tail_of(oid(1)).is_none());
+        assert!(b.first_tail_of(oid(2)).is_some());
     }
 
     #[test]
@@ -753,8 +639,8 @@ mod tests {
             v
         };
         assert_eq!(key(&bulk), key(&one_by_one));
-        assert!(bulk.contains_head(oid(2)));
-        assert!(!bulk.contains_head(oid(1)));
+        assert!(bulk.first_tail_of(oid(2)).is_some());
+        assert!(bulk.first_tail_of(oid(1)).is_none());
     }
 
     #[test]
@@ -777,7 +663,7 @@ mod tests {
             shared.tails_of(oid(2)),
             vec![Value::from("x"), Value::from("z")]
         );
-        assert!(shared.contains_head(oid(1)));
+        assert!(shared.first_tail_of(oid(1)).is_some());
         assert_eq!(shared.positions(oid(2)).collect::<Vec<_>>(), vec![0, 2]);
     }
 
@@ -876,14 +762,5 @@ mod tests {
         assert!(b.select_str_eq_budgeted("absent", &budget).is_err());
         let budget = faults::Budget::with_work(5);
         assert!(b.select_str_eq_budgeted("absent", &budget).is_ok());
-    }
-
-    #[test]
-    fn distinct_heads_preserves_first_appearance() {
-        let mut b = Bat::new_int();
-        for h in [2, 1, 2, 3, 1] {
-            b.append_int(oid(h), 0).unwrap();
-        }
-        assert_eq!(b.distinct_heads(), vec![oid(2), oid(1), oid(3)]);
     }
 }

@@ -164,25 +164,6 @@ impl Db {
         Ok(())
     }
 
-    /// Removes and returns the BAT under `name` (materializing it if it
-    /// was still a lazy snapshot slot).
-    pub fn drop_bat(&mut self, name: &str) -> Result<Bat> {
-        {
-            let slot = self
-                .bats
-                .get(name)
-                .ok_or_else(|| Error::NoSuchBat(name.to_owned()))?;
-            slot.materialize(name)?;
-        }
-        let slot = self
-            .bats
-            .remove(name)
-            .ok_or_else(|| Error::NoSuchBat(name.to_owned()))?;
-        slot.cell
-            .into_inner()
-            .ok_or_else(|| Error::Snapshot(format!("relation {name:?}: not materialized")))
-    }
-
     /// Immutable access to a BAT. First access to a lazily restored
     /// relation decodes it here; decode failures surface as
     /// [`Error::Snapshot`].
@@ -308,19 +289,6 @@ impl Db {
             pool,
         }
     }
-
-    /// Resets the oid generator to continue after `next - 1` and rebuilds
-    /// the lookup indexes of materialized relations (lazy slots build
-    /// theirs at decode time). Used by snapshot restore.
-    pub(crate) fn restore_state(&mut self, next: u64) {
-        self.next_oid = next;
-        self.gen = OidGen::resume_after(Oid::from_raw(next.saturating_sub(1)));
-        for slot in self.bats.values_mut() {
-            if let Some(bat) = slot.cell.get_mut() {
-                bat.refresh_index();
-            }
-        }
-    }
 }
 
 impl Default for Db {
@@ -342,8 +310,8 @@ mod tests {
             db.create("r", Bat::new_int()),
             Err(Error::BatExists(_))
         ));
-        db.drop_bat("r").unwrap();
-        assert!(matches!(db.get("r"), Err(Error::NoSuchBat(_))));
+        assert!(db.get("r").unwrap().is_empty());
+        assert!(matches!(db.get("s"), Err(Error::NoSuchBat(_))));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   string, bool),
 //! * [`Bat`] — an append-friendly binary table `head: oid → tail: value`
 //!   with the relational operations the upper levels consume (selections,
-//!   joins, semijoins, grouping, aggregation, top-N slicing),
+//!   lookups, joins, top-N slicing),
 //! * [`Db`] — a named catalog of BATs with a shared string dictionary
 //!   ([`StrPool`]) and lazy per-relation snapshot loading,
 //! * [`persist`] — compressed binary snapshots of a catalog

@@ -29,12 +29,11 @@
 //! dictionary and directory; each relation's payload is decoded on first
 //! catalog access (see `catalog::Slot`).
 //!
-//! Version 2 (uncompressed per-relation encoding, no dictionary) and
-//! legacy v1 (the same without a trailer) are no longer written but
-//! remain readable. Decoding is
-//! hardened against hostile input: every length-prefixed allocation is
-//! capped by the bytes actually remaining in the buffer, so a corrupt
-//! row count cannot trigger a multi-gigabyte allocation.
+//! Version 3 is the only format read or written; any other version
+//! byte is refused with a typed error. Decoding is hardened against
+//! hostile input: every length-prefixed allocation is capped by the
+//! bytes actually remaining in the buffer, so a corrupt dictionary,
+//! relation or row count cannot trigger a multi-gigabyte allocation.
 
 use std::sync::Arc;
 
@@ -44,7 +43,7 @@ use crate::crc::crc32;
 use crate::error::{Error, Result};
 use crate::oid::Oid;
 use crate::storage::{write_atomic, StorageBackend};
-use crate::value::{Column, ColumnKind, StrColumn, StrPool, Value};
+use crate::value::{Column, ColumnKind, StrColumn, StrPool};
 
 const MAGIC: &[u8; 4] = b"MBAT";
 const VERSION: u8 = 3;
@@ -91,84 +90,17 @@ pub fn snapshot(db: &Db) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a snapshot produced by [`snapshot`] (or an older v2 / v1
-/// buffer), materializing every relation.
+/// Decodes a snapshot produced by [`snapshot`], materializing every
+/// relation.
 pub fn restore(bytes: &[u8]) -> Result<Db> {
-    if bytes.len() < 5 {
-        return Err(Error::Snapshot("truncated snapshot".into()));
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(Error::Snapshot("bad magic".into()));
-    }
-    match bytes[4] {
-        1 | 2 => restore_v12(bytes),
-        3 => SnapshotReader::open(bytes.to_vec())?.into_db(),
-        other => Err(Error::Snapshot(format!("unsupported version {other}"))),
-    }
+    SnapshotReader::open(bytes.to_vec())?.into_db()
 }
 
-/// Decodes a snapshot without materializing relation payloads: a v3
-/// snapshot opens in time proportional to its directory, and each BAT
-/// is decoded on first catalog access. Older versions fall back to the
-/// eager [`restore`].
+/// Decodes a snapshot without materializing relation payloads: it opens
+/// in time proportional to its directory, and each BAT is decoded on
+/// first catalog access.
 pub fn restore_lazy(bytes: Vec<u8>) -> Result<Db> {
-    if bytes.len() >= 5 && &bytes[..4] == MAGIC && bytes[4] == VERSION {
-        Ok(SnapshotReader::open(bytes)?.into_db_lazy())
-    } else {
-        restore(&bytes)
-    }
-}
-
-fn restore_v12(bytes: &[u8]) -> Result<Db> {
-    let version = bytes[4];
-    let body = match version {
-        1 => bytes,
-        _ => {
-            if bytes.len() < 9 {
-                return Err(Error::Snapshot("snapshot shorter than trailer".into()));
-            }
-            let (body, trailer) = bytes.split_at(bytes.len() - 4);
-            let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(Error::Snapshot(format!(
-                    "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                )));
-            }
-            body
-        }
-    };
-    let mut cur = Cursor { buf: body, pos: 5 };
-    let next_oid = cur.u64()?;
-    let nrel = cur.u32()? as usize;
-    // Each relation costs at least a name length + kind + row count.
-    if nrel > cur.remaining() / 9 {
-        return Err(Error::Snapshot(format!("relation count {nrel} exceeds buffer")));
-    }
-    let mut db = Db::new();
-    for _ in 0..nrel {
-        let name = cur.string()?;
-        let kind = tag_kind(cur.u8()?)?;
-        let rows = cur.u64()? as usize;
-        // Heads alone take 8 bytes per row; a corrupt row count cannot
-        // be honoured past what the buffer still holds.
-        if rows > cur.remaining() / 8 {
-            return Err(Error::Snapshot(format!(
-                "row count {rows} for {name} exceeds remaining buffer"
-            )));
-        }
-        let mut heads = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            heads.push(Oid::from_raw(cur.u64()?));
-        }
-        let mut bat = Bat::with_kind(kind);
-        decode_tail_v2(&mut cur, &mut bat, &heads, kind, rows)?;
-        db.create(name, bat)?;
-    }
-    // Restore the oid generator to continue after the snapshot's high
-    // watermark, then rebuild lookup indexes.
-    db.restore_state(next_oid);
-    Ok(db)
+    Ok(SnapshotReader::open(bytes)?.into_db_lazy())
 }
 
 /// An undecoded relation inside an opened v3 snapshot: a payload slice
@@ -226,10 +158,7 @@ impl SnapshotReader {
             return Err(Error::Snapshot("bad magic".into()));
         }
         if bytes[4] != VERSION {
-            return Err(Error::Snapshot(format!(
-                "SnapshotReader requires version {VERSION}, got {}",
-                bytes[4]
-            )));
+            return Err(Error::Snapshot(format!("unsupported version {}", bytes[4])));
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
         let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
@@ -343,17 +272,6 @@ impl SnapshotReader {
 /// Writes a snapshot atomically (temp file + rename) through `backend`.
 pub fn save_atomic(db: &Db, backend: &dyn StorageBackend, path: &std::path::Path) -> Result<()> {
     write_atomic(backend, path, &snapshot(db)?)
-}
-
-/// Writes a snapshot to a file (non-atomic; prefer [`save_atomic`]).
-pub fn save_to_file(db: &Db, path: &std::path::Path) -> Result<()> {
-    std::fs::write(path, snapshot(db)?).map_err(|e| Error::Snapshot(e.to_string()))
-}
-
-/// Reads a snapshot from a file.
-pub fn load_from_file(path: &std::path::Path) -> Result<Db> {
-    let bytes = std::fs::read(path).map_err(|e| Error::Snapshot(e.to_string()))?;
-    restore(&bytes)
 }
 
 fn kind_tag(kind: ColumnKind) -> u8 {
@@ -521,28 +439,6 @@ fn decode_tail_v3(
     })
 }
 
-// ---- v2 column codec (read only) -------------------------------------
-
-fn decode_tail_v2(
-    cur: &mut Cursor<'_>,
-    bat: &mut Bat,
-    heads: &[Oid],
-    kind: ColumnKind,
-    rows: usize,
-) -> Result<()> {
-    for &head in heads.iter().take(rows) {
-        let value = match kind {
-            ColumnKind::Oid => Value::Oid(Oid::from_raw(cur.u64()?)),
-            ColumnKind::Int => Value::Int(cur.u64()? as i64),
-            ColumnKind::Flt => Value::Flt(f64::from_bits(cur.u64()?)),
-            ColumnKind::Str => Value::Str(cur.string()?),
-            ColumnKind::Bit => Value::Bit(cur.u8()? != 0),
-        };
-        bat.append(head, value)?;
-    }
-    Ok(())
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -661,6 +557,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::FsBackend;
 
     fn sample_db() -> Db {
         let mut db = Db::new();
@@ -684,39 +581,8 @@ mod tests {
         db
     }
 
-    /// [`sample_db`] as the v2 writer encoded it — generated once,
-    /// before that writer was deleted, so the v1/v2 reader is checked
-    /// against bytes this build did not produce.
-    #[rustfmt::skip]
-    const GOLDEN_V2: &[u8] = &[
-        // "MBAT" | version 2 | next_oid 3 | 5 relations
-        0x4d, 0x42, 0x41, 0x54, 0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
-        0x00,
-        // "edges" | oid | 1 row | head 1 | tail 2
-        0x05, 0x00, 0x00, 0x00, 0x65, 0x64, 0x67, 0x65, 0x73, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00,
-        // "flags" | bit | 1 row | head 1 | true
-        0x05, 0x00, 0x00, 0x00, 0x66, 0x6c, 0x61, 0x67, 0x73, 0x04, 0x01, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-        // "names" | str | 1 row | head 1 | "seles"
-        0x05, 0x00, 0x00, 0x00, 0x6e, 0x61, 0x6d, 0x65, 0x73, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x73, 0x65,
-        0x6c, 0x65, 0x73,
-        // "ranks" | int | 1 row | head 2 | 1
-        0x05, 0x00, 0x00, 0x00, 0x72, 0x61, 0x6e, 0x6b, 0x73, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00,
-        // "scores" | flt | 1 row | head 2 | 0.75
-        0x06, 0x00, 0x00, 0x00, 0x73, 0x63, 0x6f, 0x72, 0x65, 0x73, 0x02, 0x01, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0xe8, 0x3f,
-        // crc32
-        0x40, 0x20, 0xb0, 0xbc,
-    ];
-
-    /// Size of [`bulky_db`] in the v2 format, measured with the same
-    /// writer on the same occasion.
+    /// Size of [`bulky_db`] in the retired v2 format, measured with the
+    /// v2 writer before it was deleted.
     const BULKY_DB_V2_LEN: usize = 21_747;
 
     /// A db with enough repetitive data that compression must bite.
@@ -746,26 +612,6 @@ mod tests {
         for name in db.relation_names() {
             assert_eq!(back.get(name).unwrap(), db.get(name).unwrap(), "{name}");
         }
-    }
-
-    #[test]
-    fn v2_snapshot_round_trips_and_matches_v3_content() {
-        let db = sample_db();
-        let via_v2 = restore(GOLDEN_V2).unwrap();
-        assert_eq!(via_v2.relation_count(), db.relation_count());
-        for name in db.relation_names() {
-            assert_eq!(via_v2.get(name).unwrap(), db.get(name).unwrap(), "{name}");
-        }
-        // Re-snapshotting what the old reader decoded writes the
-        // current format, byte for byte what the live catalog writes.
-        let again = snapshot(&via_v2).unwrap();
-        assert_eq!(again[4], VERSION);
-        assert_eq!(again, snapshot(&db).unwrap());
-    }
-
-    #[test]
-    fn every_single_byte_corruption_of_a_v2_snapshot_is_detected() {
-        assert_every_flip_is_rejected(GOLDEN_V2);
     }
 
     #[test]
@@ -838,6 +684,18 @@ mod tests {
     }
 
     #[test]
+    fn retired_versions_are_refused() {
+        for version in [1, 2, 4] {
+            let mut bytes = snapshot(&sample_db()).unwrap();
+            bytes[4] = version;
+            match restore(&bytes) {
+                Err(Error::Snapshot(msg)) => assert!(msg.contains("unsupported version"), "{msg}"),
+                other => panic!("version {version}: expected Snapshot error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn truncated_snapshot_is_rejected() {
         let bytes = snapshot(&sample_db()).unwrap();
         assert!(restore(&bytes[..bytes.len() / 2]).is_err());
@@ -881,29 +739,25 @@ mod tests {
 
     #[test]
     fn hostile_row_count_cannot_explode_allocation() {
-        let mut bytes = GOLDEN_V2.to_vec();
-        // Forge a v1 snapshot (no trailer to fail first) with a huge
-        // relation count: the cap must reject it without allocating.
-        bytes[4] = 1;
-        let body_len = bytes.len() - 4;
-        bytes.truncate(body_len);
-        let nrel_off = 4 + 1 + 8;
-        bytes[nrel_off..nrel_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        match restore(&bytes) {
-            Err(Error::Snapshot(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
-            other => panic!("expected Snapshot error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_still_loads() {
+        // Forge a huge dictionary count, then a huge relation count, and
+        // fix up the trailer so the CRC passes: the caps must reject
+        // each without allocating.
         let db = sample_db();
-        let mut bytes = GOLDEN_V2.to_vec();
-        bytes[4] = 1;
-        let body_len = bytes.len() - 4;
-        bytes.truncate(body_len); // drop the CRC trailer
-        let back = restore(&bytes).unwrap();
-        assert_eq!(back.relation_count(), db.relation_count());
+        let bytes = snapshot(&db).unwrap();
+        let dict_off = 4 + 1 + 8;
+        let dict_len: usize = db.pool().dump().iter().map(|s| 4 + s.len()).sum();
+        let nrel_off = dict_off + 4 + dict_len;
+        for off in [dict_off, nrel_off] {
+            let mut copy = bytes.clone();
+            copy[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let body_len = copy.len() - 4;
+            let crc = crc32(&copy[..body_len]);
+            copy[body_len..].copy_from_slice(&crc.to_le_bytes());
+            match restore(&copy) {
+                Err(Error::Snapshot(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+                other => panic!("offset {off}: expected Snapshot error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -929,8 +783,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.mbat");
         let db = sample_db();
-        save_to_file(&db, &path).unwrap();
-        let back = load_from_file(&path).unwrap();
+        save_atomic(&db, &FsBackend, &path).unwrap();
+        let back = restore(&FsBackend.read(&path).unwrap()).unwrap();
         assert_eq!(back.association_count(), db.association_count());
         std::fs::remove_file(&path).ok();
     }

@@ -78,14 +78,6 @@ impl Value {
         }
     }
 
-    /// Returns the contained boolean, if any.
-    pub fn as_bit(&self) -> Option<bool> {
-        match self {
-            Value::Bit(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// A total order across same-kind values (floats via IEEE total order).
     /// Cross-kind comparisons order by kind tag, which keeps sorting total
     /// without claiming cross-kind semantics.
@@ -651,7 +643,7 @@ mod tests {
         assert_eq!(Value::from(7i64).as_int(), Some(7));
         assert_eq!(Value::from(1.5f64).as_flt(), Some(1.5));
         assert_eq!(Value::from("x").as_str(), Some("x"));
-        assert_eq!(Value::from(true).as_bit(), Some(true));
+        assert_eq!(Value::from(true), Value::Bit(true));
         assert_eq!(
             Value::from(Oid::from_raw(3)).as_oid(),
             Some(Oid::from_raw(3))

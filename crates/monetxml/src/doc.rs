@@ -39,17 +39,6 @@ pub enum NodeKind {
     Cdata(String),
 }
 
-impl NodeKind {
-    /// The label used in paths: the tag for elements, `PCDATA` for cdata
-    /// nodes (matching Figure 12's schema tree).
-    pub fn path_label(&self) -> &str {
-        match self {
-            NodeKind::Element(tag) => tag,
-            NodeKind::Cdata(_) => "PCDATA",
-        }
-    }
-}
-
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Node {
     pub(crate) kind: NodeKind,
@@ -335,7 +324,7 @@ mod tests {
         assert_eq!(d.tag(root), Some("image"));
         assert_eq!(d.attr(root, "key"), Some("18934"));
         assert_eq!(d.attr(root, "source"), Some("http://.../seles.jpg"));
-        let kids: Vec<_> = d.children(root).iter().map(|c| d.kind(*c).path_label().to_owned()).collect();
+        let kids: Vec<_> = d.children(root).iter().map(|c| d.tag(*c).unwrap().to_owned()).collect();
         assert_eq!(kids, vec!["date", "colors"]);
         let colors = d.child_by_tag(root, "colors").unwrap();
         let ckids: Vec<_> = d.children(colors).iter().map(|c| d.tag(*c).unwrap().to_owned()).collect();

@@ -17,13 +17,6 @@ pub fn to_xml(doc: &Document) -> String {
     out
 }
 
-/// Serialises `doc` with two-space indentation, for human consumption.
-pub fn to_xml_pretty(doc: &Document) -> String {
-    let mut out = String::new();
-    write_node_pretty(doc, doc.root(), 0, &mut out);
-    out
-}
-
 fn write_node(doc: &Document, id: NodeId, out: &mut String) {
     match doc.kind(id) {
         NodeKind::Cdata(text) => out.push_str(&escape_text(text)),
@@ -42,40 +35,6 @@ fn write_node(doc: &Document, id: NodeId, out: &mut String) {
                     write_node(doc, *c, out);
                 }
                 let _ = write!(out, "</{tag}>");
-            }
-        }
-    }
-}
-
-fn write_node_pretty(doc: &Document, id: NodeId, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    match doc.kind(id) {
-        NodeKind::Cdata(text) => {
-            let _ = writeln!(out, "{indent}{}", escape_text(text));
-        }
-        NodeKind::Element(tag) => {
-            out.push_str(&indent);
-            out.push('<');
-            out.push_str(tag);
-            for (name, value) in doc.attrs(id) {
-                let _ = write!(out, " {}=\"{}\"", name, escape_attr(value));
-            }
-            let children = doc.children(id);
-            if children.is_empty() {
-                out.push_str("/>\n");
-            } else if children.len() == 1 && doc.text(children[0]).is_some() {
-                // Inline a lone text child: <date>999010530</date>
-                let _ = writeln!(
-                    out,
-                    ">{}</{tag}>",
-                    escape_text(doc.text(children[0]).expect("checked"))
-                );
-            } else {
-                out.push_str(">\n");
-                for c in children {
-                    write_node_pretty(doc, *c, depth + 1, out);
-                }
-                let _ = writeln!(out, "{indent}</{tag}>");
             }
         }
     }
@@ -137,13 +96,5 @@ mod tests {
         let mut d = Document::new("a");
         d.add_element(d.root(), "b");
         assert_eq!(to_xml(&d), "<a><b/></a>");
-    }
-
-    #[test]
-    fn pretty_output_reparses_equal() {
-        let d = figure9();
-        let pretty = to_xml_pretty(&d);
-        assert!(pretty.contains('\n'));
-        assert_eq!(parse_document(&pretty).unwrap(), d);
     }
 }

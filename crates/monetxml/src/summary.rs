@@ -199,12 +199,6 @@ impl PathSummary {
         out
     }
 
-    /// Number of distinct paths (element + attribute) — the "schema size"
-    /// a document-dependent mapping grows.
-    pub fn path_count(&self) -> usize {
-        self.nodes.len() - 1 + self.nodes.iter().map(|n| n.attrs.len()).sum::<usize>()
-    }
-
     /// The `R<n>` ordinal of `node` (1-based creation order).
     pub fn ordinal(&self, node: SumId) -> u32 {
         self.nodes[node.index()].ordinal
@@ -251,15 +245,6 @@ mod tests {
         assert_eq!(s.resolve(&p), Some(colors));
         assert_eq!(s.resolve(&Path::root("image").attr("key")), None);
         assert_eq!(s.resolve(&Path::root("nothing")), None);
-    }
-
-    #[test]
-    fn path_count_counts_elements_and_attrs() {
-        let mut s = PathSummary::new();
-        let (image, _) = s.ensure_child(s.root(), "image");
-        s.ensure_attr(image, "key");
-        s.ensure_child(image, "date");
-        assert_eq!(s.path_count(), 3);
     }
 
     #[test]

@@ -159,7 +159,6 @@ fn incremental_maintenance_beats_full_rebuild_on_detector_calls() {
 
 #[test]
 fn scripted_fail_then_recover_detector_heals_after_the_scheduler_drains() {
-    use acoi::{Fde, MetaIndex, Scheduler};
     use faults::{FaultAction, FaultPlan};
 
     let site = Arc::new(Site::generate(SiteSpec {
@@ -173,44 +172,36 @@ fn scripted_fail_then_recover_detector_heals_after_the_scheduler_drains() {
     let plan = FaultPlan::seeded(0)
         .with_script("rpc:tennis", vec![FaultAction::Error; 3])
         .shared();
-    let registry = ausopen::supervised_detectors(Arc::clone(&site), plan);
-    let grammar = feagram::parse_grammar(feagram::paper::MEDIA_GRAMMAR).unwrap();
-
-    let mut index = MetaIndex::new();
-    for p in &site.players {
-        let initial = vec![Token::new(
-            "location",
-            feagram::FeatureValue::url(p.video_url.clone()),
-        )];
-        let tree = Fde::new(&grammar, &registry)
-            .parse(initial.clone())
-            .unwrap();
-        index.insert(&p.video_url, initial, &tree).unwrap();
-    }
+    let mut engine =
+        ausopen::resilient_engine(Arc::clone(&site), 1, plan).unwrap();
+    let report = engine.populate(&crawl(&site)).unwrap();
+    assert_eq!(report.media_degraded, 1);
 
     // The outage hit exactly one shot of the first video: a
     // rejected-with-cause hole, not a failed parse.
+    let grammar = engine.grammar().clone();
     let broken = site.players[0].video_url.clone();
-    let tree = index.tree(&grammar, &broken).unwrap();
+    let tree = engine.meta_mut().tree(&grammar, &broken).unwrap();
     let rejected = tree.rejected_nodes();
     assert_eq!(rejected.len(), 1, "{rejected:?}");
     assert_eq!(rejected[0].1, "tennis");
     assert!(rejected[0].2.contains("injected transport error"), "{rejected:?}");
-    let healthy = index.tree(&grammar, &site.players[1].video_url).unwrap();
+    let healthy = engine
+        .meta_mut()
+        .tree(&grammar, &site.players[1].video_url)
+        .unwrap();
     assert!(healthy.rejected_nodes().is_empty());
 
-    // The detector has recovered (script exhausted). Queue the
-    // low-priority heal and drain the scheduler.
-    let mut sched = Scheduler::new(&grammar);
-    sched.submit_heal("tennis");
-    let reports = sched.drain(&grammar, &registry, &mut index).unwrap();
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].objects_reparsed, 1);
-    assert_eq!(reports[0].objects_untouched, 1);
+    // The detector has recovered (script exhausted). The low-priority
+    // heal runs as a maintenance job, drained to completion.
+    let job = engine.begin_heal("tennis").unwrap();
+    let heal = run_to_completion(&mut engine, job).unwrap();
+    assert_eq!(heal.objects_reparsed, 1);
+    assert_eq!(heal.objects_untouched, report.media_analyzed - 1);
 
     // The parse tree is complete: no holes, all 8 shots back, player
     // tracking present in all 4 court shots.
-    let tree = index.tree(&grammar, &broken).unwrap();
+    let tree = engine.meta_mut().tree(&grammar, &broken).unwrap();
     assert!(tree.rejected_nodes().is_empty());
     let shots = dlsearch::video_shots(&tree);
     assert_eq!(shots.len(), 8);
@@ -237,12 +228,36 @@ fn engine_heal_completes_degraded_populations() {
     assert_eq!(report.media_degraded, 1);
     assert_eq!(report.detector_failures, 1);
 
+    // The outage hit exactly one shot of one video: a rejected-with-cause
+    // hole, not a failed parse. Every other video is whole.
+    let grammar = engine.grammar().clone();
+    let mut broken = Vec::new();
+    for p in &site.players {
+        let tree = engine.meta_mut().tree(&grammar, &p.video_url).unwrap();
+        let rejected = tree.rejected_nodes();
+        if !rejected.is_empty() {
+            assert_eq!(rejected.len(), 1, "{rejected:?}");
+            assert_eq!(rejected[0].1, "tennis");
+            assert!(rejected[0].2.contains("injected transport error"), "{rejected:?}");
+            broken.push(p.video_url.clone());
+        }
+    }
+    assert_eq!(broken.len(), 1);
+
     // Heal re-parses only the one degraded object, reusing every
     // healthy detector result from the harvest cache.
     let job = engine.begin_heal("tennis").unwrap();
     let heal = run_to_completion(&mut engine, job).unwrap();
     assert_eq!(heal.objects_reparsed, 1);
     assert_eq!(heal.objects_untouched, 7);
+
+    // The parse tree is complete: no holes, all 8 shots back, player
+    // tracking present in all 4 court shots.
+    let tree = engine.meta_mut().tree(&grammar, &broken[0]).unwrap();
+    assert!(tree.rejected_nodes().is_empty());
+    let shots = dlsearch::video_shots(&tree);
+    assert_eq!(shots.len(), 8);
+    assert_eq!(shots.iter().filter(|s| s.netplay.is_some()).count(), 4);
 
     // After healing, media evidence matches the ground truth again.
     let q = qlang::parse("FROM Player VIA Is_covered_in MEDIA video HAS netplay TOP 100")
