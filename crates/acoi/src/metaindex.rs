@@ -46,7 +46,7 @@ impl MetaIndex {
     /// re-derived by `initial_for`, matching whatever convention the
     /// caller used when inserting.
     pub fn from_store(
-        mut store: XmlStore,
+        store: XmlStore,
         mut initial_for: impl FnMut(&str) -> Vec<Token>,
     ) -> Self {
         let mut order = Vec::new();
@@ -80,25 +80,12 @@ impl MetaIndex {
     }
 
     /// Loads the stored parse tree of `source`.
-    pub fn tree(&mut self, grammar: &feagram::Grammar, source: &str) -> Result<ParseTree> {
-        self.tree_budgeted(grammar, source, &faults::Budget::unlimited())
-    }
-
-    /// [`MetaIndex::tree`] under a caller budget: the underlying
-    /// reconstruction pays one work unit per rebuilt node, so loading a
-    /// stored tree is cancellable mid-query (the budget error surfaces
-    /// as [`Error::Storage`] wrapping the typed deadline).
-    pub fn tree_budgeted(
-        &mut self,
-        grammar: &feagram::Grammar,
-        source: &str,
-        budget: &faults::Budget,
-    ) -> Result<ParseTree> {
+    pub fn tree(&self, grammar: &feagram::Grammar, source: &str) -> Result<ParseTree> {
         let root = self
             .store
             .root_for_source(source)
             .ok_or_else(|| Error::Grammar(format!("no stored tree for `{source}`")))?;
-        let doc = self.store.reconstruct_budgeted(root, budget)?;
+        let doc = self.store.reconstruct(root)?;
         ParseTree::from_document(grammar, &doc)
     }
 
@@ -132,7 +119,7 @@ impl MetaIndex {
     /// attribute relations (no tree reconstruction), so it stays cheap
     /// at metrics-scrape time and is correct straight after a recovery
     /// from snapshot.
-    pub fn heal_backlog(&mut self) -> std::collections::BTreeMap<String, usize> {
+    pub fn heal_backlog(&self) -> std::collections::BTreeMap<String, usize> {
         self.store.rejected_counts()
     }
 }
@@ -204,7 +191,7 @@ mod tests {
         // The backlog is derived from the attribute relations, so it is
         // correct on a restored snapshot without any replay bookkeeping.
         let bytes = idx.store().snapshot().unwrap();
-        let mut restored = MetaIndex::from_store(XmlStore::restore(&bytes).unwrap(), |_| vec![]);
+        let restored = MetaIndex::from_store(XmlStore::restore(&bytes).unwrap(), |_| vec![]);
         assert_eq!(restored.heal_backlog().get("segment"), Some(&1));
         // Replacing with a healed tree drains it.
         idx.insert("s", vec![], &sample_tree()).unwrap();

@@ -36,7 +36,7 @@ use crate::persist::{
     self, Manifest, RecoveryReport, MANIFEST, MANIFEST_PREV, WAL_DIR,
 };
 use crate::query::{EngineHit, EngineQuery};
-use crate::shots::video_shots;
+use crate::shots::MediaPaths;
 
 /// Everything the developer models up front.
 pub struct EngineConfig {
@@ -147,12 +147,6 @@ pub struct Engine {
     text: ir::DistributedIndex,
     meta: MetaIndex,
     fds: Fds,
-    /// Lazily computed media evidence per analysed location: the shot
-    /// list and per-event verdicts. Loading a stored parse tree means
-    /// reconstructing it from the Monet relations, so repeated queries
-    /// must not re-load it per candidate. Invalidated whenever the
-    /// meta-index changes (populate / maintenance / source refresh).
-    media_cache: HashMap<String, MediaEvidence>,
     /// Whether a fault plan is wired in anywhere. Fault-injected runs
     /// must exercise the real evaluation path on every query (the
     /// injection draws advance per call), so the answer cache is
@@ -209,7 +203,6 @@ struct EngineMetrics {
     detector_calls: obs::Counter,
     checkpoints: obs::Counter,
     query_cache_entries: obs::Gauge,
-    media_cache_entries: obs::Gauge,
     views_epoch: obs::Gauge,
     meta_epoch: obs::Gauge,
     text_epoch: obs::Gauge,
@@ -264,10 +257,6 @@ impl EngineMetrics {
             query_cache_entries: reg.gauge(
                 "engine_query_cache_entries",
                 "Distinct answers currently cached",
-            ),
-            media_cache_entries: reg.gauge(
-                "engine_media_cache_entries",
-                "Memoised media-evidence entries currently held",
             ),
             views_epoch: reg.gauge("engine_views_epoch", "Mutation epoch of the view store"),
             meta_epoch: reg.gauge("engine_meta_epoch", "Mutation epoch of the meta-index store"),
@@ -404,62 +393,6 @@ impl QueryCache {
     }
 }
 
-#[derive(Default, Clone)]
-struct MediaEvidence {
-    shots: Option<Vec<crate::shots::ShotMeta>>,
-    events: HashMap<String, bool>,
-}
-
-/// Undo log for the media-evidence memo: enough to roll a cancelled
-/// query's insertions back precisely (entries it created, shot lists it
-/// materialised on existing entries, event verdicts it memoised), so a
-/// budget cut-off leaves the cache exactly as found.
-#[derive(Default)]
-struct MediaUndo {
-    /// Locations whose cache entry this query created.
-    inserted: Vec<String>,
-    /// Pre-existing entries whose `shots` went `None` → `Some`.
-    shots_set: Vec<String>,
-    /// `(location, event)` verdicts memoised onto pre-existing entries.
-    events_added: Vec<(String, String)>,
-}
-
-impl MediaUndo {
-    /// Records what the upcoming mutation of `location` for `event`
-    /// will change, judged against the cache's current state.
-    fn note(&mut self, cache: &HashMap<String, MediaEvidence>, location: &str, event: &str) {
-        match cache.get(location) {
-            None => self.inserted.push(location.to_owned()),
-            Some(ev) => {
-                if event == "netplay" {
-                    if ev.shots.is_none() {
-                        self.shots_set.push(location.to_owned());
-                    }
-                } else if !ev.events.contains_key(event) {
-                    self.events_added.push((location.to_owned(), event.to_owned()));
-                }
-            }
-        }
-    }
-
-    /// Reverts every recorded mutation.
-    fn apply(self, cache: &mut HashMap<String, MediaEvidence>) {
-        for location in self.inserted {
-            cache.remove(&location);
-        }
-        for location in self.shots_set {
-            if let Some(ev) = cache.get_mut(&location) {
-                ev.shots = None;
-            }
-        }
-        for (location, event) in self.events_added {
-            if let Some(ev) = cache.get_mut(&location) {
-                ev.events.remove(&event);
-            }
-        }
-    }
-}
-
 /// Shard status of the text retrieval behind an answer: how distributed
 /// (and how degraded) the ranking was. Travels in
 /// [`QueryOutcome::text`].
@@ -520,7 +453,6 @@ impl Engine {
             text,
             meta: MetaIndex::new(),
             fds,
-            media_cache: HashMap::new(),
             faults_active,
             query_cache: QueryCache::new(QUERY_CACHE_CAPACITY),
             durability: None,
@@ -1035,7 +967,6 @@ impl Engine {
     fn refresh_gauges(&self) {
         let Some(m) = &self.metrics else { return };
         m.query_cache_entries.set(self.query_cache.entries.len() as i64);
-        m.media_cache_entries.set(self.media_cache.len() as i64);
         m.views_epoch.set(self.views.epoch() as i64);
         m.meta_epoch.set(self.meta.store().epoch() as i64);
         m.text_epoch.set(self.text.epoch() as i64);
@@ -1068,9 +999,7 @@ impl Engine {
     /// from the stored trees' rejected-node relations. Called at every
     /// meta-index mutation point (populate, maintenance commit, source
     /// refresh) and from [`Engine::set_obs`] rather than at scrape
-    /// time: the backlog only changes when stored trees do, and the
-    /// relation scan needs mutable store access (lazily opened
-    /// snapshots materialize relations on first touch).
+    /// time: the backlog only changes when stored trees do.
     fn refresh_heal_backlog(&mut self) {
         if self.metrics.is_none() {
             return;
@@ -1105,13 +1034,6 @@ impl Engine {
             Some(reg) => reg.render_text(),
             None => String::new(),
         }
-    }
-
-    /// Memoised media-evidence entries currently held (diagnostics; the
-    /// budget-cancellation property tests assert a cancelled query
-    /// leaves this count untouched).
-    pub fn media_cache_len(&self) -> usize {
-        self.media_cache.len()
     }
 
     /// The detector registry (call counters for experiments).
@@ -1318,7 +1240,6 @@ impl Engine {
         timings.merge_ms = merge_ms;
         self.last_populate_timings = timings;
         self.text.commit().map_err(Error::Ir)?;
-        self.media_cache.clear();
         self.sync_wal()?;
         drop(populate_span);
         if let Some(m) = &self.metrics {
@@ -1452,8 +1373,8 @@ impl Engine {
     ///
     /// * **budget** — a wall-clock deadline, a work allowance or a
     ///   cancellation flag, checked at loop granularity in every layer
-    ///   (conceptual join expansion, text scatter-gather, physical
-    ///   tuple scans, media-tree reconstruction). On expiry the query
+    ///   (conceptual join expansion, text scatter-gather, the media
+    ///   refinement's path reads). On expiry the query
     ///   returns a typed [`Error::DeadlineExceeded`] whose
     ///   [`PartialProgress`] says which stage was cut and how far it
     ///   got.
@@ -1461,8 +1382,8 @@ impl Engine {
     ///   `Healthy` / `Pressured` evaluate at full fidelity. `Brownout`
     ///   / `Shedding` evaluate the browned-out plan: the text ranking's
     ///   top-N and the result limit are halved, and the media-event
-    ///   refinement — the most expensive stage, every candidate's parse
-    ///   tree reconstructed from the physical store — is skipped. Each
+    ///   refinement — every candidate's stored meta-data read from the
+    ///   physical store — is skipped. Each
     ///   cut is a note in [`QueryOutcome::degraded`] and is priced into
     ///   [`QueryOutcome::quality`], which also folds in the text
     ///   layer's shard survival (a degraded distributed ranking is a
@@ -1483,7 +1404,7 @@ impl Engine {
     /// below `Brownout` (degraded answers are never cached).
     ///
     /// A failed query leaves the engine as if it never ran: nothing is
-    /// cached and the media evidence it memoised is rolled back.
+    /// cached, and no stage writes state of its own.
     pub fn execute(&mut self, q: &EngineQuery, opts: &QueryOptions) -> Result<QueryOutcome> {
         let unlimited = Budget::unlimited();
         let budget = opts.budget.unwrap_or(&unlimited);
@@ -1566,12 +1487,7 @@ impl Engine {
                     }
                     self.obs.annotate(|| "cache=miss".to_owned());
                 }
-                let mut undo = MediaUndo::default();
-                let evaluated = self.evaluate(plan, budget, &mut undo);
-                if evaluated.is_err() {
-                    undo.apply(&mut self.media_cache);
-                }
-                let (hits, text) = evaluated?;
+                let (hits, text) = self.evaluate(plan, budget)?;
                 if let Some((key, epochs)) = slot {
                     self.query_cache.insert(
                         key,
@@ -1635,7 +1551,6 @@ impl Engine {
         &mut self,
         q: &EngineQuery,
         budget: &Budget,
-        undo: &mut MediaUndo,
     ) -> Result<(Vec<EngineHit>, Option<TextQueryStatus>)> {
         // A budget that is already spent (or cancelled) fails before
         // any work: the admission phase.
@@ -1727,7 +1642,7 @@ impl Engine {
 
         // 3. Media evidence on the final class.
         let mut sp = self.obs.span("engine.query.refine");
-        let out = self.refine_media(q, rows, &scores, budget, undo);
+        let out = self.refine_media(q, rows, &scores, budget);
         match &out {
             Ok(hits) => sp.add_work(hits.len() as u64),
             Err(Error::DeadlineExceeded { .. }) => sp.set_outcome(obs::Outcome::Deadline),
@@ -1738,16 +1653,20 @@ impl Engine {
 
     /// Step 3 of [`Engine::evaluate`]: walks every conceptual
     /// candidate, attaches its text score, verifies the media event
-    /// against the stored parse tree (memoised), then ranks and
+    /// against the candidate's stored meta-data — read off the meta
+    /// store's path relations, not a rebuilt tree — then ranks and
     /// truncates the answer.
     fn refine_media(
-        &mut self,
+        &self,
         q: &EngineQuery,
         rows: Vec<webspace::QueryResult>,
         scores: &Option<HashMap<String, f64>>,
         budget: &Budget,
-        undo: &mut MediaUndo,
     ) -> Result<Vec<EngineHit>> {
+        let paths = q
+            .media
+            .as_ref()
+            .map(|media| MediaPaths::new(&self.grammar, self.meta.store(), &media.event));
         let mut out = Vec::new();
         for row in rows {
             let score = match scores {
@@ -1758,9 +1677,11 @@ impl Engine {
                 None => 0.0,
             };
 
-            let (video, shots) = if let Some(media) = &q.media {
-                // One work unit per candidate refined; `completed`
-                // reports the hits already assembled.
+            let (video, shots) = if let (Some(media), Some(paths)) = (&q.media, &paths) {
+                // One work unit per candidate refined, and one per tuple
+                // its evidence reads; `completed` reports the hits
+                // already assembled (or, cut inside a read, the nodes
+                // it reached).
                 budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
                     partial: PartialProgress {
                         phase: "media".into(),
@@ -1784,60 +1705,16 @@ impl Engine {
                 else {
                     continue;
                 };
-                let location = location.clone();
-                if !self.meta.contains(&location) {
+                let Some(root) = self.meta.store().root_for_source(location) else {
                     continue; // the object was never analysed
-                }
-                // Load the stored tree only when the cache cannot answer.
-                let need_tree = match self.media_cache.get(&location) {
-                    Some(ev) if media.event == "netplay" => ev.shots.is_none(),
-                    Some(ev) => !ev.events.contains_key(&media.event),
-                    None => true,
                 };
-                let tree = if need_tree {
-                    match self.meta.tree_budgeted(&self.grammar, &location, budget) {
-                        Ok(t) => t,
-                        // A broken stored tree is skipped (historical
-                        // behaviour) — but a budget cut-off mid-
-                        // reconstruction must surface, not silently
-                        // drop the candidate.
-                        Err(e @ acoi::Error::Storage(monetxml::Error::DeadlineExceeded {
-                            ..
-                        })) => return Err(Error::from(e)),
-                        Err(_) => continue,
-                    }
-                } else {
-                    acoi::ParseTree::new()
-                };
-                undo.note(&self.media_cache, &location, &media.event);
-                let evidence = self.media_cache.entry(location.clone()).or_default();
-                if media.event == "netplay" {
-                    // Video events answer at shot granularity.
-                    let shots = evidence
-                        .shots
-                        .get_or_insert_with(|| video_shots(&tree))
-                        .clone();
-                    let matching: Vec<_> = shots
-                        .into_iter()
-                        .filter(|s| s.netplay == Some(true))
-                        .collect();
-                    if matching.is_empty() {
-                        continue;
-                    }
-                    (Some(location), matching)
-                } else {
-                    // Generic event: any node of that symbol with a true
-                    // outcome.
-                    let event = media.event.clone();
-                    let holds = *evidence.events.entry(event).or_insert_with(|| {
-                        tree.find_all(&media.event).into_iter().any(|n| {
-                            tree.value(n) == Some(&feagram::FeatureValue::Bit(true))
-                        })
-                    });
-                    if !holds {
-                        continue;
-                    }
-                    (Some(location), Vec::new())
+                match paths.evidence(root, budget) {
+                    Ok(Some(shots)) => (Some(location.clone()), shots),
+                    Ok(None) => continue,
+                    // A budget cut surfaces; evidence that cannot be
+                    // read skips the candidate.
+                    Err(e @ monetxml::Error::DeadlineExceeded { .. }) => return Err(e.into()),
+                    Err(_) => continue,
                 }
             } else {
                 (None, Vec::new())
@@ -1885,7 +1762,6 @@ impl Engine {
         // untouched, so cached answers stay exact; a regeneration, or a
         // failure part-way through one, invalidates.
         if !matches!(refreshed, Ok(false)) {
-            self.media_cache.remove(source);
             self.query_cache.clear();
         }
         let refreshed = refreshed?;
@@ -1994,7 +1870,7 @@ impl Engine {
 
     /// Epoch-consistent cutover of a finished job: under this borrow
     /// (the same mutex every query serializes on) the pinned epoch is
-    /// re-checked, every delta is applied, and the caches are
+    /// re-checked, every delta is applied, and the answer cache is
     /// invalidated — conditionally: a job that re-parsed nothing
     /// provably left the store unchanged, so cached answers stay. A
     /// stale job (the live store moved past the pinned epoch) is
@@ -2019,13 +1895,12 @@ impl Engine {
         } = job;
         for (source, initial, tree) in deltas {
             self.meta.insert(&source, initial, &tree).map_err(Error::Acoi)?;
-            self.media_cache.remove(&source);
         }
         if objects_reparsed > 0 {
             // Answers may combine several sources, so any reparse
             // invalidates the whole answer cache. Zero reparses — a
-            // correction bump, a heal with no backlog — leave both
-            // caches (and the store epoch) untouched.
+            // correction bump, a heal with no backlog — leave the
+            // cache (and the store epoch) untouched.
             self.query_cache.clear();
         }
         self.sync_wal()?;

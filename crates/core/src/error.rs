@@ -6,10 +6,10 @@ use std::time::Duration;
 /// How far a budget-cancelled query got before it was cut off.
 ///
 /// `phase` names the evaluation stage the budget expired in
-/// (`"admission"`, `"conceptual"`, `"text"`, `"physical"` or
-/// `"media"`); `completed` counts the units that stage had finished —
-/// rows expanded, server answers merged, nodes reconstructed,
-/// candidates refined — so callers can judge whether retrying with a
+/// (`"admission"`, `"conceptual"`, `"text"` or `"media"`); `completed`
+/// counts the units that stage had finished — rows expanded, server
+/// answers merged, candidates refined or nodes read — so callers can
+/// judge whether retrying with a
 /// bigger budget is worthwhile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialProgress {
@@ -172,20 +172,7 @@ impl From<webspace::Error> for Error {
 }
 impl From<acoi::Error> for Error {
     fn from(e: acoi::Error) -> Self {
-        match e {
-            // A budget cut-off while loading a stored parse tree is the
-            // media-refinement stage of the integrated query.
-            acoi::Error::Storage(monetxml::Error::DeadlineExceeded { nodes, cause }) => {
-                Error::DeadlineExceeded {
-                    partial: PartialProgress {
-                        phase: "media".into(),
-                        completed: nodes,
-                    },
-                    cause,
-                }
-            }
-            other => Error::Acoi(other),
-        }
+        Error::Acoi(e)
     }
 }
 impl From<feagram::Error> for Error {
@@ -196,9 +183,11 @@ impl From<feagram::Error> for Error {
 impl From<monetxml::Error> for Error {
     fn from(e: monetxml::Error) -> Self {
         match e {
+            // The query path's one budgeted read of the physical level
+            // is the media refinement's.
             monetxml::Error::DeadlineExceeded { nodes, cause } => Error::DeadlineExceeded {
                 partial: PartialProgress {
-                    phase: "physical".into(),
+                    phase: "media".into(),
                     completed: nodes,
                 },
                 cause,

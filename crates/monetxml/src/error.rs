@@ -16,7 +16,7 @@ pub enum Error {
     Store(String),
     /// An underlying BAT-store error.
     Monet(monet::Error),
-    /// The caller's query budget expired mid-scan or mid-reconstruction.
+    /// The caller's query budget expired mid-scan or mid-path-read.
     DeadlineExceeded {
         /// Nodes processed before expiry.
         nodes: usize,

@@ -23,7 +23,9 @@
 //!   the O(height) SAX bulkloader of the paper, a naive full-path-hashing
 //!   loader (the paper's strawman, kept as a benchmark baseline), and
 //!   incremental insert/delete,
-//! * [`query`] — path-expression scans over the store.
+//! * [`query`] — path-expression scans over the store, and the
+//!   per-document path reads the query path answers media predicates
+//!   with.
 //!
 //! # Quickstart
 //!

@@ -8,7 +8,9 @@
 //!   with memory bounded by document height;
 //!   [`XmlStore::insert_document`] walks an already-built tree,
 //! * **retrieval** — [`XmlStore::reconstruct`] runs the inverse mapping,
-//!   and [`crate::query`] evaluates path expressions,
+//!   and [`crate::query`] evaluates path expressions; the engine's query
+//!   path reads stored meta-data through [`crate::query::descent`],
+//!   never through a reconstruction. Every read takes `&self`,
 //! * **update** — [`XmlStore::delete_document`] removes a stored document
 //!   so the maintenance machinery (FDS) can replace invalidated trees.
 //!
@@ -16,12 +18,11 @@
 //! compare the real ones against, mirroring the paper's own strawmen:
 //! [`XmlStore::bulkload_str_naive`] (hash the full path string for every
 //! single insert — the "first naïve approach" of the bulkload section)
-//! and the edge-table storage mode in
-//! [`crate::query::nodes_at_edges`] (node-at-a-time traversal, the
-//! "plain data guides" competitor).
+//! and the edge-table storage mode in [`crate::query`]'s tests
+//! (node-at-a-time traversal, the "plain data guides" competitor).
 
 use monet::wal::WalHandle;
-use monet::{ColumnKind, Db, Oid, Value};
+use monet::{ColumnKind, Db, Oid};
 
 use crate::doc::Document;
 use crate::error::{Error, Result};
@@ -161,11 +162,6 @@ impl XmlStore {
     /// The underlying BAT catalog (immutable).
     pub fn db(&self) -> &Db {
         &self.db
-    }
-
-    /// The underlying BAT catalog (mutable — lookups build indexes).
-    pub fn db_mut(&mut self) -> &mut Db {
-        &mut self.db
     }
 
     /// The path summary.
@@ -447,31 +443,17 @@ impl XmlStore {
     }
 
     /// Reconstructs the document rooted at `root` (the inverse mapping).
-    pub fn reconstruct(&mut self, root: Oid) -> Result<Document> {
+    pub fn reconstruct(&self, root: Oid) -> Result<Document> {
         if let Some(m) = &self.metrics {
             m.reconstructions.inc();
         }
-        transform::reconstruct(&mut self.db, &self.summary, root)
-    }
-
-    /// Reconstructs under a caller budget (one work unit per node),
-    /// failing with a typed [`Error::DeadlineExceeded`] when it runs
-    /// out.
-    pub fn reconstruct_budgeted(
-        &mut self,
-        root: Oid,
-        budget: &faults::Budget,
-    ) -> Result<Document> {
-        if let Some(m) = &self.metrics {
-            m.reconstructions.inc();
-        }
-        transform::reconstruct_budgeted(&mut self.db, &self.summary, root, budget)
+        transform::reconstruct(&self.db, &self.summary, root)
     }
 
     /// The source name a document was loaded from.
-    pub fn source_of(&mut self, root: Oid) -> Option<String> {
+    pub fn source_of(&self, root: Oid) -> Option<String> {
         self.db
-            .get_mut(SOURCE_RELATION)
+            .get(SOURCE_RELATION)
             .ok()?
             .first_tail_of(root)
             .and_then(|v| v.as_str().map(str::to_owned))
@@ -584,7 +566,7 @@ impl XmlStore {
     /// per detector; because it only touches the (tiny) `rejected`
     /// attribute relations it is cheap enough for metrics-scrape time
     /// even on a lazily-opened store.
-    pub fn rejected_counts(&mut self) -> std::collections::BTreeMap<String, usize> {
+    pub fn rejected_counts(&self) -> std::collections::BTreeMap<String, usize> {
         let mut out = std::collections::BTreeMap::new();
         let mut stack = vec![self.summary.root()];
         while let Some(sum) = stack.pop() {
@@ -592,12 +574,10 @@ impl XmlStore {
             let Some(rel) = self.summary.attr_relation(sum, "rejected") else {
                 continue;
             };
-            let rel = rel.to_owned();
-            let label = self.summary.label(sum).to_owned();
-            if let Ok(bat) = self.db.get_mut(&rel) {
+            if let Ok(bat) = self.db.get(rel) {
                 let n = bat.len();
                 if n > 0 {
-                    *out.entry(label).or_insert(0) += n;
+                    *out.entry(self.summary.label(sum).to_owned()).or_insert(0) += n;
                 }
             }
         }
@@ -673,30 +653,9 @@ impl XmlStore {
 
     /// Text content of an element node: concatenation of the `cdata` of
     /// its direct `PCDATA` children, in rank order.
-    pub fn direct_text(&mut self, sum: crate::summary::SumId, oid: Oid) -> Result<String> {
-        let Some(pcdata_sum) = self.summary.child(sum, PCDATA_LABEL) else {
-            return Ok(String::new());
-        };
-        let rel = self.summary.relation(pcdata_sum).to_owned();
-        let Ok(bat) = self.db.get_mut(&rel) else {
-            return Ok(String::new());
-        };
-        let kids: Vec<Oid> = bat
-            .tails_of(oid)
-            .into_iter()
-            .filter_map(|v| v.as_oid())
-            .collect();
-        let cdata_rel = match self.summary.attr_relation(pcdata_sum, CDATA_ATTR) {
-            Some(r) => r.to_owned(),
-            None => return Ok(String::new()),
-        };
-        let mut parts = Vec::new();
-        for k in kids {
-            if let Some(Value::Str(text)) = self.db.get_mut(&cdata_rel)?.first_tail_of(k) {
-                parts.push(text);
-            }
-        }
-        Ok(parts.join(" "))
+    pub fn direct_text(&self, sum: crate::summary::SumId, oid: Oid) -> Result<String> {
+        let text = crate::query::descent(self, sum, &[]).text(oid, &faults::Budget::unlimited())?;
+        Ok(text.unwrap_or_default())
     }
 }
 
@@ -847,7 +806,7 @@ mod tests {
         let r1 = store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
         let r2 = store.bulkload_str("b.xml", FIGURE9_XML).unwrap();
         let bytes = store.snapshot().unwrap();
-        let mut lazy = XmlStore::restore_lazy(bytes.clone()).unwrap();
+        let lazy = XmlStore::restore_lazy(bytes.clone()).unwrap();
         // Opening lazily only materializes the `sys` document registry.
         assert_eq!(lazy.db().materialized_count(), 1);
         assert_eq!(lazy.document_count(), 2);
@@ -856,7 +815,7 @@ mod tests {
             store.summary().all_relations()
         );
         // First touch decodes; content matches the eager path.
-        let mut eager = XmlStore::restore(&bytes).unwrap();
+        let eager = XmlStore::restore(&bytes).unwrap();
         assert_eq!(
             lazy.reconstruct(r1).unwrap(),
             eager.reconstruct(r1).unwrap()
@@ -925,8 +884,8 @@ mod tests {
             .unwrap();
         let date_rel = store.summary().relation(date_sum).to_owned();
         let date_oid = store
-            .db_mut()
-            .get_mut(&date_rel)
+            .db()
+            .get(&date_rel)
             .unwrap()
             .first_tail_of(root)
             .unwrap()

@@ -161,6 +161,14 @@ impl PathSummary {
         kids.into_iter().map(|(_, id)| id).collect()
     }
 
+    /// Every element path ending in `label`, in creation order.
+    pub fn labelled(&self, label: &str) -> Vec<SumId> {
+        (1..self.nodes.len())
+            .filter(|i| self.nodes[*i].label == label)
+            .map(|i| SumId(i as u32))
+            .collect()
+    }
+
     /// Resolves a [`Path`] to a schema-tree node (element paths only; for
     /// attribute paths resolve the parent and use [`Self::attr_relation`]).
     pub fn resolve(&self, path: &Path) -> Option<SumId> {

@@ -289,22 +289,9 @@ fn walk(loader: &mut Loader<'_>, doc: &Document, node: NodeId) -> Result<()> {
 
 /// Reconstructs the document rooted at `root` — the inverse mapping
 /// `M⁻¹ₜ`; the result is isomorphic to the originally loaded document.
-pub fn reconstruct(db: &mut Db, summary: &PathSummary, root: Oid) -> Result<Document> {
-    reconstruct_budgeted(db, summary, root, &faults::Budget::unlimited())
-}
-
-/// [`reconstruct`] under a caller budget: one work unit per rebuilt
-/// node, so reconstructing a pathological document is cancellable at
-/// node granularity with a typed [`Error::DeadlineExceeded`].
-pub fn reconstruct_budgeted(
-    db: &mut Db,
-    summary: &PathSummary,
-    root: Oid,
-    budget: &faults::Budget,
-) -> Result<Document> {
+pub fn reconstruct(db: &Db, summary: &PathSummary, root: Oid) -> Result<Document> {
     let root_tag = db
-        .get_mut(SYS_RELATION)
-        .map_err(Error::from)?
+        .get(SYS_RELATION)?
         .first_tail_of(root)
         .and_then(|v| v.as_str().map(str::to_owned))
         .ok_or_else(|| Error::Store(format!("oid {root} is not a document root")))?;
@@ -312,26 +299,21 @@ pub fn reconstruct_budgeted(
         .child(summary.root(), &root_tag)
         .ok_or_else(|| Error::Store(format!("no schema node for root tag {root_tag}")))?;
 
-    let mut built = 0usize;
-    budget
-        .consume(1)
-        .map_err(|cause| Error::DeadlineExceeded { nodes: built, cause })?;
-    built += 1;
     let mut doc = Document::new(root_tag);
     let doc_root = doc.root();
-    fill_attrs(db, summary, sum, root, &mut doc, doc_root)?;
-    fill_children(db, summary, sum, root, &mut doc, doc_root, budget, &mut built)?;
+    fill_attrs(db, summary, sum, root, &mut doc, doc_root);
+    fill_children(db, summary, sum, root, &mut doc, doc_root)?;
     Ok(doc)
 }
 
 fn fill_attrs(
-    db: &mut Db,
+    db: &Db,
     summary: &PathSummary,
     sum: SumId,
     oid: Oid,
     doc: &mut Document,
     node: NodeId,
-) -> Result<()> {
+) {
     for name in summary.attr_names(sum) {
         if name == "rank" || name == CDATA_ATTR || name == EXTENT_START_ATTR
             || name == EXTENT_END_ATTR
@@ -340,34 +322,29 @@ fn fill_attrs(
         }
         let rel = summary
             .attr_relation(sum, name)
-            .expect("name from attr_names")
-            .to_owned();
-        if let Ok(bat) = db.get_mut(&rel) {
+            .expect("name from attr_names");
+        if let Ok(bat) = db.get(rel) {
             if let Some(Value::Str(v)) = bat.first_tail_of(oid) {
                 doc.set_attr(node, name, v);
             }
         }
     }
-    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fill_children(
-    db: &mut Db,
+    db: &Db,
     summary: &PathSummary,
     sum: SumId,
     oid: Oid,
     doc: &mut Document,
     node: NodeId,
-    budget: &faults::Budget,
-    built: &mut usize,
 ) -> Result<()> {
     // Gather children across all child path relations, with their ranks,
     // then rebuild sibling order by sorting on rank.
     let mut kids: Vec<(i64, SumId, Oid)> = Vec::new();
     for child_sum in summary.children(sum) {
-        let rel = summary.relation(child_sum).to_owned();
-        let Ok(bat) = db.get_mut(&rel) else { continue };
+        let rel = summary.relation(child_sum);
+        let Ok(bat) = db.get(rel) else { continue };
         let child_oids: Vec<Oid> = bat
             .tails_of(oid)
             .into_iter()
@@ -378,12 +355,10 @@ fn fill_children(
         }
         let rank_rel = summary
             .attr_relation(child_sum, "rank")
-            .ok_or_else(|| Error::Store(format!("missing rank relation for {rel}")))?
-            .to_owned();
+            .ok_or_else(|| Error::Store(format!("missing rank relation for {rel}")))?;
+        let ranks = db.get(rank_rel)?;
         for child in child_oids {
-            let rank = db
-                .get_mut(&rank_rel)
-                .map_err(Error::from)?
+            let rank = ranks
                 .first_tail_of(child)
                 .and_then(|v| v.as_int())
                 .ok_or_else(|| Error::Store(format!("missing rank for {child}")))?;
@@ -393,27 +368,20 @@ fn fill_children(
     kids.sort_unstable_by_key(|(rank, _, _)| *rank);
 
     for (_, child_sum, child_oid) in kids {
-        budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
-            nodes: *built,
-            cause,
-        })?;
-        *built += 1;
         if summary.label(child_sum) == PCDATA_LABEL {
             let cdata_rel = summary
                 .attr_relation(child_sum, CDATA_ATTR)
-                .ok_or_else(|| Error::Store("PCDATA node without cdata relation".into()))?
-                .to_owned();
+                .ok_or_else(|| Error::Store("PCDATA node without cdata relation".into()))?;
             let text = db
-                .get_mut(&cdata_rel)
-                .map_err(Error::from)?
+                .get(cdata_rel)?
                 .first_tail_of(child_oid)
                 .and_then(|v| v.as_str().map(str::to_owned))
                 .ok_or_else(|| Error::Store(format!("missing cdata for {child_oid}")))?;
             doc.add_cdata(node, text);
         } else {
             let child_node = doc.add_element(node, summary.label(child_sum));
-            fill_attrs(db, summary, child_sum, child_oid, doc, child_node)?;
-            fill_children(db, summary, child_sum, child_oid, doc, child_node, budget, built)?;
+            fill_attrs(db, summary, child_sum, child_oid, doc, child_node);
+            fill_children(db, summary, child_sum, child_oid, doc, child_node)?;
         }
     }
     Ok(())
@@ -484,7 +452,7 @@ mod tests {
         let mut summary = PathSummary::new();
         let doc = figure9();
         let (root, _) = load_document(&mut db, &mut summary, "seles.xml", &doc).unwrap();
-        let back = reconstruct(&mut db, &summary, root).unwrap();
+        let back = reconstruct(&db, &summary, root).unwrap();
         assert_eq!(back, doc);
     }
 
@@ -498,8 +466,8 @@ mod tests {
         assert!(s1.new_relations > 0);
         assert_eq!(s2.new_relations, 0, "same paths, no new relations");
         // Both reconstruct independently.
-        assert_eq!(reconstruct(&mut db, &summary, r1).unwrap(), figure9());
-        assert_eq!(reconstruct(&mut db, &summary, r2).unwrap(), figure9());
+        assert_eq!(reconstruct(&db, &summary, r1).unwrap(), figure9());
+        assert_eq!(reconstruct(&db, &summary, r2).unwrap(), figure9());
     }
 
     #[test]
@@ -508,7 +476,7 @@ mod tests {
         let mut summary = PathSummary::new();
         load_document(&mut db, &mut summary, "a.xml", &figure9()).unwrap();
         let bogus = Oid::from_raw(9999);
-        assert!(reconstruct(&mut db, &summary, bogus).is_err());
+        assert!(reconstruct(&db, &summary, bogus).is_err());
     }
 
     #[test]
@@ -522,7 +490,7 @@ mod tests {
         let mut db = Db::new();
         let mut summary = PathSummary::new();
         let (r, _) = load_document(&mut db, &mut summary, "l.xml", &doc).unwrap();
-        assert_eq!(reconstruct(&mut db, &summary, r).unwrap(), doc);
+        assert_eq!(reconstruct(&db, &summary, r).unwrap(), doc);
     }
 
     #[test]
@@ -535,6 +503,6 @@ mod tests {
         let mut db = Db::new();
         let mut summary = PathSummary::new();
         let (r, _) = load_document(&mut db, &mut summary, "m.xml", &doc).unwrap();
-        assert_eq!(reconstruct(&mut db, &summary, r).unwrap(), doc);
+        assert_eq!(reconstruct(&db, &summary, r).unwrap(), doc);
     }
 }

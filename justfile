@@ -10,8 +10,26 @@ verify:
     cargo test --offline -q
     cargo clippy --offline --workspace --all-targets -- -D warnings
     just doc
+    just examples-golden
     just bench-e2e-smoke
     just loc
+
+# The examples print deterministic output: a fresh run of the flagship
+# scenario (healthy and with `FAULTS=1`) and of the maintenance
+# walkthrough must match `examples/expected/` byte for byte, stdout and
+# stderr. A change meant to alter that output updates the files in the
+# same commit.
+examples-golden:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+    run() { cargo run --offline --release --quiet --example "$1" > "$out/$2.stdout" 2> "$out/$2.stderr"; }
+    cargo build --offline --release --quiet --examples
+    run australian_open australian_open
+    FAULTS=1 run australian_open australian_open_faults
+    run incremental_maintenance incremental_maintenance
+    diff -r examples/expected "$out"
 
 # Every path a workspace manifest names — each member the `crates/*`
 # and `shims/*` globs pick up, each `path = "…"` dependency or target —

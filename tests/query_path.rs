@@ -12,7 +12,9 @@
 //! * a `Brownout` answer carries the hits, the quality and the DEGRADED
 //!   notes the pre-collapse `query_degraded` produced (pinned below from
 //!   commit `b8bddcc`);
-//! * browned-out and budget-limited answers never touch the cache.
+//! * browned-out and budget-limited answers never touch the cache;
+//! * a media predicate reads the meta store's path relations and
+//!   rebuilds no stored tree.
 
 // Helpers outside `#[test]` functions unwrap too (clippy.toml only
 // exempts the tests themselves).
@@ -38,6 +40,11 @@ const PLAYER_MEDIA: &str =
     r#"FROM Player WHERE hand = "left" VIA Is_covered_in MEDIA video HAS netplay"#;
 
 const KINDS: [&str; 5] = [TEXT, WITHIN, INTEGRATED, JOIN, PLAYER_MEDIA];
+
+/// Figure 13, and a generic media event.
+const FIGURE13: &str = r#"FROM Player WHERE gender = "female" AND hand = "left"
+    TEXT history CONTAINS "Winner" VIA Is_covered_in MEDIA video HAS netplay TOP 10"#;
+const INTERVIEWS: &str = "FROM Player VIA Is_covered_in MEDIA interview HAS isInterview TOP 100";
 
 fn populated(observed: bool) -> Engine {
     let site = Arc::new(Site::generate(SiteSpec::default()));
@@ -215,4 +222,22 @@ fn brownout_and_budgeted_answers_are_never_cached() {
         assert_eq!(engine.query(&q).unwrap(), full);
         assert_eq!(engine.query_cache_stats(), (stats.0 + 1, stats.1));
     }
+}
+
+#[test]
+fn media_predicates_rebuild_no_stored_tree() {
+    let mut engine = populated(true);
+    let rebuilt = |engine: &Engine| {
+        let text = engine.metrics_text();
+        text.lines()
+            .find_map(|l| l.strip_prefix("monetxml_reconstructions_total "))
+            .map(|v| v.trim().parse::<f64>().unwrap())
+            .unwrap_or_else(|| panic!("no reconstruction counter in:\n{text}"))
+    };
+    let before = rebuilt(&engine);
+    for text in [FIGURE13, PLAYER_MEDIA, INTERVIEWS] {
+        let q = qlang::parse(text).unwrap();
+        assert!(!engine.query(&q).unwrap().is_empty(), "{text}");
+    }
+    assert_eq!(rebuilt(&engine), before);
 }
