@@ -335,10 +335,10 @@ impl TextIndex {
     pub(crate) fn insert(&mut self, doc: &DocExport) -> Result<Oid> {
         let id = self.db.mint();
         self.db
-            .get_or_create(D, ColumnKind::Str)
+            .get_or_create(D, ColumnKind::Str)?
             .append_str(id, doc.url.as_str())?;
         self.db
-            .get_or_create(DL, ColumnKind::Int)
+            .get_or_create(DL, ColumnKind::Int)?
             .append_int(id, doc.token_count().max(0))?;
         // `(term ordinal, pair oid)` per row, and the stems new to T.
         let mut rows = Vec::with_capacity(doc.terms.len());
@@ -362,21 +362,21 @@ impl TextIndex {
             rows.push((ord, self.db.mint()));
         }
         if !new_terms.is_empty() {
-            let t = self.db.get_or_create(T, ColumnKind::Str);
+            let t = self.db.get_or_create(T, ColumnKind::Str)?;
             for (o, term) in new_terms {
                 t.append_str(o, term)?;
             }
         }
         if !rows.is_empty() {
-            let dt_doc = self.db.get_or_create(DT_DOC, ColumnKind::Oid);
+            let dt_doc = self.db.get_or_create(DT_DOC, ColumnKind::Oid)?;
             for &(_, pair) in &rows {
                 dt_doc.append_oid(pair, id)?;
             }
-            let dt_term = self.db.get_or_create(DT_TERM, ColumnKind::Oid);
+            let dt_term = self.db.get_or_create(DT_TERM, ColumnKind::Oid)?;
             for &(ord, pair) in &rows {
                 dt_term.append_oid(self.term_oids[ord as usize], pair)?;
             }
-            let tf_bat = self.db.get_or_create(TF, ColumnKind::Int);
+            let tf_bat = self.db.get_or_create(TF, ColumnKind::Int)?;
             for (&(_, pair), (_, tf)) in rows.iter().zip(&doc.terms) {
                 tf_bat.append_int(pair, *tf)?;
             }
@@ -427,7 +427,7 @@ impl TextIndex {
             return Ok(());
         }
         let mut dirty = std::mem::take(&mut self.dirty_terms);
-        let idf_bat = self.db.get_or_create(IDF, ColumnKind::Flt);
+        let idf_bat = self.db.get_or_create(IDF, ColumnKind::Flt)?;
         for &term in &dirty {
             let df = self.df[term as usize].max(1);
             idf_bat.upsert(self.term_oids[term as usize], Value::Flt(1.0 / df as f64))?;
@@ -530,7 +530,7 @@ impl TextIndex {
             if let Some(term) = self.term_ordinal(stem) {
                 let df = (*df).max(1);
                 self.db
-                    .get_or_create(IDF, ColumnKind::Flt)
+                    .get_or_create(IDF, ColumnKind::Flt)?
                     .upsert(self.term_oids[term], Value::Flt(1.0 / df as f64))?;
             }
         }

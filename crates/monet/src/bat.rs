@@ -2,16 +2,18 @@
 //!
 //! A [`Bat`] is the unit of storage: a sequence of associations
 //! `(head: Oid, tail: Value)` with a homogeneous tail type. The upper
-//! levels use a small relational algebra over BATs:
+//! levels use exactly two reads of a BAT:
 //!
-//! * **selections** — find heads whose tail satisfies a predicate,
-//! * **lookups** — find tails for a head (hash-indexed),
-//! * **joins** — `self.tail ⋈ other.head`, the backbone of path-expression
-//!   evaluation in Monet XML,
-//! * **ordering / slicing** — sort by tail, take top-N.
+//! * **lookups** — the tails of one head, through the head index
+//!   ([`Bat::positions`], [`Bat::tails_of`], [`Bat::first_tail_of`]);
+//!   walking `R(a/b)` then `R(a/b/c)` this way is how Monet XML
+//!   descends a path,
+//! * **scans** — every association in storage order ([`Bat::iter`]), or
+//!   the heads whose string tail equals a value ([`Bat::select_str_eq`]).
 //!
 //! Mutation is append-mostly; deletion by head exists to support the FDS's
-//! incremental invalidation of stored parse trees.
+//! incremental invalidation of stored parse trees, and [`Bat::upsert`]
+//! rewrites the IDF relation in place.
 
 use std::collections::HashMap;
 
@@ -210,10 +212,6 @@ impl Bat {
     pub fn new_int() -> Self {
         Self::with_kind(ColumnKind::Int)
     }
-    /// Empty `oid × flt` BAT.
-    pub fn new_flt() -> Self {
-        Self::with_kind(ColumnKind::Flt)
-    }
     /// Empty `oid × str` BAT.
     pub fn new_str() -> Self {
         Self::with_kind(ColumnKind::Str)
@@ -232,12 +230,6 @@ impl Bat {
     /// Whether the BAT holds no associations.
     pub fn is_empty(&self) -> bool {
         self.head.is_empty()
-    }
-
-    /// Rebuilds the head index from scratch (e.g. after deserialisation
-    /// through the no-op serde path).
-    pub fn refresh_index(&mut self) {
-        self.index.rebuild(&self.head);
     }
 
     /// Appends an association; fails if the value kind does not match the
@@ -332,19 +324,6 @@ impl Bat {
         Some(self.tail.get(p as usize))
     }
 
-    /// Heads whose tail satisfies `pred`. Order follows storage order;
-    /// duplicates are kept (one per matching association).
-    pub fn select_by(&self, mut pred: impl FnMut(&Value) -> bool) -> Vec<Oid> {
-        let mut out = Vec::new();
-        for i in 0..self.len() {
-            let v = self.tail.get(i);
-            if pred(&v) {
-                out.push(self.head[i]);
-            }
-        }
-        out
-    }
-
     /// Heads with string tail equal to `s`. With dictionary encoding
     /// this is one non-inserting pool probe plus a `u32` scan — no
     /// per-row string comparison, and a probe absent from the
@@ -362,95 +341,6 @@ impl Bat {
             .filter(|(_, &c)| c == code)
             .map(|(h, _)| *h)
             .collect()
-    }
-
-    /// [`Self::select_str_eq`] under a caller budget: one work unit
-    /// per tuple scanned, so even a physical-level relation scan is
-    /// cancellable at loop granularity. Returns the typed cause when
-    /// the budget runs out mid-scan. Work accounting is row-exact and
-    /// independent of the dictionary fast path: every row costs one
-    /// unit even when the probe string is not in the dictionary, so
-    /// budgeted behaviour is identical to the uncompressed scan.
-    pub fn select_str_eq_budgeted(
-        &self,
-        s: &str,
-        budget: &faults::Budget,
-    ) -> std::result::Result<Vec<Oid>, faults::BudgetExceeded> {
-        let Column::Str(vs) = &self.tail else {
-            return Ok(Vec::new());
-        };
-        let code = vs.find_code(s);
-        let mut out = Vec::new();
-        for (h, &c) in self.head.iter().zip(vs.codes()) {
-            budget.consume(1)?;
-            if Some(c) == code {
-                out.push(*h);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Heads with oid tail equal to `o` — i.e. "find parents of `o`" when
-    /// the BAT stores parent→child edges.
-    pub fn select_oid_eq(&self, o: Oid) -> Vec<Oid> {
-        match &self.tail {
-            Column::Oid(vs) => self
-                .head
-                .iter()
-                .zip(vs)
-                .filter(|(_, v)| **v == o)
-                .map(|(h, _)| *h)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Reverses an `oid × oid` BAT: tails become heads and vice versa.
-    pub fn reverse(&self) -> Result<Bat> {
-        let Column::Oid(tails) = &self.tail else {
-            return Err(Error::TypeMismatch {
-                expected: ColumnKind::Oid,
-                got: self.tail.kind(),
-            });
-        };
-        let mut out = Bat::new_oid();
-        for (h, t) in self.head.iter().zip(tails) {
-            out.append_oid(*t, *h)?;
-        }
-        Ok(out)
-    }
-
-    /// Hash join on `self.tail = other.head`; produces
-    /// `(self.head, other.tail)` associations. `self` must have oid tails.
-    ///
-    /// This is the kernel of path-expression evaluation: joining
-    /// `R(a/b)` with `R(a/b/c)` walks one step down the document tree for
-    /// a whole set of nodes at once. Both sides are borrowed shared —
-    /// the head index serves lookups without exclusive access.
-    pub fn join(&self, other: &Bat) -> Result<Bat> {
-        let Column::Oid(tails) = &self.tail else {
-            return Err(Error::TypeMismatch {
-                expected: ColumnKind::Oid,
-                got: self.tail.kind(),
-            });
-        };
-        let mut out = Bat::with_kind(other.kind());
-        for (h, t) in self.head.iter().zip(tails) {
-            for p in other.positions(*t) {
-                out.append(*h, other.tail.get(p as usize))?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The `n` associations with the largest tails (descending tail order,
-    /// ties by head for determinism). The top-N operator of the paper's
-    /// query optimiser.
-    pub fn top_n(&self, n: usize) -> Vec<(Oid, Value)> {
-        let mut rows: Vec<(Oid, Value)> = self.iter().collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
     }
 
     /// Deletes every association with head `head`; returns how many were
@@ -513,7 +403,6 @@ impl Bat {
             Ok(false)
         }
     }
-
 }
 
 #[cfg(test)]
@@ -545,61 +434,6 @@ mod tests {
         let err = b.append(oid(1), Value::from("nope")).unwrap_err();
         assert!(matches!(err, Error::TypeMismatch { .. }));
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn select_variants() {
-        let mut b = Bat::new_int();
-        for (h, v) in [(1, 10), (2, 20), (3, 10)] {
-            b.append_int(oid(h), v).unwrap();
-        }
-        assert_eq!(b.select_by(|v| *v == Value::Int(10)), vec![oid(1), oid(3)]);
-        let in_range = |v: &Value| v.as_flt().is_some_and(|f| (15.0..=25.0).contains(&f));
-        assert_eq!(b.select_by(in_range), vec![oid(2)]);
-        assert!(b.select_str_eq("x").is_empty());
-    }
-
-    #[test]
-    fn reverse_swaps_columns() {
-        let mut b = Bat::new_oid();
-        b.append_oid(oid(1), oid(10)).unwrap();
-        let r = b.reverse().unwrap();
-        assert_eq!(r.at(0), (oid(10), Value::Oid(oid(1))));
-    }
-
-    #[test]
-    fn reverse_requires_oid_tail() {
-        let b = Bat::new_str();
-        assert!(b.reverse().is_err());
-    }
-
-    #[test]
-    fn join_walks_one_step() {
-        // parent -> child, child -> name
-        let mut edges = Bat::new_oid();
-        edges.append_oid(oid(1), oid(10)).unwrap();
-        edges.append_oid(oid(1), oid(11)).unwrap();
-        edges.append_oid(oid(2), oid(12)).unwrap();
-        let mut names = Bat::new_str();
-        names.append_str(oid(10), "x").unwrap();
-        names.append_str(oid(12), "y").unwrap();
-        let joined = edges.join(&names).unwrap();
-        let rows: Vec<_> = joined.iter().collect();
-        assert_eq!(
-            rows,
-            vec![(oid(1), Value::from("x")), (oid(2), Value::from("y"))]
-        );
-    }
-
-    #[test]
-    fn top_n_orders_descending_with_deterministic_ties() {
-        let mut b = Bat::new_flt();
-        b.append_flt(oid(3), 0.5).unwrap();
-        b.append_flt(oid(1), 0.9).unwrap();
-        b.append_flt(oid(2), 0.5).unwrap();
-        let top = b.top_n(2);
-        assert_eq!(top[0].0, oid(1));
-        assert_eq!(top[1].0, oid(2)); // tie broken by smaller head
     }
 
     #[test]
@@ -674,7 +508,7 @@ mod tests {
             b.append_int(oid(i % 7), i as i64).unwrap();
         }
         // Force a full rebuild (base only), then append more (overlay).
-        b.refresh_index();
+        b.index.rebuild(&b.head);
         for i in 50..100 {
             b.append_int(oid(i % 7), i as i64).unwrap();
         }
@@ -736,6 +570,7 @@ mod tests {
         b.append_str(oid(2), "graf").unwrap();
         b.append_str(oid(3), "seles").unwrap();
         assert_eq!(b.select_str_eq("seles"), vec![oid(1), oid(3)]);
+        assert!(Bat::new_int().select_str_eq("seles").is_empty());
         // Probe absent from the dictionary: still empty, and the
         // dictionary must not grow from a read.
         let entries_before = match b.tail() {
@@ -748,19 +583,5 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(entries_before, entries_after);
-    }
-
-    #[test]
-    fn budgeted_select_charges_every_row_even_on_miss() {
-        let mut b = Bat::new_str();
-        for i in 0..5 {
-            b.append_str(oid(i), "present").unwrap();
-        }
-        // Budget smaller than the row count: must run out mid-scan even
-        // though "absent" could short-circuit via the dictionary.
-        let budget = faults::Budget::with_work(3);
-        assert!(b.select_str_eq_budgeted("absent", &budget).is_err());
-        let budget = faults::Budget::with_work(5);
-        assert!(b.select_str_eq_budgeted("absent", &budget).is_ok());
     }
 }

@@ -187,14 +187,11 @@ impl Db {
     }
 
     /// Returns the BAT under `name`, creating an empty one of `kind`
-    /// first if it does not exist. The bulkloader's workhorse.
-    ///
-    /// # Panics
-    /// Panics if `name` is a lazily restored relation whose snapshot
-    /// slice fails to decode — impossible for snapshots that passed the
-    /// open-time CRC check, and the bulkload path only ever touches
-    /// relations it created.
-    pub fn get_or_create(&mut self, name: &str, kind: ColumnKind) -> &mut Bat {
+    /// first if it does not exist. The bulkloader's workhorse. Fails
+    /// with [`Error::Snapshot`] if `name` is a lazily restored relation
+    /// whose snapshot slice does not decode (a payload the open-time CRC
+    /// check passed can still be malformed).
+    pub fn get_or_create(&mut self, name: &str, kind: ColumnKind) -> Result<&mut Bat> {
         // One tree walk, and the pool is borrowed, not cloned. Probing
         // first and copying the name only on a miss costs a second walk
         // on every hit: slower than the copy once a store holds a few
@@ -204,11 +201,10 @@ impl Db {
             .bats
             .entry(name.to_owned())
             .or_insert_with(|| Slot::eager(Bat::with_kind_in(kind, pool)));
-        slot.materialize(name)
-            .unwrap_or_else(|e| panic!("relation {name:?}: lazy decode failed: {e}"));
+        slot.materialize(name)?;
         slot.cell
             .get_mut()
-            .unwrap_or_else(|| panic!("relation {name:?}: not materialized"))
+            .ok_or_else(|| Error::Snapshot(format!("relation {name:?}: not materialized")))
     }
 
     /// Whether a BAT named `name` exists.
@@ -319,9 +315,11 @@ mod tests {
         let mut db = Db::new();
         let o = db.mint();
         db.get_or_create("x", ColumnKind::Int)
+            .unwrap()
             .append_int(o, 1)
             .unwrap();
         db.get_or_create("x", ColumnKind::Int)
+            .unwrap()
             .append_int(o, 2)
             .unwrap();
         assert_eq!(db.get("x").unwrap().len(), 2);
@@ -333,9 +331,11 @@ mod tests {
         let mut db = Db::new();
         let o = db.mint();
         db.get_or_create("a", ColumnKind::Str)
+            .unwrap()
             .append_str(o, "v")
             .unwrap();
         db.get_or_create("b", ColumnKind::Int)
+            .unwrap()
             .append_int(o, 3)
             .unwrap();
         assert_eq!(db.relation_count(), 2);
@@ -359,9 +359,11 @@ mod tests {
         let mut db = Db::new();
         let o = db.mint();
         db.get_or_create("a", ColumnKind::Str)
+            .unwrap()
             .append_str(o, "shared")
             .unwrap();
         db.get_or_create("b", ColumnKind::Str)
+            .unwrap()
             .append_str(o, "shared")
             .unwrap();
         let stats = db.dict_stats();

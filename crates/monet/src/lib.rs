@@ -10,8 +10,8 @@
 //! * [`Value`] / [`Column`] — the typed tail domains (oid, int, float,
 //!   string, bool),
 //! * [`Bat`] — an append-friendly binary table `head: oid → tail: value`
-//!   with the relational operations the upper levels consume (selections,
-//!   lookups, joins, top-N slicing),
+//!   with the operations the upper levels consume (indexed head lookups,
+//!   scans, string selection, append / upsert / delete by head),
 //! * [`Db`] — a named catalog of BATs with a shared string dictionary
 //!   ([`StrPool`]) and lazy per-relation snapshot loading,
 //! * [`persist`] — compressed binary snapshots of a catalog
@@ -20,7 +20,7 @@
 //!
 //! The store is deliberately in-memory and single-version: the paper never
 //! discusses buffer management or transactions, and every experiment in
-//! `EXPERIMENTS.md` only needs fast scans and joins over binary relations.
+//! `EXPERIMENTS.md` only needs fast scans and lookups over binary relations.
 //!
 //! # Example
 //!

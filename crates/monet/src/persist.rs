@@ -564,18 +564,23 @@ mod tests {
         let a = db.mint();
         let b = db.mint();
         db.get_or_create("edges", ColumnKind::Oid)
+            .unwrap()
             .append_oid(a, b)
             .unwrap();
         db.get_or_create("names", ColumnKind::Str)
+            .unwrap()
             .append_str(a, "seles")
             .unwrap();
         db.get_or_create("ranks", ColumnKind::Int)
+            .unwrap()
             .append_int(b, 1)
             .unwrap();
         db.get_or_create("scores", ColumnKind::Flt)
+            .unwrap()
             .append_flt(b, 0.75)
             .unwrap();
         db.get_or_create("flags", ColumnKind::Bit)
+            .unwrap()
             .append_bit(a, true)
             .unwrap();
         db
@@ -591,12 +596,15 @@ mod tests {
         for i in 0..500 {
             let o = db.mint();
             db.get_or_create("country", ColumnKind::Str)
+                .unwrap()
                 .append_str(o, ["australia", "germany", "usa"][i % 3])
                 .unwrap();
             db.get_or_create("rank", ColumnKind::Int)
+                .unwrap()
                 .append_int(o, (i % 10) as i64)
                 .unwrap();
             db.get_or_create("active", ColumnKind::Bit)
+                .unwrap()
                 .append_bit(o, i % 2 == 0)
                 .unwrap();
         }

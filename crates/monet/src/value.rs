@@ -344,8 +344,8 @@ impl StrPool {
 /// The typed accessor pair ([`StrColumn::push`] / [`StrColumn::get`])
 /// round-trips byte-identically: interning stores the exact bytes, so
 /// decode returns exactly what was appended. Columns registered in a
-/// [`crate::Db`] share the catalog's pool; standalone columns (join
-/// results, scratch BATs) carry a private one.
+/// [`crate::Db`] share the catalog's pool; a standalone column carries
+/// a private one.
 #[derive(Debug, Clone)]
 pub struct StrColumn {
     codes: Vec<u32>,

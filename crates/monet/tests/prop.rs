@@ -78,34 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn top_n_is_sorted_prefix_of_full_sort(rows in arb_rows(), n in 0usize..16) {
-        if let Some(bat) = build_bat(&rows) {
-            let top = bat.top_n(n);
-            prop_assert!(top.len() <= n.min(rows.len()));
-            for w in top.windows(2) {
-                // Descending by value, ties ascending by head.
-                let ord = w[0].1.total_cmp(&w[1].1);
-                prop_assert!(ord != std::cmp::Ordering::Less);
-                if ord == std::cmp::Ordering::Equal {
-                    prop_assert!(w[0].0 <= w[1].0);
-                }
-            }
-            // Nothing outside the top-N beats anything inside it.
-            if let Some(last) = top.last() {
-                let inside: std::collections::HashSet<usize> = (0..bat.len())
-                    .filter(|&i| top.iter().any(|t| *t == bat.at(i)))
-                    .collect();
-                for i in 0..bat.len() {
-                    if !inside.contains(&i) {
-                        let (_, v) = bat.at(i);
-                        prop_assert!(v.total_cmp(&last.1) != std::cmp::Ordering::Greater);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_restore_is_identity(rows in arb_rows()) {
         let mut db = Db::new();
         if let Some(bat) = build_bat(&rows) {
@@ -146,38 +118,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn join_matches_nested_loop_semantics(
-        edges in prop::collection::vec((0u64..16, 16u64..32), 0..32),
-        leaves in prop::collection::vec((16u64..32, 0i64..100), 0..32),
-    ) {
-        let mut e = Bat::new_oid();
-        for (h, t) in &edges {
-            e.append_oid(Oid::from_raw(*h), Oid::from_raw(*t)).unwrap();
-        }
-        let mut l = Bat::new_int();
-        for (h, v) in &leaves {
-            l.append_int(Oid::from_raw(*h), *v).unwrap();
-        }
-        let joined = e.join(&l).unwrap();
-        let mut expected = Vec::new();
-        for (h, t) in &edges {
-            for (lh, lv) in &leaves {
-                if t == lh {
-                    expected.push((Oid::from_raw(*h), Value::Int(*lv)));
-                }
-            }
-        }
-        let got: Vec<_> = joined.iter().collect();
-        // Hash join preserves probe order per edge; sort both for set equality.
-        let mut got_sorted = got;
-        let mut expected_sorted = expected;
-        let key = |p: &(Oid, Value)| (p.0, p.1.as_int().unwrap());
-        got_sorted.sort_by_key(key);
-        expected_sorted.sort_by_key(key);
-        prop_assert_eq!(got_sorted, expected_sorted);
-    }
 }
 
 /// One mutation of a BAT's head column, for the head-index property.
@@ -201,7 +141,6 @@ enum Step {
     Upsert(u64),
     DeleteHead(u64),
     DeleteHeads(Vec<u64>),
-    Refresh,
     FromParts,
 }
 
@@ -225,7 +164,6 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (0..HEADS).prop_map(Step::Upsert),
         (0..HEADS).prop_map(Step::DeleteHead),
         prop::collection::vec(0..HEADS, 0..6).prop_map(Step::DeleteHeads),
-        Just(Step::Refresh),
         Just(Step::FromParts),
     ]
 }
@@ -283,7 +221,6 @@ fn apply(bat: &mut Bat, step: &Step, next: &mut i64) {
             let hs: HashSet<Oid> = hs.iter().map(|&h| Oid::from_raw(h)).collect();
             bat.delete_heads(&hs);
         }
-        Step::Refresh => bat.refresh_index(),
         Step::FromParts => {
             *bat = Bat::from_parts(bat.heads().collect(), bat.tail().clone()).unwrap();
         }

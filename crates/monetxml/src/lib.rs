@@ -20,12 +20,10 @@
 //!   Figure 12, mapping paths to relations,
 //! * [`transform`] — the Monet transform `Mt(d)` and its inverse,
 //! * [`store`] — [`XmlStore`]: catalog + summary + document registry with
-//!   the O(height) SAX bulkloader of the paper, a naive full-path-hashing
-//!   loader (the paper's strawman, kept as a benchmark baseline), and
+//!   the O(height) SAX bulkloader of the paper, lookup by source, and
 //!   incremental insert/delete,
-//! * [`query`] — path-expression scans over the store, and the
-//!   per-document path reads the query path answers media predicates
-//!   with.
+//! * [`query`] — the per-document path reads ([`query::descent`]) the
+//!   query path answers media predicates with.
 //!
 //! # Quickstart
 //!

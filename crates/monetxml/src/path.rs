@@ -67,16 +67,6 @@ impl Path {
         &self.steps
     }
 
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the path has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// The parent path (everything but the last step), if any.
     pub fn parent(&self) -> Option<Path> {
         if self.steps.is_empty() {

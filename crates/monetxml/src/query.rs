@@ -4,15 +4,13 @@
 //! evaluate the ubiquitous XML path expressions efficiently": because a
 //! relation holds *all* nodes with the same ancestry, evaluating
 //! `image/colors/histogram` is a single scan of one relation — no
-//! per-level joins. The functions here expose that, plus upward
-//! navigation through the parent accelerator. All of them read through
-//! `&XmlStore`.
+//! per-level joins.
 //!
-//! Path evaluation is on the serving path: the engine answers a media
-//! predicate (`MEDIA video HAS netplay`) by walking a [`Descent`] — a
-//! path whose per-step relations are resolved once per request — down
-//! from each candidate's document root, reading the few values it needs
-//! instead of reconstructing the stored parse tree.
+//! The engine answers a media predicate (`MEDIA video HAS netplay`) by
+//! walking a [`Descent`] — a path whose per-step relations are resolved
+//! once per request — down from each candidate's document root, reading
+//! the few values it needs instead of reconstructing the stored parse
+//! tree. Every read takes `&XmlStore`.
 //!
 //! The module's tests also hold the **edge-table baseline**: documents
 //! stored as one generic edge/label heap, evaluated node-at-a-time. The
@@ -24,187 +22,9 @@ use faults::Budget;
 use monet::{Bat, Oid, Value};
 
 use crate::error::{Error, Result};
-use crate::path::Path;
 use crate::store::XmlStore;
 use crate::summary::SumId;
-use crate::transform::{CDATA_ATTR, PARENT_RELATION, PCDATA_LABEL, SYS_RELATION};
-
-/// All node oids at element path `path` — a single relation scan.
-pub fn nodes_at(store: &XmlStore, path: &Path) -> Result<Vec<Oid>> {
-    nodes_at_budgeted(store, path, &faults::Budget::unlimited())
-}
-
-/// [`nodes_at`] under a caller budget: the relation scan pays one work
-/// unit per tuple, so even the physical level cancels cooperatively
-/// with a typed [`Error::DeadlineExceeded`].
-pub fn nodes_at_budgeted(
-    store: &XmlStore,
-    path: &Path,
-    budget: &faults::Budget,
-) -> Result<Vec<Oid>> {
-    if path.is_attr() {
-        return Err(Error::Store(format!(
-            "nodes_at expects an element path, got {path}"
-        )));
-    }
-    if let Some(m) = store.metrics() {
-        m.path_scans.inc();
-    }
-    if path.len() == 1 {
-        // Root paths live in `sys`.
-        let label = path.steps()[0].label().to_owned();
-        return match store.db().get(SYS_RELATION) {
-            Ok(bat) => {
-                let out = bat
-                    .select_str_eq_budgeted(&label, budget)
-                    .map_err(|cause| Error::DeadlineExceeded { nodes: 0, cause })?;
-                if let Some(m) = store.metrics() {
-                    m.scan_rows.add(out.len() as u64);
-                }
-                Ok(out)
-            }
-            Err(_) => Ok(Vec::new()),
-        };
-    }
-    let rel = path.to_string();
-    match store.db().get(&rel) {
-        Ok(bat) => {
-            let mut out = Vec::new();
-            for (_, v) in bat.iter() {
-                budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
-                    nodes: out.len(),
-                    cause,
-                })?;
-                if let Some(oid) = v.as_oid() {
-                    out.push(oid);
-                }
-            }
-            if let Some(m) = store.metrics() {
-                m.scan_rows.add(out.len() as u64);
-            }
-            Ok(out)
-        }
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
-/// `(node, value)` pairs for attribute `name` on nodes at element path
-/// `path`.
-pub fn attr_values(store: &XmlStore, path: &Path, name: &str) -> Result<Vec<(Oid, String)>> {
-    let rel = path.attr(name).to_string();
-    match store.db().get(&rel) {
-        Ok(bat) => Ok(bat
-            .iter()
-            .filter_map(|(h, v)| v.as_str().map(|s| (h, s.to_owned())))
-            .collect()),
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
-/// `(element, text)` pairs: the direct text content of every node at
-/// element path `path` (concatenating multiple PCDATA children).
-pub fn text_values(store: &XmlStore, path: &Path) -> Result<Vec<(Oid, String)>> {
-    text_values_budgeted(store, path, &faults::Budget::unlimited())
-}
-
-/// [`text_values`] under a caller budget: the node scan is budgeted and
-/// every text fetch pays one further work unit.
-pub fn text_values_budgeted(
-    store: &XmlStore,
-    path: &Path,
-    budget: &faults::Budget,
-) -> Result<Vec<(Oid, String)>> {
-    let Some(sum) = store.summary().resolve(path) else {
-        return Ok(Vec::new());
-    };
-    let nodes = nodes_at_budgeted(store, path, budget)?;
-    let mut out = Vec::with_capacity(nodes.len());
-    for n in nodes {
-        budget.consume(1).map_err(|cause| Error::DeadlineExceeded {
-            nodes: out.len(),
-            cause,
-        })?;
-        let text = store.direct_text(sum, n)?;
-        if !text.is_empty() {
-            out.push((n, text));
-        }
-    }
-    Ok(out)
-}
-
-/// The attribute value of `name` on a specific node at `path`.
-pub fn attr_of(store: &XmlStore, path: &Path, node: Oid, name: &str) -> Option<String> {
-    let rel = path.attr(name).to_string();
-    store
-        .db()
-        .get(&rel)
-        .ok()?
-        .first_tail_of(node)
-        .and_then(|v| v.as_str().map(str::to_owned))
-}
-
-/// Child oids of `node` (at element path `path`) reached via child label
-/// `label`, in storage order.
-pub fn children_of(store: &XmlStore, path: &Path, node: Oid, label: &str) -> Vec<Oid> {
-    let rel = path.child(label).to_string();
-    match store.db().get(&rel) {
-        Ok(bat) => bat
-            .tails_of(node)
-            .into_iter()
-            .filter_map(|v| v.as_oid())
-            .collect(),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Walks the parent accelerator up to the document root.
-pub fn root_of(store: &XmlStore, node: Oid) -> Result<Oid> {
-    let mut cur = node;
-    for _ in 0..64 {
-        let parent = store
-            .db()
-            .get(PARENT_RELATION)
-            .ok()
-            .and_then(|bat| bat.first_tail_of(cur))
-            .and_then(|v| v.as_oid());
-        match parent {
-            Some(p) => cur = p,
-            None => return Ok(cur),
-        }
-    }
-    Err(Error::Store(format!(
-        "parent chain from {node} exceeds depth 64 (cycle?)"
-    )))
-}
-
-/// The recorded extent `(start, end)` of an element node, when the
-/// document was loaded with extent recording. Extents nest exactly like
-/// elements, so `contains(a, b)` ⇔ a is an ancestor of b — the basis of
-/// structural joins.
-pub fn extent_of(store: &XmlStore, path: &Path, node: Oid) -> Option<(i64, i64)> {
-    let start_rel = path
-        .attr(crate::transform::EXTENT_START_ATTR)
-        .to_string();
-    let end_rel = path.attr(crate::transform::EXTENT_END_ATTR).to_string();
-    let start = store
-        .db()
-        .get(&start_rel)
-        .ok()?
-        .first_tail_of(node)?
-        .as_int()?;
-    let end = store
-        .db()
-        .get(&end_rel)
-        .ok()?
-        .first_tail_of(node)?
-        .as_int()?;
-    Some((start, end))
-}
-
-/// Whether extent `outer` strictly contains extent `inner`.
-pub fn extent_contains(outer: (i64, i64), inner: (i64, i64)) -> bool {
-    outer.0 < inner.0 && inner.1 < outer.1
-}
+use crate::transform::{CDATA_ATTR, PCDATA_LABEL};
 
 /// An element path below a schema-tree node, with the relation of each
 /// step resolved to its BAT once. Reading many documents along it costs
@@ -336,10 +156,10 @@ mod tests {
                 NodeKind::Element(t) => t.clone(),
                 NodeKind::Cdata(_) => "PCDATA".to_owned(),
             };
-            db.get_or_create(LABEL_RELATION, ColumnKind::Str)
+            db.get_or_create(LABEL_RELATION, ColumnKind::Str)?
                 .append_str(oid, label)?;
             if let Some(p) = parent {
-                db.get_or_create(EDGE_RELATION, ColumnKind::Oid)
+                db.get_or_create(EDGE_RELATION, ColumnKind::Oid)?
                     .append_oid(p, oid)?;
             }
             for child in doc.children(node) {
@@ -368,7 +188,7 @@ mod tests {
         for c in candidates {
             let has_parent = db
                 .get(EDGE_RELATION)
-                .map(|bat| !bat.select_oid_eq(c).is_empty())
+                .map(|bat| bat.iter().any(|(_, child)| child == Value::Oid(c)))
                 .unwrap_or(false);
             if !has_parent {
                 frontier.push(c);
@@ -403,84 +223,6 @@ mod tests {
         Ok(frontier)
     }
 
-    fn loaded() -> (XmlStore, Oid) {
-        let mut store = XmlStore::new();
-        let root = store.bulkload_str("s.xml", FIGURE9_XML).unwrap();
-        (store, root)
-    }
-
-    #[test]
-    fn nodes_at_root_path_uses_sys() {
-        let (store, root) = loaded();
-        assert_eq!(
-            nodes_at(&store, &Path::root("image")).unwrap(),
-            vec![root]
-        );
-        assert!(nodes_at(&store, &Path::root("nothing"))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn nodes_at_deep_path_is_single_scan() {
-        let (store, _) = loaded();
-        let hist = nodes_at(
-            &store,
-            &Path::root("image").child("colors").child("histogram"),
-        )
-        .unwrap();
-        assert_eq!(hist.len(), 1);
-    }
-
-    #[test]
-    fn attr_values_reads_attribute_relation() {
-        let (store, root) = loaded();
-        let vals = attr_values(&store, &Path::root("image"), "key").unwrap();
-        assert_eq!(vals, vec![(root, "18934".to_owned())]);
-    }
-
-    #[test]
-    fn text_values_concatenates_pcdata() {
-        let (store, _) = loaded();
-        let p = Path::root("image").child("colors").child("saturation");
-        let vals = text_values(&store, &p).unwrap();
-        assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0].1, "0.390");
-    }
-
-    #[test]
-    fn root_of_walks_to_document_root() {
-        let (store, root) = loaded();
-        let p = Path::root("image").child("colors").child("histogram");
-        let hist = nodes_at(&store, &p).unwrap()[0];
-        assert_eq!(root_of(&store, hist).unwrap(), root);
-        assert_eq!(root_of(&store, root).unwrap(), root);
-    }
-
-    #[test]
-    fn attr_of_reads_single_node() {
-        let (store, root) = loaded();
-        assert_eq!(
-            attr_of(&store, &Path::root("image"), root, "source"),
-            Some("http://.../seles.jpg".to_owned())
-        );
-        assert_eq!(attr_of(&store, &Path::root("image"), root, "nope"), None);
-    }
-
-    #[test]
-    fn children_of_follows_labelled_edges() {
-        let (store, root) = loaded();
-        let colors = children_of(&store, &Path::root("image"), root, "colors");
-        assert_eq!(colors.len(), 1);
-        let kids = children_of(
-            &store,
-            &Path::root("image").child("colors"),
-            colors[0],
-            "histogram",
-        );
-        assert_eq!(kids.len(), 1);
-    }
-
     #[test]
     fn edge_baseline_agrees_with_path_store_on_node_counts() {
         let mut db = Db::new();
@@ -491,67 +233,16 @@ mod tests {
         let mut store = XmlStore::new();
         store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
         store.bulkload_str("b.xml", FIGURE9_XML).unwrap();
-        let via_paths = nodes_at(
-            &store,
-            &Path::root("image").child("colors").child("histogram"),
-        )
-        .unwrap();
+        // The path side: one scan of the relation that clusters the path.
+        let via_paths: Vec<Oid> = store
+            .db()
+            .get("image/colors/histogram")
+            .unwrap()
+            .iter()
+            .filter_map(|(_, child)| child.as_oid())
+            .collect();
         assert_eq!(via_edges.len(), via_paths.len());
         assert_eq!(via_edges.len(), 2);
-    }
-
-    #[test]
-    fn extents_mirror_ancestry() {
-        let mut store = XmlStore::new();
-        let root = store
-            .bulkload_str_with_extents("s.xml", FIGURE9_XML)
-            .unwrap();
-        let image_p = Path::root("image");
-        let colors_p = image_p.child("colors");
-        let hist_p = colors_p.child("histogram");
-        let date_p = image_p.child("date");
-
-        let image_ext = extent_of(&store, &image_p, root).unwrap();
-        let colors = nodes_at(&store, &colors_p).unwrap()[0];
-        let colors_ext = extent_of(&store, &colors_p, colors).unwrap();
-        let hist = nodes_at(&store, &hist_p).unwrap()[0];
-        let hist_ext = extent_of(&store, &hist_p, hist).unwrap();
-        let date = nodes_at(&store, &date_p).unwrap()[0];
-        let date_ext = extent_of(&store, &date_p, date).unwrap();
-
-        // Ancestors strictly contain descendants…
-        assert!(extent_contains(image_ext, colors_ext));
-        assert!(extent_contains(image_ext, hist_ext));
-        assert!(extent_contains(colors_ext, hist_ext));
-        // …and siblings do not contain each other.
-        assert!(!extent_contains(date_ext, colors_ext));
-        assert!(!extent_contains(colors_ext, date_ext));
-        // Extent-loaded documents still reconstruct isomorphically.
-        assert_eq!(store.reconstruct(root).unwrap(), figure9());
-    }
-
-    #[test]
-    fn plain_loads_record_no_extents() {
-        let mut store = XmlStore::new();
-        let root = store.bulkload_str("s.xml", FIGURE9_XML).unwrap();
-        assert_eq!(extent_of(&store, &Path::root("image"), root), None);
-    }
-
-    #[test]
-    fn budgeted_scans_are_cancellable() {
-        let (store, _) = loaded();
-        let p = Path::root("image").child("colors").child("saturation");
-        let full = text_values(&store, &p).unwrap();
-        assert_eq!(
-            text_values_budgeted(&store, &p, &faults::Budget::unlimited()).unwrap(),
-            full
-        );
-        match text_values_budgeted(&store, &p, &faults::Budget::with_work(0)) {
-            Err(Error::DeadlineExceeded { cause, .. }) => {
-                assert_eq!(cause, faults::BudgetExceeded::Work);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
     }
 
     #[test]
@@ -581,11 +272,5 @@ mod tests {
         // A path no stored document has reaches nothing.
         let none = descent(&store, store.summary().root(), &["a", "x"]);
         assert!(none.nodes(root, &all).unwrap().is_empty());
-    }
-
-    #[test]
-    fn nodes_at_rejects_attribute_paths() {
-        let (store, _) = loaded();
-        assert!(nodes_at(&store, &Path::root("image").attr("key")).is_err());
     }
 }

@@ -7,39 +7,44 @@
 //!   streams XML text through the SAX parser straight into relations,
 //!   with memory bounded by document height;
 //!   [`XmlStore::insert_document`] walks an already-built tree,
-//! * **retrieval** — [`XmlStore::reconstruct`] runs the inverse mapping,
-//!   and [`crate::query`] evaluates path expressions; the engine's query
-//!   path reads stored meta-data through [`crate::query::descent`],
-//!   never through a reconstruction. Every read takes `&self`,
+//! * **retrieval** — [`XmlStore::reconstruct`] runs the inverse mapping;
+//!   the engine's query path reads stored meta-data through
+//!   [`crate::query::descent`], never through a reconstruction, and finds
+//!   a document by its source in [`XmlStore::root_for_source`]. Every
+//!   read takes `&self`,
 //! * **update** — [`XmlStore::delete_document`] removes a stored document
 //!   so the maintenance machinery (FDS) can replace invalidated trees.
 //!
-//! Two deliberately *worse* code paths are kept as baselines that tests
-//! compare the real ones against, mirroring the paper's own strawmen:
-//! [`XmlStore::bulkload_str_naive`] (hash the full path string for every
-//! single insert — the "first naïve approach" of the bulkload section)
-//! and the edge-table storage mode in [`crate::query`]'s tests
-//! (node-at-a-time traversal, the "plain data guides" competitor).
+//! The unit tests keep two deliberately *worse* code paths as baselines,
+//! mirroring the paper's own strawmen: a naive loader here (hash the full
+//! path string for every single insert — the "first naïve approach" of
+//! the bulkload section, experiment E1) and the edge-table storage mode
+//! in [`crate::query`]'s tests (node-at-a-time traversal, the "plain data
+//! guides" competitor, experiment E2).
+
+use std::collections::HashMap;
 
 use monet::wal::WalHandle;
-use monet::{ColumnKind, Db, Oid};
+use monet::{Db, Oid};
 
 use crate::doc::Document;
 use crate::error::{Error, Result};
 use crate::parse::{self, SaxHandler};
 use crate::summary::PathSummary;
-use crate::transform::{
-    self, LoadStats, Loader, CDATA_ATTR, PARENT_RELATION, PCDATA_LABEL, SOURCE_RELATION,
-    SYS_RELATION,
-};
+use crate::transform::{self, LoadStats, Loader, PARENT_RELATION, SOURCE_RELATION, SYS_RELATION};
 
 /// The physical level's storage manager.
 #[derive(Debug)]
 pub struct XmlStore {
     db: Db,
     summary: PathSummary,
-    /// Roots of stored documents, in insertion order.
+    /// Roots of stored documents, in insertion order — which is oid
+    /// order, as every load mints its root after all earlier ones.
     roots: Vec<Oid>,
+    /// Source name → the earliest stored document loaded from it: the
+    /// `sys[source]` relation inverted, so a lookup by source costs one
+    /// probe instead of a scan.
+    by_source: HashMap<String, Oid>,
     /// Cumulative stats of the most recent load.
     last_stats: LoadStats,
     /// Bumped on every insert or delete; anything derived from the
@@ -52,15 +57,13 @@ pub struct XmlStore {
     metrics: Option<StoreMetrics>,
 }
 
-/// Metric handles for the physical level (loads, scans, reconstructs).
+/// Metric handles for the physical level (loads, deletes, reconstructs).
 #[derive(Debug, Clone)]
-pub(crate) struct StoreMetrics {
+struct StoreMetrics {
     loads: obs::Counter,
     nodes_loaded: obs::Counter,
     deletes: obs::Counter,
     reconstructions: obs::Counter,
-    pub(crate) path_scans: obs::Counter,
-    pub(crate) scan_rows: obs::Counter,
 }
 
 impl StoreMetrics {
@@ -79,14 +82,6 @@ impl StoreMetrics {
                 "monetxml_reconstructions_total",
                 "Documents reconstructed from relations",
             ),
-            path_scans: registry.counter(
-                "monetxml_path_scans_total",
-                "Path-expression relation scans",
-            ),
-            scan_rows: registry.counter(
-                "monetxml_scan_rows_total",
-                "Tuples returned by path-expression scans",
-            ),
         }
     }
 }
@@ -103,6 +98,7 @@ impl XmlStore {
             db: Db::new(),
             summary: PathSummary::new(),
             roots: Vec::new(),
+            by_source: HashMap::new(),
             last_stats: LoadStats::default(),
             epoch: 0,
             wal: None,
@@ -110,22 +106,23 @@ impl XmlStore {
         }
     }
 
-    /// Connects the store to an observability handle: loads, deletes,
-    /// scans and reconstructions feed the `monetxml_*` counters. A
-    /// disabled handle disconnects.
+    /// Connects the store to an observability handle: loads, deletes
+    /// and reconstructions feed the `monetxml_*` counters. A disabled
+    /// handle disconnects.
     pub fn set_obs(&mut self, o: &obs::Obs) {
         self.metrics = o.registry().map(StoreMetrics::register);
     }
 
-    pub(crate) fn metrics(&self) -> Option<&StoreMetrics> {
-        self.metrics.as_ref()
-    }
-
-    fn note_load(&self, stats: &LoadStats) {
+    /// Registers a freshly loaded document.
+    fn note_load(&mut self, source: &str, root: Oid, stats: LoadStats) {
+        self.roots.push(root);
+        self.by_source.entry(source.to_owned()).or_insert(root);
         if let Some(m) = &self.metrics {
             m.loads.inc();
             m.nodes_loaded.add(stats.nodes as u64);
         }
+        self.last_stats = stats;
+        self.epoch += 1;
     }
 
     /// A counter that advances on every insert or delete. Equal epochs
@@ -193,10 +190,7 @@ impl XmlStore {
             self.log_insert(source, &xml)?;
         }
         let (root, stats) = transform::load_document(&mut self.db, &mut self.summary, source, doc)?;
-        self.roots.push(root);
-        self.note_load(&stats);
-        self.last_stats = stats;
-        self.epoch += 1;
+        self.note_load(source, root, stats);
         Ok(root)
     }
 
@@ -271,174 +265,7 @@ impl XmlStore {
         let mut loader = Loader::new(&mut self.db, &mut self.summary, source);
         parse::parse_sax(xml, &mut Sax(&mut loader))?;
         let (root, stats) = loader.finish()?;
-        self.roots.push(root);
-        self.note_load(&stats);
-        self.last_stats = stats;
-        self.epoch += 1;
-        Ok(root)
-    }
-
-    /// Like [`XmlStore::bulkload_str`], additionally recording element
-    /// extents (`path[xstart]` / `path[xend]` relations) — the paper's
-    /// multi-attribute extension hook.
-    pub fn bulkload_str_with_extents(&mut self, source: &str, xml: &str) -> Result<Oid> {
-        struct Sax<'a, 'b>(&'a mut Loader<'b>);
-        impl SaxHandler for Sax<'_, '_> {
-            fn start_element(&mut self, tag: &str, attrs: &[(&str, String)]) -> Result<()> {
-                self.0.start_element(tag, attrs)
-            }
-            fn end_element(&mut self, _tag: &str) -> Result<()> {
-                self.0.end_element()
-            }
-            fn characters(&mut self, text: &str) -> Result<()> {
-                self.0.characters(text)
-            }
-        }
-        let mut loader = Loader::with_extents(&mut self.db, &mut self.summary, source);
-        parse::parse_sax(xml, &mut Sax(&mut loader))?;
-        let (root, stats) = loader.finish()?;
-        self.roots.push(root);
-        self.note_load(&stats);
-        self.last_stats = stats;
-        self.epoch += 1;
-        Ok(root)
-    }
-
-    /// The paper's strawman loader: identical output, but instead of
-    /// keeping a schema-tree cursor it rebuilds and hashes the **full
-    /// path string** for every node and attribute — "a first naïve
-    /// approach would thus result in the following sequence of insert
-    /// statements … requires us to hash the complete path to a relation
-    /// name". Exists only as the baseline for experiment E2.
-    pub fn bulkload_str_naive(&mut self, source: &str, xml: &str) -> Result<Oid> {
-        struct Naive<'a> {
-            db: &'a mut Db,
-            summary: &'a mut PathSummary,
-            /// (label, oid, next_rank) per open element.
-            stack: Vec<(String, Oid, i64)>,
-            root: Option<Oid>,
-            source: String,
-        }
-        impl Naive<'_> {
-            fn full_path(&self) -> String {
-                // Deliberately rebuilds the string every time.
-                self.stack
-                    .iter()
-                    .map(|(l, _, _)| l.as_str())
-                    .collect::<Vec<_>>()
-                    .join("/")
-            }
-            /// Resolve a path string through the summary *by reparsing and
-            /// re-walking it from the root* — the repeated hashing work the
-            /// schema-tree cursor avoids.
-            fn resolve_slow(&mut self, path: &str) -> crate::summary::SumId {
-                let mut cur = self.summary.root();
-                for seg in path.split('/').filter(|s| !s.is_empty()) {
-                    cur = self.summary.ensure_child(cur, seg).0;
-                }
-                cur
-            }
-        }
-        impl SaxHandler for Naive<'_> {
-            fn start_element(&mut self, tag: &str, attrs: &[(&str, String)]) -> Result<()> {
-                let oid = self.db.mint();
-                let parent = self.stack.last().map(|(_, o, _)| *o);
-                let rank = match self.stack.last_mut() {
-                    Some((_, _, r)) => {
-                        let rank = *r;
-                        *r += 1;
-                        rank
-                    }
-                    None => 1,
-                };
-                self.stack.push((tag.to_owned(), oid, 1));
-                let path = self.full_path();
-                let sum = self.resolve_slow(&path);
-                let relation = self.summary.relation(sum).to_owned();
-                match parent {
-                    Some(p) => {
-                        self.db
-                            .get_or_create(&relation, ColumnKind::Oid)
-                            .append_oid(p, oid)?;
-                        self.db
-                            .get_or_create(PARENT_RELATION, ColumnKind::Oid)
-                            .append_oid(oid, p)?;
-                    }
-                    None => {
-                        if self.root.is_some() {
-                            return Err(Error::Store("multiple roots".into()));
-                        }
-                        self.root = Some(oid);
-                        self.db
-                            .get_or_create(SYS_RELATION, ColumnKind::Str)
-                            .append_str(oid, tag)?;
-                        self.db
-                            .get_or_create(SOURCE_RELATION, ColumnKind::Str)
-                            .append_str(oid, self.source.clone())?;
-                    }
-                }
-                let (rank_rel, _) = self.summary.ensure_attr(sum, "rank");
-                self.db
-                    .get_or_create(&rank_rel, ColumnKind::Int)
-                    .append_int(oid, rank)?;
-                for (name, value) in attrs {
-                    let (attr_rel, _) = self.summary.ensure_attr(sum, name);
-                    self.db
-                        .get_or_create(&attr_rel, ColumnKind::Str)
-                        .append_str(oid, value.clone())?;
-                }
-                Ok(())
-            }
-            fn end_element(&mut self, _tag: &str) -> Result<()> {
-                self.stack.pop();
-                Ok(())
-            }
-            fn characters(&mut self, text: &str) -> Result<()> {
-                let (parent, rank) = match self.stack.last_mut() {
-                    Some((_, o, r)) => {
-                        let rank = *r;
-                        *r += 1;
-                        (*o, rank)
-                    }
-                    None => return Err(Error::Store("text outside root".into())),
-                };
-                self.stack.push((PCDATA_LABEL.to_owned(), Oid::from_raw(0), 0));
-                let path = self.full_path();
-                self.stack.pop();
-                let sum = self.resolve_slow(&path);
-                let relation = self.summary.relation(sum).to_owned();
-                let oid = self.db.mint();
-                self.db
-                    .get_or_create(&relation, ColumnKind::Oid)
-                    .append_oid(parent, oid)?;
-                self.db
-                    .get_or_create(PARENT_RELATION, ColumnKind::Oid)
-                    .append_oid(oid, parent)?;
-                let (rank_rel, _) = self.summary.ensure_attr(sum, "rank");
-                self.db
-                    .get_or_create(&rank_rel, ColumnKind::Int)
-                    .append_int(oid, rank)?;
-                let (cdata_rel, _) = self.summary.ensure_attr(sum, CDATA_ATTR);
-                self.db
-                    .get_or_create(&cdata_rel, ColumnKind::Str)
-                    .append_str(oid, text)?;
-                Ok(())
-            }
-        }
-
-        let mut handler = Naive {
-            db: &mut self.db,
-            summary: &mut self.summary,
-            stack: Vec::new(),
-            root: None,
-            source: source.to_owned(),
-        };
-        parse::parse_sax(xml, &mut handler)?;
-        let root = handler
-            .root
-            .ok_or_else(|| Error::Store("no root element".into()))?;
-        self.roots.push(root);
-        self.epoch += 1;
+        self.note_load(source, root, stats);
         Ok(root)
     }
 
@@ -459,14 +286,10 @@ impl XmlStore {
             .and_then(|v| v.as_str().map(str::to_owned))
     }
 
-    /// The root oid of the document loaded from `source`, if any.
+    /// The root oid of the document loaded from `source`, if any — the
+    /// earliest one when several were.
     pub fn root_for_source(&self, source: &str) -> Option<Oid> {
-        self.db
-            .get(SOURCE_RELATION)
-            .ok()?
-            .select_str_eq(source)
-            .first()
-            .copied()
+        self.by_source.get(source).copied()
     }
 
     /// Deletes the document rooted at `root`, removing every node it
@@ -479,15 +302,13 @@ impl XmlStore {
             .first_tail_of(root)
             .and_then(|v| v.as_str().map(str::to_owned))
             .ok_or_else(|| Error::Store(format!("oid {root} is not a document root")))?;
+        let source = self
+            .source_of(root)
+            .ok_or_else(|| Error::Store(format!("oid {root} has no source entry")))?;
         // Log the delete (keyed by source, which survives restarts —
         // oids do not) before any relation mutates.
-        if self.wal.is_some() {
-            let source = self
-                .source_of(root)
-                .ok_or_else(|| Error::Store(format!("oid {root} has no source entry")))?;
-            if let Some(wal) = &self.wal {
-                wal.log(WAL_OP_DELETE, &[source.as_bytes()])?;
-            }
+        if let Some(wal) = &self.wal {
+            wal.log(WAL_OP_DELETE, &[source.as_bytes()])?;
         }
         let sum = self
             .summary
@@ -509,8 +330,20 @@ impl XmlStore {
             }
         }
         self.db.get_mut(SYS_RELATION)?.delete_head(root);
-        self.db.get_mut(SOURCE_RELATION)?.delete_head(root);
-        self.roots.retain(|r| *r != root);
+        let sources = self.db.get_mut(SOURCE_RELATION)?;
+        sources.delete_head(root);
+        if self.by_source.get(&source) == Some(&root) {
+            // The next document loaded from the same source, if any,
+            // takes over: one more pass over the codes `delete_head`
+            // just scanned.
+            match sources.select_str_eq(&source).into_iter().min() {
+                Some(next) => self.by_source.insert(source, next),
+                None => self.by_source.remove(&source),
+            };
+        }
+        if let Ok(i) = self.roots.binary_search(&root) {
+            self.roots.remove(i);
+        }
         self.epoch += 1;
         if let Some(m) = &self.metrics {
             m.deletes.inc();
@@ -609,8 +442,10 @@ impl XmlStore {
     }
 
     /// Rebuilds the derived state (schema tree, document registry) from a
-    /// restored catalog. Only the `sys` relation is materialized.
-    fn from_db(mut db: Db) -> Result<XmlStore> {
+    /// restored catalog. Only the `sys[source]` relation is materialized;
+    /// a catalog without one holds no documents, and one that does not
+    /// decode is an error.
+    fn from_db(db: Db) -> Result<XmlStore> {
         // Rebuild the schema tree from the relation names.
         let mut summary = PathSummary::new();
         let names: Vec<String> = db.relation_names().map(str::to_owned).collect();
@@ -633,29 +468,34 @@ impl XmlStore {
                 }
             }
         }
-        // Rebuild the document registry from sys, in oid order (the
-        // insertion order of the original store).
-        let mut roots: Vec<Oid> = match db.get_mut(SYS_RELATION) {
-            Ok(bat) => bat.heads().collect(),
-            Err(_) => Vec::new(),
-        };
+        // Rebuild the document registry from sys[source], in oid order
+        // (the insertion order of the original store).
+        let mut roots = Vec::new();
+        let mut by_source = HashMap::new();
+        match db.get(SOURCE_RELATION) {
+            Ok(bat) => {
+                for (root, source) in bat.iter() {
+                    roots.push(root);
+                    if let Some(source) = source.as_str() {
+                        let first = by_source.entry(source.to_owned()).or_insert(root);
+                        *first = root.min(*first);
+                    }
+                }
+            }
+            Err(monet::Error::NoSuchBat(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
         roots.sort();
         Ok(XmlStore {
             db,
             summary,
             roots,
+            by_source,
             last_stats: LoadStats::default(),
             epoch: 0,
             wal: None,
             metrics: None,
         })
-    }
-
-    /// Text content of an element node: concatenation of the `cdata` of
-    /// its direct `PCDATA` children, in rank order.
-    pub fn direct_text(&self, sum: crate::summary::SumId, oid: Oid) -> Result<String> {
-        let text = crate::query::descent(self, sum, &[]).text(oid, &faults::Budget::unlimited())?;
-        Ok(text.unwrap_or_default())
     }
 }
 
@@ -669,6 +509,147 @@ impl Default for XmlStore {
 mod tests {
     use super::*;
     use crate::testutil::{figure9, FIGURE9_XML};
+    use crate::transform::{CDATA_ATTR, PCDATA_LABEL};
+    use monet::ColumnKind;
+
+    impl XmlStore {
+        /// The paper's strawman loader: identical output, but instead of
+        /// keeping a schema-tree cursor it rebuilds and hashes the **full
+        /// path string** for every node and attribute — "a first naïve
+        /// approach would thus result in the following sequence of insert
+        /// statements … requires us to hash the complete path to a relation
+        /// name". The baseline of experiment E1.
+        fn bulkload_str_naive(&mut self, source: &str, xml: &str) -> Result<Oid> {
+            struct Naive<'a> {
+                db: &'a mut Db,
+                summary: &'a mut PathSummary,
+                /// (label, oid, next_rank) per open element.
+                stack: Vec<(String, Oid, i64)>,
+                root: Option<Oid>,
+                source: String,
+            }
+            impl Naive<'_> {
+                fn full_path(&self) -> String {
+                    // Deliberately rebuilds the string every time.
+                    self.stack
+                        .iter()
+                        .map(|(l, _, _)| l.as_str())
+                        .collect::<Vec<_>>()
+                        .join("/")
+                }
+                /// Resolve a path string through the summary *by reparsing and
+                /// re-walking it from the root* — the repeated hashing work the
+                /// schema-tree cursor avoids.
+                fn resolve_slow(&mut self, path: &str) -> crate::summary::SumId {
+                    let mut cur = self.summary.root();
+                    for seg in path.split('/').filter(|s| !s.is_empty()) {
+                        cur = self.summary.ensure_child(cur, seg).0;
+                    }
+                    cur
+                }
+            }
+            impl SaxHandler for Naive<'_> {
+                fn start_element(&mut self, tag: &str, attrs: &[(&str, String)]) -> Result<()> {
+                    let oid = self.db.mint();
+                    let parent = self.stack.last().map(|(_, o, _)| *o);
+                    let rank = match self.stack.last_mut() {
+                        Some((_, _, r)) => {
+                            let rank = *r;
+                            *r += 1;
+                            rank
+                        }
+                        None => 1,
+                    };
+                    self.stack.push((tag.to_owned(), oid, 1));
+                    let path = self.full_path();
+                    let sum = self.resolve_slow(&path);
+                    let relation = self.summary.relation(sum).to_owned();
+                    match parent {
+                        Some(p) => {
+                            self.db
+                                .get_or_create(&relation, ColumnKind::Oid)?
+                                .append_oid(p, oid)?;
+                            self.db
+                                .get_or_create(PARENT_RELATION, ColumnKind::Oid)?
+                                .append_oid(oid, p)?;
+                        }
+                        None => {
+                            if self.root.is_some() {
+                                return Err(Error::Store("multiple roots".into()));
+                            }
+                            self.root = Some(oid);
+                            self.db
+                                .get_or_create(SYS_RELATION, ColumnKind::Str)?
+                                .append_str(oid, tag)?;
+                            self.db
+                                .get_or_create(SOURCE_RELATION, ColumnKind::Str)?
+                                .append_str(oid, self.source.clone())?;
+                        }
+                    }
+                    let (rank_rel, _) = self.summary.ensure_attr(sum, "rank");
+                    self.db
+                        .get_or_create(&rank_rel, ColumnKind::Int)?
+                        .append_int(oid, rank)?;
+                    for (name, value) in attrs {
+                        let (attr_rel, _) = self.summary.ensure_attr(sum, name);
+                        self.db
+                            .get_or_create(&attr_rel, ColumnKind::Str)?
+                            .append_str(oid, value.clone())?;
+                    }
+                    Ok(())
+                }
+                fn end_element(&mut self, _tag: &str) -> Result<()> {
+                    self.stack.pop();
+                    Ok(())
+                }
+                fn characters(&mut self, text: &str) -> Result<()> {
+                    let (parent, rank) = match self.stack.last_mut() {
+                        Some((_, o, r)) => {
+                            let rank = *r;
+                            *r += 1;
+                            (*o, rank)
+                        }
+                        None => return Err(Error::Store("text outside root".into())),
+                    };
+                    self.stack.push((PCDATA_LABEL.to_owned(), Oid::from_raw(0), 0));
+                    let path = self.full_path();
+                    self.stack.pop();
+                    let sum = self.resolve_slow(&path);
+                    let relation = self.summary.relation(sum).to_owned();
+                    let oid = self.db.mint();
+                    self.db
+                        .get_or_create(&relation, ColumnKind::Oid)?
+                        .append_oid(parent, oid)?;
+                    self.db
+                        .get_or_create(PARENT_RELATION, ColumnKind::Oid)?
+                        .append_oid(oid, parent)?;
+                    let (rank_rel, _) = self.summary.ensure_attr(sum, "rank");
+                    self.db
+                        .get_or_create(&rank_rel, ColumnKind::Int)?
+                        .append_int(oid, rank)?;
+                    let (cdata_rel, _) = self.summary.ensure_attr(sum, CDATA_ATTR);
+                    self.db
+                        .get_or_create(&cdata_rel, ColumnKind::Str)?
+                        .append_str(oid, text)?;
+                    Ok(())
+                }
+            }
+
+            let mut handler = Naive {
+                db: &mut self.db,
+                summary: &mut self.summary,
+                stack: Vec::new(),
+                root: None,
+                source: source.to_owned(),
+            };
+            parse::parse_sax(xml, &mut handler)?;
+            let root = handler
+                .root
+                .ok_or_else(|| Error::Store("no root element".into()))?;
+            self.note_load(source, root, LoadStats::default());
+            Ok(root)
+        }
+    }
 
     #[test]
     fn bulkload_and_document_walk_agree() {
@@ -695,6 +676,36 @@ mod tests {
             naive.db().relation_count()
         );
         assert_eq!(naive.reconstruct(r).unwrap(), figure9());
+    }
+
+    #[test]
+    fn naive_and_schema_tree_loaders_build_identical_databases() {
+        // The paper's "first naïve approach" (hash the whole path per
+        // insert) and the schema-tree loader must agree byte for byte on
+        // what ends up stored.
+        let mut fast = XmlStore::new();
+        let mut naive = XmlStore::new();
+        for i in 0..10 {
+            let doc = format!(
+                "<page id=\"{i}\"><head><t>Page {i}</t></head><body>text {i}<a href=\"x\"/></body></page>"
+            );
+            fast.bulkload_str(&format!("p{i}"), &doc).unwrap();
+            naive.bulkload_str_naive(&format!("p{i}"), &doc).unwrap();
+        }
+        assert_eq!(fast.db().relation_count(), naive.db().relation_count());
+        assert_eq!(
+            fast.db().association_count(),
+            naive.db().association_count()
+        );
+        let pairs: Vec<(monet::Oid, monet::Oid)> = fast
+            .roots()
+            .iter()
+            .copied()
+            .zip(naive.roots().iter().copied())
+            .collect();
+        for (a, b) in pairs {
+            assert_eq!(fast.reconstruct(a).unwrap(), naive.reconstruct(b).unwrap());
+        }
     }
 
     #[test]
@@ -779,6 +790,47 @@ mod tests {
     }
 
     #[test]
+    fn source_lookup_agrees_with_a_scan_of_the_source_relation() {
+        // The earliest stored document of each source, found by scanning
+        // `sys[source]`.
+        fn scan(store: &XmlStore, source: &str) -> Option<Oid> {
+            let bat = store.db().get(SOURCE_RELATION).ok()?;
+            bat.select_str_eq(source).into_iter().min()
+        }
+        fn agree(store: &XmlStore) {
+            for source in ["a.xml", "b.xml", "c.xml", "nope"] {
+                assert_eq!(store.root_for_source(source), scan(store, source), "{source}");
+            }
+            assert_eq!(store.document_count(), store.roots().len());
+            assert!(store.roots().windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut store = XmlStore::new();
+        let a = store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
+        let b = store.insert_document("b.xml", &figure9()).unwrap();
+        // A second document from the same source stays behind the first.
+        let b2 = store.bulkload_str("b.xml", FIGURE9_XML).unwrap();
+        store.bulkload_str("c.xml", FIGURE9_XML).unwrap();
+        agree(&store);
+        assert_eq!(store.root_for_source("b.xml"), Some(b));
+        store.delete_document(a).unwrap();
+        store.delete_document(b).unwrap();
+        agree(&store);
+        assert_eq!(store.root_for_source("a.xml"), None);
+        assert_eq!(store.root_for_source("b.xml"), Some(b2));
+        let a2 = store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
+        agree(&store);
+        assert_eq!(store.root_for_source("a.xml"), Some(a2));
+        let bytes = store.snapshot().unwrap();
+        for back in [
+            XmlStore::restore(&bytes).unwrap(),
+            XmlStore::restore_lazy(bytes.clone()).unwrap(),
+        ] {
+            agree(&back);
+            assert_eq!(back.roots(), store.roots());
+        }
+    }
+
+    #[test]
     fn snapshot_restore_round_trips_documents_and_summary() {
         let mut store = XmlStore::new();
         let r1 = store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
@@ -807,7 +859,7 @@ mod tests {
         let r2 = store.bulkload_str("b.xml", FIGURE9_XML).unwrap();
         let bytes = store.snapshot().unwrap();
         let lazy = XmlStore::restore_lazy(bytes.clone()).unwrap();
-        // Opening lazily only materializes the `sys` document registry.
+        // Opening lazily only materializes the `sys[source]` registry.
         assert_eq!(lazy.db().materialized_count(), 1);
         assert_eq!(lazy.document_count(), 2);
         assert_eq!(
@@ -868,29 +920,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `bytes` with the last payload byte — the end of the relation
+    /// that sorts last in the snapshot directory — made the start of a
+    /// varint that never ends, and the CRC trailer recomputed so the
+    /// snapshot still opens.
+    fn corrupt_last_relation(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 4;
+        bytes[body - 1] = 0x80;
+        let crc = monet::crc::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn direct_text_reads_pcdata_children() {
+    fn an_undecodable_relation_is_an_error_not_a_panic_or_an_empty_store() {
+        // `z[rank]` sorts after every `sys` relation: the snapshot opens,
+        // and the next load that appends to it meets the bad payload.
         let mut store = XmlStore::new();
-        let root = store.bulkload_str("s.xml", FIGURE9_XML).unwrap();
-        let image_sum = store
-            .summary()
-            .resolve(&crate::path::Path::root("image"))
-            .unwrap();
-        // image has no direct text
-        assert_eq!(store.direct_text(image_sum, root).unwrap(), "");
-        let date_sum = store
-            .summary()
-            .resolve(&crate::path::Path::root("image").child("date"))
-            .unwrap();
-        let date_rel = store.summary().relation(date_sum).to_owned();
-        let date_oid = store
-            .db()
-            .get(&date_rel)
-            .unwrap()
-            .first_tail_of(root)
-            .unwrap()
-            .as_oid()
-            .unwrap();
-        assert_eq!(store.direct_text(date_sum, date_oid).unwrap(), "999010530");
+        store.bulkload_str("z1.xml", "<z>one</z>").unwrap();
+        assert_eq!(store.db().relation_names().last(), Some("z[rank]"));
+        let bad = corrupt_last_relation(store.snapshot().unwrap());
+        let mut back = XmlStore::restore_lazy(bad).unwrap();
+        assert!(back.bulkload_str("z2.xml", "<z>two</z>").is_err());
+
+        // `sys[source]` sorts last here: the registry itself is bad, and
+        // opening fails instead of showing no documents.
+        let mut store = XmlStore::new();
+        store.bulkload_str("a.xml", FIGURE9_XML).unwrap();
+        assert_eq!(store.db().relation_names().last(), Some(SOURCE_RELATION));
+        let bad = corrupt_last_relation(store.snapshot().unwrap());
+        assert!(XmlStore::restore_lazy(bad).is_err());
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::path::{Path, Step};
+use crate::path::Path;
 
 /// Index of a node in the schema tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -169,19 +169,6 @@ impl PathSummary {
             .collect()
     }
 
-    /// Resolves a [`Path`] to a schema-tree node (element paths only; for
-    /// attribute paths resolve the parent and use [`Self::attr_relation`]).
-    pub fn resolve(&self, path: &Path) -> Option<SumId> {
-        let mut cur = self.root();
-        for step in path.steps() {
-            match step {
-                Step::Child(label) => cur = self.child(cur, label)?,
-                Step::Attr(_) => return None,
-            }
-        }
-        Some(cur)
-    }
-
     /// All element paths in the summary, in creation (ordinal) order.
     pub fn element_paths(&self) -> Vec<Path> {
         let mut with_ord: Vec<(&SumNode, u32)> = self
@@ -242,17 +229,6 @@ mod tests {
         assert_eq!(rel, "image[key]");
         assert!(fresh);
         assert_eq!(s.attr_relation(image, "key"), Some("image[key]"));
-    }
-
-    #[test]
-    fn resolve_walks_element_paths_only() {
-        let mut s = PathSummary::new();
-        let (image, _) = s.ensure_child(s.root(), "image");
-        let (colors, _) = s.ensure_child(image, "colors");
-        let p = Path::root("image").child("colors");
-        assert_eq!(s.resolve(&p), Some(colors));
-        assert_eq!(s.resolve(&Path::root("image").attr("key")), None);
-        assert_eq!(s.resolve(&Path::root("nothing")), None);
     }
 
     #[test]

@@ -58,11 +58,6 @@ struct Frame {
     next_rank: i64,
 }
 
-/// Attribute name of the extent-start relation (`path[xstart]`).
-pub const EXTENT_START_ATTR: &str = "xstart";
-/// Attribute name of the extent-end relation (`path[xend]`).
-pub const EXTENT_END_ATTR: &str = "xend";
-
 /// Event-driven loader implementing the Monet transform.
 ///
 /// Feed it `start_element` / `characters` / `end_element` in document
@@ -75,13 +70,6 @@ pub struct Loader<'a> {
     root_oid: Option<Oid>,
     source: String,
     stats: LoadStats,
-    /// When set, element extents are recorded ("we can easily extend the
-    /// bulkload procedure to record extents of elements, i.e. the
-    /// textual position of a start tag and its corresponding end tag").
-    record_extents: bool,
-    /// Running token position (start tags, end tags and text runs each
-    /// advance it by one).
-    token_pos: i64,
 }
 
 impl<'a> Loader<'a> {
@@ -94,17 +82,7 @@ impl<'a> Loader<'a> {
             root_oid: None,
             source: source.to_owned(),
             stats: LoadStats::default(),
-            record_extents: false,
-            token_pos: 0,
         }
-    }
-
-    /// Like [`Loader::new`], additionally recording element extents in
-    /// `R(path[xstart])` / `R(path[xend])` relations.
-    pub fn with_extents(db: &'a mut Db, summary: &'a mut PathSummary, source: &str) -> Self {
-        let mut loader = Loader::new(db, summary, source);
-        loader.record_extents = true;
-        loader
     }
 
     /// Handles a start tag with its attributes.
@@ -126,11 +104,11 @@ impl<'a> Loader<'a> {
             parent.next_rank += 1;
             let parent_oid = parent.oid;
             self.db
-                .get_or_create(&relation, ColumnKind::Oid)
+                .get_or_create(&relation, ColumnKind::Oid)?
                 .append_oid(parent_oid, oid)?;
             self.append_rank(sum, oid, rank)?;
             self.db
-                .get_or_create(PARENT_RELATION, ColumnKind::Oid)
+                .get_or_create(PARENT_RELATION, ColumnKind::Oid)?
                 .append_oid(oid, parent_oid)?;
         } else {
             // Root element: register in sys, as in the paper's example
@@ -140,10 +118,10 @@ impl<'a> Loader<'a> {
             }
             self.root_oid = Some(oid);
             self.db
-                .get_or_create(SYS_RELATION, ColumnKind::Str)
+                .get_or_create(SYS_RELATION, ColumnKind::Str)?
                 .append_str(oid, tag)?;
             self.db
-                .get_or_create(SOURCE_RELATION, ColumnKind::Str)
+                .get_or_create(SOURCE_RELATION, ColumnKind::Str)?
                 .append_str(oid, self.source.clone())?;
             self.append_rank(sum, oid, 1)?;
         }
@@ -154,20 +132,9 @@ impl<'a> Loader<'a> {
                 self.stats.new_relations += 1;
             }
             self.db
-                .get_or_create(&attr_rel, ColumnKind::Str)
+                .get_or_create(&attr_rel, ColumnKind::Str)?
                 .append_str(oid, value.clone())?;
             self.stats.attrs += 1;
-        }
-
-        if self.record_extents {
-            self.token_pos += 1;
-            let (rel, fresh) = self.summary.ensure_attr(sum, EXTENT_START_ATTR);
-            if fresh {
-                self.stats.new_relations += 1;
-            }
-            self.db
-                .get_or_create(&rel, ColumnKind::Int)
-                .append_int(oid, self.token_pos)?;
         }
 
         self.stack.push(Frame {
@@ -183,9 +150,6 @@ impl<'a> Loader<'a> {
     /// Handles a character-data run: a `PCDATA` child with the text in
     /// its `cdata` attribute.
     pub fn characters(&mut self, text: &str) -> Result<()> {
-        if self.record_extents {
-            self.token_pos += 1;
-        }
         let parent = self
             .stack
             .last_mut()
@@ -201,14 +165,14 @@ impl<'a> Loader<'a> {
         let oid = self.db.mint();
         let relation = self.summary.relation(sum).to_owned();
         self.db
-            .get_or_create(&relation, ColumnKind::Oid)
+            .get_or_create(&relation, ColumnKind::Oid)?
             .append_oid(parent_oid, oid)?;
         self.append_rank(sum, oid, rank)?;
         self.db
-            .get_or_create(PARENT_RELATION, ColumnKind::Oid)
+            .get_or_create(PARENT_RELATION, ColumnKind::Oid)?
             .append_oid(oid, parent_oid)?;
         self.db
-            .get_or_create(&cdata_rel, ColumnKind::Str)
+            .get_or_create(&cdata_rel, ColumnKind::Str)?
             .append_str(oid, text)?;
         self.stats.nodes += 1;
         Ok(())
@@ -216,20 +180,9 @@ impl<'a> Loader<'a> {
 
     /// Handles an end tag.
     pub fn end_element(&mut self) -> Result<()> {
-        let frame = self
-            .stack
+        self.stack
             .pop()
             .ok_or_else(|| Error::Store("unbalanced end element".into()))?;
-        if self.record_extents {
-            self.token_pos += 1;
-            let (rel, fresh) = self.summary.ensure_attr(frame.sum, EXTENT_END_ATTR);
-            if fresh {
-                self.stats.new_relations += 1;
-            }
-            self.db
-                .get_or_create(&rel, ColumnKind::Int)
-                .append_int(frame.oid, self.token_pos)?;
-        }
         Ok(())
     }
 
@@ -239,7 +192,7 @@ impl<'a> Loader<'a> {
             self.stats.new_relations += 1;
         }
         self.db
-            .get_or_create(&rank_rel, ColumnKind::Int)
+            .get_or_create(&rank_rel, ColumnKind::Int)?
             .append_int(oid, rank)?;
         Ok(())
     }
@@ -315,9 +268,7 @@ fn fill_attrs(
     node: NodeId,
 ) {
     for name in summary.attr_names(sum) {
-        if name == "rank" || name == CDATA_ATTR || name == EXTENT_START_ATTR
-            || name == EXTENT_END_ATTR
-        {
+        if name == "rank" || name == CDATA_ATTR {
             continue;
         }
         let rel = summary

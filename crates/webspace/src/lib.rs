@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod author;
 pub mod error;
 pub mod object;
 pub mod paper;
@@ -32,7 +31,6 @@ pub mod retriever;
 pub mod schema;
 pub mod view;
 
-pub use author::{Author, DocumentDesign};
 pub use error::{Error, Result};
 pub use object::{Association, AttrValue, WebObject};
 pub use query::{ConceptualQuery, Predicate, QueryResult, WebspaceIndex};

@@ -153,6 +153,43 @@ loc:
                printf "%6d total\n%6d core + ir\n", total, lines["core"] + lines["ir"] }' \
         crates/*/src/*.rs
 
+# Report only, not part of `verify`: every `pub fn` in the library part
+# of `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`, as
+# `loc` counts) whose name appears nowhere else outside a comment — not
+# in other library lines, `tests/`, `crates/*/tests`, `examples/` or
+# `benchmark/src` — with the number of files whose unit tests use it.
+# Names are matched as words, so a name shared with a live function
+# (`new`, `len`) never shows.
+unreached:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    python3 - <<'EOF'
+    import glob, re
+    from collections import Counter
+    def words(lines):
+        return Counter(re.findall(r"\w+", "\n".join(l for l in lines if not l.lstrip().startswith("//"))))
+    lib, unit = {}, []
+    for f in sorted(glob.glob("crates/*/src/*.rs")):
+        lines = open(f).read().splitlines()
+        cut = next((i for i, l in enumerate(lines) if re.match(r"\s*#\[cfg\(test\)\]", l)), len(lines))
+        lib[f] = lines[:cut]
+        unit.append(words(lines[cut:]))
+    used = sum((words(l) for l in lib.values()), Counter())
+    for p in ("tests/**/*.rs", "crates/*/tests/**/*.rs", "examples/*.rs", "benchmark/src/*.rs"):
+        for f in glob.glob(p, recursive=True):
+            used += words(open(f).read().splitlines())
+    found = 0
+    for f, lines in lib.items():
+        for i, line in enumerate(lines):
+            m = re.match(r"\s*pub (?:const )?fn (\w+)", line)
+            if not m or used[m.group(1)] > words([line])[m.group(1)]:
+                continue
+            found += 1
+            tests = sum(1 for u in unit if u[m.group(1)])
+            print(f"{f}:{i + 1} {m.group(1)}  (unit tests in {tests} file(s))")
+    print(f"{found} unreached pub fn(s)")
+    EOF
+
 build:
     cargo build --offline
 

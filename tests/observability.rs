@@ -134,7 +134,7 @@ fn metrics_scrape_spans_every_layer() {
         "engine_query_cache_hits_total",
         "admission_level",
         "webspace_queries_total",
-        "monetxml_path_scans_total",
+        "monetxml_loads_total",
         "ir_queries_total",
         "ir_control_decisions_total",
         "ir_rereplication_objects_total",

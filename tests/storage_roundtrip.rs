@@ -1,7 +1,6 @@
 //! Figures 9–12 — the physical level on real system data: everything the
 //! engine stores (views, parse trees) survives the Monet transform and
-//! its inverse; snapshots restore; the naive loader agrees with the
-//! schema-tree loader.
+//! its inverse; snapshots restore.
 
 use monet::persist;
 use monetxml::{parse_document, to_xml, XmlStore};
@@ -47,36 +46,6 @@ fn figure12_relations_match_the_paper() {
         "image/colors/version/PCDATA",
     ] {
         assert!(rels.contains(&expected.to_owned()), "missing {expected}");
-    }
-}
-
-#[test]
-fn naive_and_schema_tree_loaders_build_identical_databases() {
-    // The paper's "first naïve approach" (hash the whole path per
-    // insert) and the schema-tree loader must agree byte for byte on
-    // what ends up stored.
-    let mut fast = XmlStore::new();
-    let mut naive = XmlStore::new();
-    for i in 0..10 {
-        let doc = format!(
-            "<page id=\"{i}\"><head><t>Page {i}</t></head><body>text {i}<a href=\"x\"/></body></page>"
-        );
-        fast.bulkload_str(&format!("p{i}"), &doc).unwrap();
-        naive.bulkload_str_naive(&format!("p{i}"), &doc).unwrap();
-    }
-    assert_eq!(fast.db().relation_count(), naive.db().relation_count());
-    assert_eq!(
-        fast.db().association_count(),
-        naive.db().association_count()
-    );
-    let pairs: Vec<(monet::Oid, monet::Oid)> = fast
-        .roots()
-        .iter()
-        .copied()
-        .zip(naive.roots().iter().copied())
-        .collect();
-    for (a, b) in pairs {
-        assert_eq!(fast.reconstruct(a).unwrap(), naive.reconstruct(b).unwrap());
     }
 }
 
