@@ -1,4 +1,4 @@
-//! The detector registry: implementations, versions, hooks, call counts.
+//! The detector registry: implementations, versions, hooks.
 //!
 //! A feature grammar binds detector *symbols* to algorithms; the binding
 //! itself lives here. Blackbox implementations are Rust closures (the
@@ -148,9 +148,10 @@ impl From<&str> for DetectorError {
 /// Errors reject the current parse alternative, except
 /// [`DetectorError::Unavailable`] which marks the node for later repair.
 ///
-/// Implementations are `Fn + Send + Sync` so one registry can serve
-/// concurrent FDE workers during parallel ingestion; detectors that need
-/// mutable state keep it behind their own `Arc<Mutex<…>>`.
+/// Implementations are `Fn + Send + Sync` because the registry is shared:
+/// a maintenance job runs detectors on its own thread, off the engine
+/// lock, while the engine keeps serving. Detectors that need mutable
+/// state keep it behind their own `Arc<Mutex<…>>`.
 pub type DetectorFn = Box<
     dyn Fn(&[FeatureValue]) -> std::result::Result<Vec<Token>, DetectorError> + Send + Sync,
 >;
@@ -167,16 +168,15 @@ struct Registered {
 /// The registry of detector implementations for one engine instance.
 ///
 /// Initial registration takes `&mut self` (setup-time structural
-/// change); everything else — running detectors, firing hooks, the call
-/// counters, and live [`DetectorRegistry::replace`] swaps — works
-/// through `&self`, so a single registry can be shared across ingestion
-/// workers *and* a background maintenance job can install a new
-/// implementation while the engine keeps serving.
+/// change); everything else — running detectors, firing hooks and live
+/// [`DetectorRegistry::replace`] swaps — works through `&self`, so a
+/// maintenance job can run detectors and install a new implementation
+/// off the engine lock while the engine keeps serving. The FDE that runs
+/// a detector counts the call (`FdeStats`).
 #[derive(Default)]
 pub struct DetectorRegistry {
     impls: RwLock<HashMap<String, Registered>>,
     hooks: Mutex<HashMap<(String, SpecialEvent), HookFn>>,
-    calls: Mutex<HashMap<String, usize>>,
 }
 
 impl DetectorRegistry {
@@ -249,18 +249,12 @@ impl DetectorRegistry {
         Ok((old.version, old.run))
     }
 
-    /// Runs detector `name` on `inputs`, counting the call.
+    /// Runs detector `name` on `inputs`.
     pub fn run(&self, name: &str, inputs: &[FeatureValue]) -> Result<Vec<Token>> {
         let impls = self.impls.read().expect("impl lock");
         let reg = impls
             .get(name)
             .ok_or_else(|| Error::UnregisteredDetector(name.to_owned()))?;
-        *self
-            .calls
-            .lock()
-            .expect("call-count lock")
-            .entry(name.to_owned())
-            .or_insert(0) += 1;
         (reg.run)(inputs).map_err(|e| match e {
             DetectorError::Reject(message) => Error::DetectorFailed {
                 name: name.to_owned(),
@@ -283,26 +277,6 @@ impl DetectorRegistry {
             })?;
         }
         Ok(())
-    }
-
-    /// Calls made to `name` since the last reset.
-    pub fn call_count(&self, name: &str) -> usize {
-        self.calls
-            .lock()
-            .expect("call-count lock")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Total detector calls since the last reset.
-    pub fn total_calls(&self) -> usize {
-        self.calls.lock().expect("call-count lock").values().sum()
-    }
-
-    /// Clears the call counters.
-    pub fn reset_counts(&self) {
-        self.calls.lock().expect("call-count lock").clear();
     }
 }
 
@@ -346,23 +320,23 @@ mod tests {
 
     #[test]
     fn registry_runs_and_counts() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
         let mut reg = DetectorRegistry::new();
         reg.register(
             "echo",
             Version::new(1, 0, 0),
-            Box::new(|inputs| {
-                Ok(vec![Token::new(
-                    "out",
-                    inputs[0].clone(),
-                )])
+            Box::new(move |inputs| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                Ok(vec![Token::new("out", inputs[0].clone())])
             }),
         );
         let out = reg.run("echo", &[FeatureValue::from(7i64)]).unwrap();
         assert_eq!(out[0].value, FeatureValue::Int(7));
-        assert_eq!(reg.call_count("echo"), 1);
-        assert_eq!(reg.total_calls(), 1);
-        reg.reset_counts();
-        assert_eq!(reg.total_calls(), 0);
+        // One run, one execution of the implementation.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

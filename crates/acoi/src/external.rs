@@ -250,7 +250,9 @@ impl RpcServer {
 ///
 /// The wire has no correlation ids (faithful to the paper-era protocol),
 /// so a call lock shared by every clone keeps each request paired with
-/// its own response when parallel ingestion workers call concurrently.
+/// its own response when two threads call at once (a maintenance job
+/// runs the registry off the engine lock, beside the engine's own
+/// detector calls).
 #[derive(Clone)]
 pub struct RpcClient {
     tx: Sender<String>,

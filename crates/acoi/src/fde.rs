@@ -146,8 +146,8 @@ struct RunCtx<'a> {
 impl<'g> Fde<'g> {
     /// An engine with the default (suffix-sharing) stack.
     ///
-    /// The registry is borrowed *shared*: any number of engines (one per
-    /// ingestion worker) can parse against the same registry at once.
+    /// The registry is borrowed *shared*: a maintenance job's engine can
+    /// parse against the registry the serving engine also holds.
     pub fn new(grammar: &'g Grammar, registry: &'g DetectorRegistry) -> Self {
         Self::with_mode(grammar, registry, StackMode::Shared)
     }

@@ -282,54 +282,77 @@ mod tests {
     use crate::detector::{DetectorFn, Version};
     use crate::token::Token;
     use feagram::{parse_grammar, FeatureValue};
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
 
-    /// Same simulated detector implementations as the FDE tests.
-    fn video_registry(num_shots: usize) -> DetectorRegistry {
+    /// Per-detector call counts, kept by the implementations themselves:
+    /// each one registered through [`Calls::counted`] counts its runs.
+    #[derive(Clone, Default)]
+    struct Calls(Arc<Mutex<HashMap<String, usize>>>);
+
+    impl Calls {
+        /// Wraps `run` so that every run counts against `name`.
+        fn counted(&self, name: &str, run: DetectorFn) -> DetectorFn {
+            let (calls, name) = (self.clone(), name.to_owned());
+            Box::new(move |inputs| {
+                *calls.0.lock().unwrap().entry(name.clone()).or_insert(0) += 1;
+                run(inputs)
+            })
+        }
+
+        fn get(&self, name: &str) -> usize {
+            self.0.lock().unwrap().get(name).copied().unwrap_or(0)
+        }
+
+        fn total(&self) -> usize {
+            self.0.lock().unwrap().values().sum()
+        }
+
+        fn reset(&self) {
+            self.0.lock().unwrap().clear();
+        }
+    }
+
+    /// Same simulated detector implementations as the FDE tests, each
+    /// counting its runs in the returned [`Calls`].
+    fn video_registry(num_shots: usize) -> (DetectorRegistry, Calls) {
+        let calls = Calls::default();
         let mut reg = DetectorRegistry::new();
-        reg.register(
-            "header",
-            Version::new(1, 0, 0),
-            Box::new(|_| {
-                Ok(vec![
-                    Token::new("primary", "video"),
-                    Token::new("secondary", "mpeg"),
-                ])
-            }),
-        );
-        reg.register(
-            "segment",
-            Version::new(1, 0, 0),
-            Box::new(move |_| {
-                let mut tokens = Vec::new();
-                for s in 0..num_shots {
-                    tokens.push(Token::new("frameNo", (s * 100) as i64));
-                    tokens.push(Token::new("frameNo", (s * 100 + 99) as i64));
-                    tokens.push(Token::new(
-                        "type",
-                        if s % 2 == 0 { "tennis" } else { "other" },
-                    ));
-                }
-                Ok(tokens)
-            }),
-        );
-        reg.register(
-            "tennis",
-            Version::new(1, 0, 0),
-            Box::new(|inputs| {
-                let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
-                let mut tokens = Vec::new();
-                for f in 0..2 {
-                    tokens.push(Token::new("frameNo", begin + f));
-                    tokens.push(Token::new("xPos", 320.0));
-                    tokens.push(Token::new("yPos", 400.0));
-                    tokens.push(Token::new("Area", 1200i64));
-                    tokens.push(Token::new("Ecc", 0.8));
-                    tokens.push(Token::new("Orient", 12.0));
-                }
-                Ok(tokens)
-            }),
-        );
-        reg
+        let header: DetectorFn = Box::new(|_| {
+            Ok(vec![
+                Token::new("primary", "video"),
+                Token::new("secondary", "mpeg"),
+            ])
+        });
+        let segment: DetectorFn = Box::new(move |_| {
+            let mut tokens = Vec::new();
+            for s in 0..num_shots {
+                tokens.push(Token::new("frameNo", (s * 100) as i64));
+                tokens.push(Token::new("frameNo", (s * 100 + 99) as i64));
+                tokens.push(Token::new(
+                    "type",
+                    if s % 2 == 0 { "tennis" } else { "other" },
+                ));
+            }
+            Ok(tokens)
+        });
+        let tennis: DetectorFn = Box::new(|inputs| {
+            let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
+            let mut tokens = Vec::new();
+            for f in 0..2 {
+                tokens.push(Token::new("frameNo", begin + f));
+                tokens.push(Token::new("xPos", 320.0));
+                tokens.push(Token::new("yPos", 400.0));
+                tokens.push(Token::new("Area", 1200i64));
+                tokens.push(Token::new("Ecc", 0.8));
+                tokens.push(Token::new("Orient", 12.0));
+            }
+            Ok(tokens)
+        });
+        for (name, run) in [("header", header), ("segment", segment), ("tennis", tennis)] {
+            reg.register(name, Version::new(1, 0, 0), calls.counted(name, run));
+        }
+        (reg, calls)
     }
 
     fn populated_index(
@@ -349,20 +372,35 @@ mod tests {
     }
 
     /// Installs `run` as `detector`'s implementation at the version
-    /// bumped by `level`, the swap a maintenance job performs at begin.
-    fn install(reg: &DetectorRegistry, detector: &str, level: RevisionLevel, run: DetectorFn) {
+    /// bumped by `level`, the swap a maintenance job performs at begin;
+    /// its runs count in `calls`.
+    fn install(
+        reg: &DetectorRegistry,
+        calls: &Calls,
+        detector: &str,
+        level: RevisionLevel,
+        run: DetectorFn,
+    ) {
         let version = reg.version(detector).unwrap().bumped(level);
-        let _old = reg.replace(detector, version, run).unwrap();
+        let _old = reg
+            .replace(detector, version, calls.counted(detector, run))
+            .unwrap();
     }
 
     #[test]
     fn correction_revision_is_a_noop() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(2);
+        let (mut reg, calls) = video_registry(2);
         let mut index = populated_index(&g, &mut reg, 3);
         let fds = Fds::new(&g);
-        reg.reset_counts();
-        install(&reg, "tennis", RevisionLevel::Correction, Box::new(|_| Ok(vec![])));
+        calls.reset();
+        install(
+            &reg,
+            &calls,
+            "tennis",
+            RevisionLevel::Correction,
+            Box::new(|_| Ok(vec![])),
+        );
         let plan = fds.plan(&g, "tennis", RevisionLevel::Correction);
         assert_eq!(plan.priority, Priority::None);
         assert!(plan.stale_symbols().is_empty());
@@ -376,20 +414,21 @@ mod tests {
                 .unwrap();
             assert_eq!(done.detector_calls, 0);
         }
-        assert_eq!(reg.total_calls(), 0);
+        assert_eq!(calls.total(), 0);
     }
 
     #[test]
     fn minor_revision_reuses_unaffected_detectors() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(4); // 2 tennis shots per object
+        let (mut reg, calls) = video_registry(4); // 2 tennis shots per object
         let mut index = populated_index(&g, &mut reg, 2);
         let fds = Fds::new(&g);
-        reg.reset_counts();
+        calls.reset();
 
         // New tennis implementation: player closer to the net.
         install(
             &reg,
+            &calls,
             "tennis",
             RevisionLevel::Minor,
             Box::new(|inputs| {
@@ -418,9 +457,9 @@ mod tests {
             assert_eq!(done.detector_calls_saved, 2);
             index.insert(&source, done.initial, &done.tree).unwrap();
         }
-        assert_eq!(reg.call_count("header"), 0);
-        assert_eq!(reg.call_count("segment"), 0);
-        assert_eq!(reg.call_count("tennis"), 4);
+        assert_eq!(calls.get("header"), 0);
+        assert_eq!(calls.get("segment"), 0);
+        assert_eq!(calls.get("tennis"), 4);
 
         // The new data is live: netplay now true.
         let tree = index.tree(&g, "http://x/video0.mpg").unwrap();
@@ -435,14 +474,15 @@ mod tests {
     #[test]
     fn major_revision_of_segment_invalidates_downstream_tennis() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(4);
+        let (mut reg, calls) = video_registry(4);
         let mut index = populated_index(&g, &mut reg, 1);
         let fds = Fds::new(&g);
-        reg.reset_counts();
+        calls.reset();
 
         // New segmentation: everything is one big tennis shot.
         install(
             &reg,
+            &calls,
             "segment",
             RevisionLevel::Major,
             Box::new(|_| {
@@ -463,16 +503,16 @@ mod tests {
             .reparse_object(&g, &reg, &mut index, url, "segment", &plan.stale_symbols())
             .unwrap()
             .unwrap();
-        assert_eq!(reg.call_count("header"), 0);
-        assert_eq!(reg.call_count("segment"), 1);
-        assert_eq!(reg.call_count("tennis"), 1);
+        assert_eq!(calls.get("header"), 0);
+        assert_eq!(calls.get("segment"), 1);
+        assert_eq!(calls.get("tennis"), 1);
         assert_eq!(done.tree.find_all("shot").len(), 1);
     }
 
     #[test]
     fn objects_without_the_detector_are_untouched() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(2);
+        let (mut reg, calls) = video_registry(2);
         // One video object and one image object (no tennis subtree).
         let mut index = MetaIndex::new();
         for (url, primary) in [("http://x/v.mpg", "video"), ("http://x/i.jpg", "image")] {
@@ -492,7 +532,13 @@ mod tests {
             index.insert(url, initial, &tree).unwrap();
         }
         let fds = Fds::new(&g);
-        install(&reg, "tennis", RevisionLevel::Major, Box::new(|_| Ok(vec![])));
+        install(
+            &reg,
+            &calls,
+            "tennis",
+            RevisionLevel::Major,
+            Box::new(|_| Ok(vec![])),
+        );
         let stale = fds.plan(&g, "tennis", RevisionLevel::Major).stale_symbols();
         let mut touched = |url| {
             fds.reparse_object(&g, &reg, &mut index, url, "tennis", &stale)
@@ -507,7 +553,7 @@ mod tests {
     fn healing_reparses_only_objects_with_rejected_nodes() {
         use crate::detector::DetectorError;
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(2);
+        let (mut reg, calls) = video_registry(2);
         // Populate object 0 while tennis is down, object 1 while healthy.
         let mut index = MetaIndex::new();
         reg.register(
@@ -526,17 +572,20 @@ mod tests {
         reg.register(
             "tennis",
             Version::new(1, 0, 1),
-            Box::new(|inputs| {
-                let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
-                Ok(vec![
-                    Token::new("frameNo", begin),
-                    Token::new("xPos", 320.0),
-                    Token::new("yPos", 150.0),
-                    Token::new("Area", 1200i64),
-                    Token::new("Ecc", 0.8),
-                    Token::new("Orient", 12.0),
-                ])
-            }),
+            calls.counted(
+                "tennis",
+                Box::new(|inputs| {
+                    let begin = inputs[1].as_f64().ok_or("no begin")? as i64;
+                    Ok(vec![
+                        Token::new("frameNo", begin),
+                        Token::new("xPos", 320.0),
+                        Token::new("yPos", 150.0),
+                        Token::new("Area", 1200i64),
+                        Token::new("Ecc", 0.8),
+                        Token::new("Orient", 12.0),
+                    ])
+                }),
+            ),
         );
         {
             let url = "http://x/video1.mpg";
@@ -547,7 +596,7 @@ mod tests {
         }
 
         let fds = Fds::new(&g);
-        reg.reset_counts();
+        calls.reset();
         let healthy = fds
             .heal_object(&g, &reg, &mut index, "http://x/video1.mpg", "tennis")
             .unwrap();
@@ -557,9 +606,9 @@ mod tests {
             .unwrap()
             .unwrap();
         // header and segment were reused from the stored tree.
-        assert_eq!(reg.call_count("header"), 0);
-        assert_eq!(reg.call_count("segment"), 0);
-        assert_eq!(reg.call_count("tennis"), 1);
+        assert_eq!(calls.get("header"), 0);
+        assert_eq!(calls.get("segment"), 0);
+        assert_eq!(calls.get("tennis"), 1);
         // The healed tree is complete.
         assert!(healed.tree.rejected_nodes().is_empty());
         assert!(!healed.tree.find_all("netplay").is_empty());
@@ -585,10 +634,10 @@ mod tests {
     #[test]
     fn refresh_source_regenerates_only_invalid_objects() {
         let g = parse_grammar(feagram::paper::VIDEO_GRAMMAR).unwrap();
-        let mut reg = video_registry(2);
+        let (mut reg, calls) = video_registry(2);
         let mut index = populated_index(&g, &mut reg, 2);
         let fds = Fds::new(&g);
-        reg.reset_counts();
+        calls.reset();
         // Object 0 changed on the web; object 1 did not.
         let touched = fds
             .refresh_source(&g, &reg, &mut index, "http://x/video0.mpg", |s| {
@@ -603,7 +652,7 @@ mod tests {
             .unwrap();
         assert!(!untouched);
         // Full regeneration of one object: header + segment + 1 tennis.
-        assert_eq!(reg.call_count("header"), 1);
-        assert_eq!(reg.call_count("segment"), 1);
+        assert_eq!(calls.get("header"), 1);
+        assert_eq!(calls.get("segment"), 1);
     }
 }

@@ -351,8 +351,9 @@ impl Supervisor {
             detectors.entry(name.clone()).or_insert_with(DetectorState::new);
         }
         self.publish_breaker(&name, BreakerState::Closed, 0);
-        // The wrapped closure must be `Fn + Sync` (registry sharing across
-        // ingestion workers), so the worker handle lives behind a mutex.
+        // The wrapped closure must be `Fn + Sync` (a maintenance job runs
+        // the shared registry off the engine lock), so the worker handle
+        // lives behind a mutex.
         // Calls to one remote detector are serialized through its single
         // worker thread anyway, so the lock adds no extra contention.
         let worker = Mutex::new(Worker::spawn(name.clone(), detector));

@@ -220,11 +220,6 @@ impl EventRule {
     }
 }
 
-/// Runs a rule set over a sequence; returns all detected events.
-pub fn detect_events(rules: &[EventRule], obs: &[PlayerObservation]) -> Vec<Event> {
-    rules.iter().filter_map(|r| r.detect(obs)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,17 +310,5 @@ mod tests {
         );
         let o = &obs(&[(0.0, 100.0)])[0];
         assert!(cond.holds(o));
-    }
-
-    #[test]
-    fn detect_events_collects_multiple_rules() {
-        let mut path: Vec<(f64, f64)> = (0..12).map(|_| (0.0, 400.0)).collect();
-        path.extend((0..4).map(|_| (0.0, 100.0)));
-        let events = detect_events(
-            &[EventRule::netplay(), EventRule::net_approach()],
-            &obs(&path),
-        );
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["netplay", "net_approach"]);
     }
 }

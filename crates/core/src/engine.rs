@@ -15,7 +15,7 @@
 //!   hits alone) combines conceptual selection, ranked text retrieval
 //!   and media-event evidence into one answer.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -93,10 +93,10 @@ pub struct PopulateReport {
     pub detector_calls: usize,
 }
 
-/// Wall-clock breakdown of one [`Engine::populate_with`] run, by
-/// pipeline stage. Deliberately **not** part of [`PopulateReport`]:
-/// reports are compared byte-for-byte across worker counts, and wall
-/// clocks never are. Retrieved via [`Engine::last_populate_timings`].
+/// Wall-clock breakdown of one [`Engine::populate`] run, by stage.
+/// Deliberately **not** part of [`PopulateReport`]: reports are
+/// compared byte-for-byte across runs, and wall clocks never are.
+/// Retrieved via [`Engine::last_populate_timings`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Conceptual extraction (page parsing + view finalization).
@@ -109,26 +109,9 @@ pub struct StageTimings {
     pub text_ms: f64,
     /// Media analysis (detector cascade), wall time of the whole stage.
     pub analyse_ms: f64,
-    /// Time spent merging parse trees into the meta-index, in source
-    /// order (a subset of the analyse stage's wall time).
+    /// Time spent merging parse trees into the meta-index (a subset of
+    /// the analyse stage's wall time).
     pub merge_ms: f64,
-}
-
-/// Options controlling how [`Engine::populate_with`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PopulateOptions {
-    /// FDE worker threads for media analysis. `1` analyses every
-    /// document in source order on the calling thread; `N > 1` fans
-    /// the analyses over a pool of `N` workers while a single writer
-    /// merges the parse trees back in source order, so stores, report
-    /// counters and log lines are identical to the sequential run.
-    pub workers: usize,
-}
-
-impl Default for PopulateOptions {
-    fn default() -> Self {
-        PopulateOptions { workers: 1 }
-    }
 }
 
 /// The integrated search engine.
@@ -147,11 +130,6 @@ pub struct Engine {
     text: ir::DistributedIndex,
     meta: MetaIndex,
     fds: Fds,
-    /// Whether a fault plan is wired in anywhere. Fault-injected runs
-    /// must exercise the real evaluation path on every query (the
-    /// injection draws advance per call), so the answer cache is
-    /// bypassed entirely.
-    faults_active: bool,
     /// Epoch-keyed LRU cache of full query answers.
     query_cache: QueryCache,
     /// Wired in by [`Engine::persist_to`] / [`Engine::open`]: the
@@ -210,6 +188,13 @@ struct EngineMetrics {
     recovery_wal_replayed: obs::Gauge,
     recovery_wal_skipped: obs::Gauge,
     recovery_fell_back: obs::Gauge,
+    /// Scrape-time sum of `Db::resident_bytes` over the view store's,
+    /// the meta-index store's and each *primary* text shard's BAT
+    /// catalog, plus the posting index of every text copy, replicas
+    /// included. It leaves out the replicas' catalogs, `XmlStore`'s
+    /// root registry and source → root map, the path summaries, the
+    /// webspace index and the caches (DESIGN §10), so it, and
+    /// `dlbench`'s `resident_bytes_per_page` read from it, undercount.
     monet_bytes_resident: obs::Gauge,
     monet_dict_entries: obs::Gauge,
     monet_dict_hit_ratio: obs::Gauge,
@@ -442,7 +427,6 @@ impl Engine {
         if let Some(plan) = &config.faults {
             text.set_fault_plan(Arc::clone(plan));
         }
-        let faults_active = config.faults.is_some();
         Ok(Engine {
             webspace: WebspaceIndex::new(config.schema.clone()),
             schema: config.schema,
@@ -453,7 +437,6 @@ impl Engine {
             text,
             meta: MetaIndex::new(),
             fds,
-            faults_active,
             query_cache: QueryCache::new(QUERY_CACHE_CAPACITY),
             durability: None,
             admission: AdmissionGate::new(AdmissionConfig::default()),
@@ -950,7 +933,7 @@ impl Engine {
     }
 
     /// Per-stage wall-clock breakdown of the most recent
-    /// [`Engine::populate_with`] run (zeros before the first run).
+    /// [`Engine::populate`] run (zeros before the first run).
     pub fn last_populate_timings(&self) -> StageTimings {
         self.last_populate_timings
     }
@@ -976,10 +959,8 @@ impl Engine {
             m.recovery_wal_skipped.set(r.wal_skipped as i64);
             m.recovery_fell_back.set(i64::from(r.fell_back));
         }
-        // Data-plane footprint, aggregated over every BAT catalog the
-        // engine holds — the view store, the meta-index store and each
-        // text shard — plus the posting index every text copy derives
-        // from its relations.
+        // Data-plane footprint; see `EngineMetrics::monet_bytes_resident`
+        // for what it leaves out.
         let mut bytes = self.text.posting_index_bytes();
         let mut dict = monet::DictStats::default();
         for db in [self.views.db(), self.meta.store().db()]
@@ -1036,31 +1017,20 @@ impl Engine {
         }
     }
 
-    /// The detector registry (call counters for experiments).
+    /// The detector registry (implementations and their versions).
     pub fn registry(&self) -> &DetectorRegistry {
         &self.registry
     }
 
-    /// Populates the index from crawled `(url, html)` pages,
-    /// analysing media sequentially (one worker).
-    pub fn populate(&mut self, pages: &[(String, String)]) -> Result<PopulateReport> {
-        self.populate_with(pages, PopulateOptions::default())
-    }
-
     /// Populates the index from crawled `(url, html)` pages.
     ///
-    /// The run is staged: conceptual extraction, view storage and text
-    /// indexing happen in source order on the calling thread; media
-    /// analysis — the FDE-dominated stage — fans out over
-    /// `options.workers` threads. A single writer merges the resulting
-    /// parse trees into the meta-index strictly in source order, so
-    /// every store snapshot, report counter and log line is identical
-    /// to a `workers: 1` run.
-    pub fn populate_with(
-        &mut self,
-        pages: &[(String, String)],
-        options: PopulateOptions,
-    ) -> Result<PopulateReport> {
+    /// The run is staged, all on the calling thread and in source
+    /// order: conceptual extraction, view storage, text indexing, then
+    /// media analysis, where each new media location runs the FDE's
+    /// detector cascade and its parse tree goes straight into the
+    /// meta-index. So two runs over the same pages leave identical
+    /// stores, report counters and log lines.
+    pub fn populate(&mut self, pages: &[(String, String)]) -> Result<PopulateReport> {
         self.query_cache.clear();
         let mut populate_span = self.obs.span("engine.populate");
         populate_span.add_work(pages.len() as u64);
@@ -1098,9 +1068,7 @@ impl Engine {
 
         // Logical level: full text + video analysis, driven by the
         // schema's multimedia hooks. One ordered walk collects both
-        // workloads; text is indexed as a batch, media analysis is the
-        // stage worth parallelising (each document runs the detector
-        // cascade).
+        // workloads; text is indexed as a batch.
         let stage = std::time::Instant::now();
         let mut text_docs: Vec<(String, String)> = Vec::new();
         // Media analysis jobs in source order. Locations already in
@@ -1157,84 +1125,33 @@ impl Engine {
 
         let stage = std::time::Instant::now();
         let mut merge_ms = 0.0f64;
-        let workers = options.workers.max(1).min(media_jobs.len().max(1));
-        if workers <= 1 {
-            for (location, initial) in media_jobs {
-                let outcome = analyse_media(&self.grammar, &self.registry, &initial);
-                let merge_t = std::time::Instant::now();
-                merge_media_outcome(&mut self.meta, &mut report, &location, initial, outcome)?;
-                merge_ms += elapsed_ms(merge_t);
-            }
-        } else {
-            // Fan out: a shared job queue feeds the workers; each runs
-            // its own FDE over the shared grammar and registry. Jobs
-            // travel in contiguous chunks (one channel round-trip per
-            // chunk, not per job — channel and wake-up overhead was a
-            // measurable share of merge cost at 10^5-document scale).
-            // The writer (this thread) holds the only mutable borrows
-            // and merges results strictly by ascending sequence number,
-            // buffering out-of-order arrivals, so the meta-index sees
-            // the exact sequential insertion order.
-            let grammar = &self.grammar;
-            let registry = &self.registry;
-            let meta = &mut self.meta;
-            let chunk_size = (media_jobs.len() / (workers * 4)).max(1);
-            let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, Vec<Vec<Token>>)>();
-            let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Vec<MediaOutcome>)>();
-            for (i, chunk) in media_jobs.chunks(chunk_size).enumerate() {
-                let batch: Vec<Vec<Token>> =
-                    chunk.iter().map(|(_, initial)| initial.clone()).collect();
-                job_tx
-                    .send((i * chunk_size, batch))
-                    .expect("job receiver alive");
-            }
-            drop(job_tx);
-            let merged: Result<()> = crossbeam::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let job_rx = job_rx.clone();
-                    let res_tx = res_tx.clone();
-                    scope.spawn(move |_| {
-                        while let Ok((start, batch)) = job_rx.recv() {
-                            let outcomes: Vec<MediaOutcome> = batch
-                                .iter()
-                                .map(|initial| analyse_media(grammar, registry, initial))
-                                .collect();
-                            if res_tx.send((start, outcomes)).is_err() {
-                                break;
-                            }
-                        }
-                    });
+        for (location, initial) in media_jobs {
+            let mut fde = Fde::new(&self.grammar, &self.registry);
+            let tree = match fde.parse(initial.clone()) {
+                Ok(tree) => tree,
+                Err(e @ (acoi::Error::Reject { .. } | acoi::Error::DetectorFailed { .. })) => {
+                    report.media_rejected += 1;
+                    eprintln!("populate: {location}: analysis rejected: {e}");
+                    continue;
                 }
-                drop(res_tx);
-                let mut pending: BTreeMap<usize, MediaOutcome> = BTreeMap::new();
-                let mut next = 0usize;
-                while next < media_jobs.len() {
-                    let Ok((start, outcomes)) = res_rx.recv() else {
-                        // Workers gone with jobs outstanding: one of
-                        // them panicked; the scope will surface it.
-                        break;
-                    };
-                    for (i, outcome) in outcomes.into_iter().enumerate() {
-                        pending.insert(start + i, outcome);
-                    }
-                    while let Some(outcome) = pending.remove(&next) {
-                        let (location, initial) = &media_jobs[next];
-                        let merge_t = std::time::Instant::now();
-                        merge_media_outcome(
-                            meta,
-                            &mut report,
-                            location,
-                            initial.clone(),
-                            outcome,
-                        )?;
-                        merge_ms += elapsed_ms(merge_t);
-                        next += 1;
-                    }
+                Err(e) => return Err(Error::Acoi(e)),
+            };
+            report.detector_calls += fde.stats().detector_calls;
+            let merge_t = std::time::Instant::now();
+            // Unavailable detectors don't abort the parse — they leave
+            // rejected-with-cause holes. Count and log every one so a
+            // degraded population is visible, not silently incomplete.
+            let rejected = tree.rejected_nodes();
+            if !rejected.is_empty() {
+                report.media_degraded += 1;
+                report.detector_failures += rejected.len();
+                for (_, symbol, cause) in &rejected {
+                    eprintln!("populate: {location}: detector `{symbol}` unavailable: {cause}");
                 }
-                Ok(())
-            })
-            .map_err(|_| Error::Config("media analysis worker panicked".to_owned()))?;
-            merged?;
+            }
+            self.meta.insert(&location, initial, &tree)?;
+            report.media_analyzed += 1;
+            merge_ms += elapsed_ms(merge_t);
         }
         timings.analyse_ms = elapsed_ms(stage);
         timings.merge_ms = merge_ms;
@@ -1466,8 +1383,11 @@ impl Engine {
             q
         };
 
+        // A text tier with a fault plan must run the real evaluation on
+        // every query (the injection draws advance per call), so it
+        // bypasses the answer cache, however the plan was wired in.
         let cacheable =
-            !self.faults_active && budget.is_unlimited() && level < OverloadLevel::Brownout;
+            !self.text.has_fault_plan() && budget.is_unlimited() && level < OverloadLevel::Brownout;
         let slot = cacheable.then(|| (cache_key(q), self.store_epochs()));
         let cached = slot
             .as_ref()
@@ -2043,63 +1963,6 @@ fn cache_key(q: &EngineQuery) -> String {
     }
     key.push_str(&format!("|limit:{}", q.limit));
     key
-}
-
-/// What one media analysis produced: the parse tree plus the number of
-/// blackbox detector executions it took, or the parse error.
-type MediaOutcome = std::result::Result<(acoi::ParseTree, usize), acoi::Error>;
-
-/// Runs one FDE analysis. Pure with respect to the engine: only the
-/// (shared, thread-safe) grammar and registry are touched, so any
-/// worker thread can execute it.
-fn analyse_media(
-    grammar: &Grammar,
-    registry: &DetectorRegistry,
-    initial: &[Token],
-) -> MediaOutcome {
-    let mut fde = Fde::new(grammar, registry);
-    let tree = fde.parse(initial.to_vec())?;
-    let calls = fde.stats().detector_calls;
-    Ok((tree, calls))
-}
-
-/// Applies one analysis outcome to the meta-index and the report —
-/// the single-writer half of the pipeline. Callers must invoke it in
-/// source order; it reproduces the sequential counters and log lines.
-fn merge_media_outcome(
-    meta: &mut MetaIndex,
-    report: &mut PopulateReport,
-    location: &str,
-    initial: Vec<Token>,
-    outcome: MediaOutcome,
-) -> Result<()> {
-    match outcome {
-        Ok((tree, detector_calls)) => {
-            report.detector_calls += detector_calls;
-            // Unavailable detectors don't abort the parse — they leave
-            // rejected-with-cause holes. Count and log every one so a
-            // degraded population is visible, not silently incomplete.
-            let rejected = tree.rejected_nodes();
-            if !rejected.is_empty() {
-                report.media_degraded += 1;
-                report.detector_failures += rejected.len();
-                for (_, symbol, cause) in &rejected {
-                    eprintln!(
-                        "populate: {location}: detector `{symbol}` unavailable: {cause}"
-                    );
-                }
-            }
-            meta.insert(location, initial, &tree)?;
-            report.media_analyzed += 1;
-            Ok(())
-        }
-        Err(e @ (acoi::Error::Reject { .. } | acoi::Error::DetectorFailed { .. })) => {
-            report.media_rejected += 1;
-            eprintln!("populate: {location}: analysis rejected: {e}");
-            Ok(())
-        }
-        Err(e) => Err(Error::Acoi(e)),
-    }
 }
 
 /// Key of a Hypertext attribute in the full-text document registry.

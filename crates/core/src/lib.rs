@@ -70,8 +70,7 @@ pub use admission::{
 };
 pub use control::{ControlOutcome, ControlPlane};
 pub use engine::{
-    Engine, EngineConfig, PopulateOptions, PopulateReport, QueryOptions, StageTimings,
-    TextQueryStatus,
+    Engine, EngineConfig, PopulateReport, QueryOptions, StageTimings, TextQueryStatus,
 };
 pub use error::{Error, PartialProgress, Result};
 pub use maintenance::{MaintenanceJob, MaintenanceKind};

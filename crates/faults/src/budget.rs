@@ -59,8 +59,8 @@ impl std::error::Error for BudgetExceeded {}
 
 /// A shareable deadline + work budget + cancellation token.
 ///
-/// `&Budget` is `Sync`: shard threads and pipeline workers may consume
-/// from the same budget concurrently.
+/// `&Budget` is `Sync`: the text tier's shard threads consume from the
+/// same budget concurrently.
 #[derive(Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -86,8 +86,7 @@ impl Budget {
         }
     }
 
-    /// A budget that expires `timeout` from now (builder style:
-    /// `Budget::unlimited().with_deadline(..)` also works).
+    /// A budget that expires `timeout` from now.
     pub fn with_deadline(timeout: Duration) -> Self {
         Budget {
             deadline: Some(Instant::now() + timeout),
@@ -101,12 +100,6 @@ impl Budget {
             work: Some(AtomicI64::new(i64::try_from(units).unwrap_or(i64::MAX))),
             ..Budget::unlimited()
         }
-    }
-
-    /// Adds (or replaces) a wall-clock deadline `timeout` from now.
-    pub fn and_deadline(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
-        self
     }
 
     /// True when no limit of any kind is set (the production default).
@@ -166,13 +159,6 @@ impl Budget {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
-
-    /// Work units left, if a work limit is set. Zero once exhausted.
-    pub fn remaining_work(&self) -> Option<u64> {
-        self.work
-            .as_ref()
-            .map(|w| u64::try_from(w.load(Ordering::Relaxed)).unwrap_or(0))
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +174,6 @@ mod tests {
             b.consume(10).unwrap();
         }
         assert_eq!(b.remaining_time(), None);
-        assert_eq!(b.remaining_work(), None);
     }
 
     #[test]
@@ -200,7 +185,6 @@ mod tests {
         b.consume(1).unwrap();
         assert_eq!(b.consume(1), Err(BudgetExceeded::Work));
         assert_eq!(b.check(), Err(BudgetExceeded::Work));
-        assert_eq!(b.remaining_work(), Some(0));
     }
 
     #[test]
@@ -222,7 +206,10 @@ mod tests {
 
     #[test]
     fn cancellation_wins_immediately() {
-        let b = Budget::with_work(1000).and_deadline(Duration::from_secs(60));
+        let b = Budget {
+            deadline: Some(Instant::now() + Duration::from_secs(60)),
+            ..Budget::with_work(1000)
+        };
         b.check().unwrap();
         b.cancel();
         assert_eq!(b.check(), Err(BudgetExceeded::Cancelled));
@@ -247,6 +234,8 @@ mod tests {
                 });
             }
         });
-        assert!(b.remaining_work().unwrap() <= 60);
+        // 4 × 10 of 100 units spent: exactly 60 remain.
+        b.consume(60).unwrap();
+        assert_eq!(b.consume(1), Err(BudgetExceeded::Work));
     }
 }

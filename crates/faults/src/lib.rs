@@ -26,12 +26,11 @@
 //!   (everything else under the durability directory).
 //!
 //! I/O decisions keep their own per-label call counter (`io_calls`),
-//! independent of [`FaultPlan::decide`]'s, with the same replay-exactly
-//! determinism: a pure function of `(seed, label, per-label I/O call
-//! count)`. Scripted I/O schedules ([`FaultPlan::set_io_script`]) run
-//! before the probabilistic spec, one action per call — the crash-point
-//! recovery harness scripts `k` clean operations followed by a failure
-//! to "crash" persistence at exactly the `k`-th disk touch.
+//! independent of [`FaultPlan::decide`]'s. They are scripted
+//! ([`FaultPlan::set_io_script`]): one action per operation, after
+//! which the label proceeds normally — the crash-point recovery harness
+//! scripts `k` clean operations followed by a failure to "crash"
+//! persistence at exactly the `k`-th disk touch.
 //!
 //! # The control-plane label namespaces
 //!
@@ -150,46 +149,6 @@ pub enum IoFault {
     FsyncFail,
 }
 
-/// Per-label I/O fault probabilities (disjoint kinds; their sum must
-/// stay ≤ 1).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IoFaultSpec {
-    /// Probability of a torn write (random cut offset).
-    pub torn_write: f64,
-    /// Probability of a single flipped bit (random offset).
-    pub bit_flip: f64,
-    /// Probability of a short read.
-    pub short_read: f64,
-    /// Probability of an `ENOSPC` failure.
-    pub no_space: f64,
-    /// Probability of an fsync failure.
-    pub fsync_fail: f64,
-}
-
-impl IoFaultSpec {
-    /// No I/O faults ever.
-    pub fn none() -> Self {
-        IoFaultSpec::default()
-    }
-
-    /// `ENOSPC` on every operation.
-    pub fn always_no_space() -> Self {
-        IoFaultSpec {
-            no_space: 1.0,
-            ..IoFaultSpec::default()
-        }
-    }
-
-    fn validate(&self) {
-        let sum = self.torn_write + self.bit_flip + self.short_read + self.no_space
-            + self.fsync_fail;
-        assert!(
-            (0.0..=1.0 + 1e-12).contains(&sum),
-            "I/O fault probabilities sum to {sum}, must be within [0, 1]"
-        );
-    }
-}
-
 /// Per-label latency injection: how slow a site should be, without
 /// being *dead*. Overload is mostly a latency phenomenon — a shard
 /// that answers in 80 ms instead of 2 ms backs queues up long before
@@ -225,22 +184,19 @@ impl DelaySpec {
 #[derive(Debug, Default)]
 struct SiteState {
     spec: Option<FaultSpec>,
-    /// Scripted prefix, consumed one action per call before `spec` (or
-    /// the default spec) takes over.
+    /// Scripted prefix, consumed one action per call before `spec` (or,
+    /// without one, no faults) takes over.
     script: Vec<FaultAction>,
     consumed: usize,
     calls: u64,
-    /// I/O half of the site: its own spec, script and call counter, so
-    /// disk decisions never perturb the RPC/shard streams.
-    io_spec: Option<IoFaultSpec>,
+    /// I/O half of the site: its own script and call counter, so disk
+    /// decisions never perturb the RPC/shard streams.
     io_script: Vec<IoFault>,
     io_consumed: usize,
     io_calls: u64,
-    /// Latency half of the site: again its own spec, schedule and
-    /// counter, so making a label slow never shifts its fault stream.
+    /// Latency half of the site: again its own spec and counter, so
+    /// making a label slow never shifts its fault stream.
     delay_spec: Option<DelaySpec>,
-    delay_schedule: Vec<Duration>,
-    delay_consumed: usize,
     delay_calls: u64,
 }
 
@@ -315,7 +271,6 @@ impl FaultMetrics {
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    default: FaultSpec,
     sites: Mutex<HashMap<String, SiteState>>,
     metrics: Mutex<Option<FaultMetrics>>,
 }
@@ -352,7 +307,6 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
             seed,
-            default: FaultSpec::none(),
             sites: Mutex::new(HashMap::new()),
             metrics: Mutex::new(None),
         }
@@ -368,14 +322,6 @@ impl FaultPlan {
 
     fn metrics(&self) -> Option<FaultMetrics> {
         self.metrics.lock().expect("fault plan poisoned").clone()
-    }
-
-    /// Sets the spec applied to every label without its own entry
-    /// (builder style).
-    pub fn with_default(mut self, spec: FaultSpec) -> Self {
-        spec.validate();
-        self.default = spec;
-        self
     }
 
     /// Sets the probabilistic spec for one label (builder style).
@@ -441,7 +387,7 @@ impl FaultPlan {
             site.consumed += 1;
             return action;
         }
-        let spec = site.spec.unwrap_or(self.default);
+        let spec = site.spec.unwrap_or_default();
         let word = splitmix(self.seed ^ label_hash(label) ^ call.wrapping_mul(0x9E37_79B9));
         let draw = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if draw < spec.error {
@@ -458,9 +404,10 @@ impl FaultPlan {
     /// Decides what a call at `label` identified by `key` should do.
     ///
     /// Unlike [`FaultPlan::decide`], the outcome is a pure function of
-    /// `(seed, label, key)` — independent of call *order* — so parallel
-    /// ingestion workers observe the same faults on the same documents
-    /// no matter how the scheduler interleaves them. The per-label call
+    /// `(seed, label, key)` — independent of call *order* — so a document
+    /// draws the same fault whichever run analyses it (populate, or a
+    /// maintenance job re-parsing it later) and whatever other calls
+    /// came before. The per-label call
     /// counter still advances (for [`FaultPlan::calls`] accounting), but
     /// scripted schedules are ignored: a script is inherently
     /// order-based and belongs with [`FaultPlan::decide`].
@@ -477,7 +424,7 @@ impl FaultPlan {
             let mut sites = self.sites.lock().expect("fault plan poisoned");
             let site = sites.entry(label.to_owned()).or_default();
             site.calls += 1;
-            site.spec.unwrap_or(self.default)
+            site.spec.unwrap_or_default()
         };
         let word = splitmix(self.seed ^ label_hash(label) ^ label_hash(key).rotate_left(17));
         let draw = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -492,28 +439,9 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the probabilistic I/O spec for one label (builder style).
-    pub fn with_io_site(self, label: impl Into<String>, spec: IoFaultSpec) -> Self {
-        self.set_io_site(label, spec);
-        self
-    }
-
-    /// Prepends a scripted I/O schedule for one label (builder style).
-    pub fn with_io_script(self, label: impl Into<String>, script: Vec<IoFault>) -> Self {
-        self.set_io_script(label, script);
-        self
-    }
-
-    /// Replaces the probabilistic I/O spec for `label` at runtime.
-    pub fn set_io_site(&self, label: impl Into<String>, spec: IoFaultSpec) {
-        spec.validate();
-        let mut sites = self.sites.lock().expect("fault plan poisoned");
-        sites.entry(label.into()).or_default().io_spec = Some(spec);
-    }
-
     /// Replaces the scripted I/O schedule for `label` at runtime. The
     /// listed faults are consumed one per operation, after which the
-    /// label falls back to its probabilistic spec.
+    /// label proceeds normally.
     pub fn set_io_script(&self, label: impl Into<String>, script: Vec<IoFault>) {
         let mut sites = self.sites.lock().expect("fault plan poisoned");
         let site = sites.entry(label.into()).or_default();
@@ -522,15 +450,23 @@ impl FaultPlan {
     }
 
     /// Decides what the next disk operation at `label` should do,
-    /// advancing the per-label I/O call counter. `len` is the size of
-    /// the buffer involved; randomly drawn cut/flip offsets stay within
-    /// it (an empty buffer yields offset 0).
-    ///
-    /// Like [`FaultPlan::decide`], the outcome is a pure function of
-    /// `(seed, label, per-label I/O call count)` — replaying a run with
-    /// the same plan observes byte-identical fault schedules.
-    pub fn decide_io(&self, label: &str, len: usize) -> IoFault {
-        let fault = self.decide_io_inner(label, len);
+    /// advancing the per-label I/O call counter: the next entry of the
+    /// label's script, or [`IoFault::None`] once it is used up. So
+    /// replaying a run with the same plan observes byte-identical fault
+    /// schedules.
+    pub fn decide_io(&self, label: &str) -> IoFault {
+        let fault = {
+            let mut sites = self.sites.lock().expect("fault plan poisoned");
+            let site = sites.entry(label.to_owned()).or_default();
+            site.io_calls += 1;
+            match site.io_script.get(site.io_consumed) {
+                Some(&fault) => {
+                    site.io_consumed += 1;
+                    fault
+                }
+                None => IoFault::None,
+            }
+        };
         if let Some(m) = self.metrics() {
             m.io_decisions.inc();
             if fault != IoFault::None {
@@ -540,61 +476,10 @@ impl FaultPlan {
         fault
     }
 
-    fn decide_io_inner(&self, label: &str, len: usize) -> IoFault {
-        let mut sites = self.sites.lock().expect("fault plan poisoned");
-        let site = sites.entry(label.to_owned()).or_default();
-        let call = site.io_calls;
-        site.io_calls += 1;
-        if site.io_consumed < site.io_script.len() {
-            let fault = site.io_script[site.io_consumed];
-            site.io_consumed += 1;
-            return fault;
-        }
-        let spec = site.io_spec.unwrap_or_default();
-        let word = splitmix(
-            self.seed ^ label_hash(label).rotate_left(31) ^ call.wrapping_mul(0xA24B_AED5),
-        );
-        let draw = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let at = if len == 0 {
-            0
-        } else {
-            (splitmix(word ^ 0xD6E8_FEB8_6659_FD93) % len as u64) as usize
-        };
-        let mut edge = spec.torn_write;
-        if draw < edge {
-            return IoFault::TornWrite { at };
-        }
-        edge += spec.bit_flip;
-        if draw < edge {
-            return IoFault::BitFlip { at };
-        }
-        edge += spec.short_read;
-        if draw < edge {
-            return IoFault::ShortRead;
-        }
-        edge += spec.no_space;
-        if draw < edge {
-            return IoFault::NoSpace;
-        }
-        edge += spec.fsync_fail;
-        if draw < edge {
-            return IoFault::FsyncFail;
-        }
-        IoFault::None
-    }
-
     /// Sets the probabilistic latency spec for one label (builder
     /// style).
     pub fn with_delay_site(self, label: impl Into<String>, spec: DelaySpec) -> Self {
         self.set_delay_site(label, spec);
-        self
-    }
-
-    /// Prepends a scripted per-call delay schedule for one label
-    /// (builder style): call *k* stalls for `schedule[k]`, after which
-    /// the label falls back to its probabilistic delay spec.
-    pub fn with_delay_schedule(self, label: impl Into<String>, schedule: Vec<Duration>) -> Self {
-        self.set_delay_schedule(label, schedule);
         self
     }
 
@@ -604,14 +489,6 @@ impl FaultPlan {
         spec.validate();
         let mut sites = self.sites.lock().expect("fault plan poisoned");
         sites.entry(label.into()).or_default().delay_spec = Some(spec);
-    }
-
-    /// Replaces the scripted delay schedule for `label` at runtime.
-    pub fn set_delay_schedule(&self, label: impl Into<String>, schedule: Vec<Duration>) {
-        let mut sites = self.sites.lock().expect("fault plan poisoned");
-        let site = sites.entry(label.into()).or_default();
-        site.delay_schedule = schedule;
-        site.delay_consumed = 0;
     }
 
     /// Decides how long the next call at `label` should stall before
@@ -637,11 +514,6 @@ impl FaultPlan {
         let site = sites.entry(label.to_owned()).or_default();
         let call = site.delay_calls;
         site.delay_calls += 1;
-        if site.delay_consumed < site.delay_schedule.len() {
-            let delay = site.delay_schedule[site.delay_consumed];
-            site.delay_consumed += 1;
-            return delay;
-        }
         let Some(spec) = site.delay_spec else {
             return Duration::ZERO;
         };
@@ -704,11 +576,14 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_seed_and_label() {
         let observe = |seed| {
-            let plan = FaultPlan::seeded(seed).with_default(FaultSpec {
-                error: 0.3,
-                hang: 0.2,
-                garbage: 0.1,
-            });
+            let plan = FaultPlan::seeded(seed).with_site(
+                "rpc:tennis",
+                FaultSpec {
+                    error: 0.3,
+                    hang: 0.2,
+                    garbage: 0.1,
+                },
+            );
             (0..200)
                 .map(|_| plan.decide("rpc:tennis"))
                 .collect::<Vec<_>>()
@@ -719,9 +594,10 @@ mod tests {
 
     #[test]
     fn labels_have_independent_streams() {
-        let plan = FaultPlan::seeded(7).with_default(FaultSpec::errors(0.5));
+        let plan = FaultPlan::seeded(7)
+            .with_site("a", FaultSpec::errors(0.5))
+            .with_site("b", FaultSpec::errors(0.5));
         let a: Vec<_> = (0..100).map(|_| plan.decide("a")).collect();
-        let plan = FaultPlan::seeded(7).with_default(FaultSpec::errors(0.5));
         let b: Vec<_> = (0..100).map(|_| plan.decide("b")).collect();
         assert_ne!(a, b);
     }
@@ -803,94 +679,57 @@ mod tests {
 
     #[test]
     fn io_decisions_are_deterministic_and_independent_of_rpc_stream() {
-        let observe = |seed| {
-            let plan = FaultPlan::seeded(seed).with_io_site(
-                "disk:wal",
-                IoFaultSpec {
-                    torn_write: 0.2,
-                    bit_flip: 0.2,
-                    short_read: 0.1,
-                    no_space: 0.1,
-                    fsync_fail: 0.1,
-                },
-            );
-            (0..200)
-                .map(|_| plan.decide_io("disk:wal", 4096))
+        let script = vec![
+            IoFault::None,
+            IoFault::TornWrite { at: 3 },
+            IoFault::BitFlip { at: 1 },
+            IoFault::ShortRead,
+            IoFault::FsyncFail,
+        ];
+        let observe = |interleave_rpc: bool| {
+            let plan = FaultPlan::seeded(42).with_site("disk:wal", FaultSpec::errors(0.5));
+            plan.set_io_script("disk:wal", script.clone());
+            (0..8)
+                .map(|_| {
+                    if interleave_rpc {
+                        let _ = plan.decide("disk:wal");
+                    }
+                    plan.decide_io("disk:wal")
+                })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(observe(42), observe(42));
-        assert_ne!(observe(42), observe(43));
+        let alone = observe(false);
+        assert_eq!(alone[..script.len()], script[..]);
+        assert!(alone[script.len()..].iter().all(|f| *f == IoFault::None));
         // Interleaving RPC decisions on the same label must not shift
         // the I/O stream: the counters are separate.
-        let plan = FaultPlan::seeded(42).with_io_site(
+        assert_eq!(observe(true), alone);
+    }
+
+    #[test]
+    fn io_scripts_run_once_then_the_disk_is_healthy() {
+        let plan = FaultPlan::seeded(1);
+        plan.set_io_script(
             "disk:wal",
-            IoFaultSpec {
-                torn_write: 0.2,
-                bit_flip: 0.2,
-                short_read: 0.1,
-                no_space: 0.1,
-                fsync_fail: 0.1,
-            },
+            vec![
+                IoFault::None,
+                IoFault::TornWrite { at: 3 },
+                IoFault::NoSpace,
+            ],
         );
-        let interleaved: Vec<_> = (0..200)
-            .map(|_| {
-                let _ = plan.decide("disk:wal");
-                plan.decide_io("disk:wal", 4096)
-            })
-            .collect();
-        assert_eq!(interleaved, observe(42));
-    }
-
-    #[test]
-    fn io_offsets_stay_within_the_buffer() {
-        let plan = FaultPlan::seeded(7).with_io_site(
-            "disk:snapshot",
-            IoFaultSpec {
-                torn_write: 0.5,
-                bit_flip: 0.5,
-                ..IoFaultSpec::default()
-            },
-        );
-        for len in [0usize, 1, 17, 4096] {
-            for _ in 0..100 {
-                match plan.decide_io("disk:snapshot", len) {
-                    IoFault::TornWrite { at } | IoFault::BitFlip { at } => {
-                        if len == 0 {
-                            assert_eq!(at, 0);
-                        } else {
-                            assert!(at < len, "offset {at} out of {len}");
-                        }
-                    }
-                    other => panic!("unexpected kind {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn io_scripts_run_before_io_probabilities() {
-        let plan = FaultPlan::seeded(1)
-            .with_io_script(
-                "disk:wal",
-                vec![IoFault::None, IoFault::TornWrite { at: 3 }, IoFault::NoSpace],
-            )
-            .with_io_site("disk:wal", IoFaultSpec::none());
-        assert_eq!(plan.decide_io("disk:wal", 100), IoFault::None);
-        assert_eq!(plan.decide_io("disk:wal", 100), IoFault::TornWrite { at: 3 });
-        assert_eq!(plan.decide_io("disk:wal", 100), IoFault::NoSpace);
+        assert_eq!(plan.decide_io("disk:wal"), IoFault::None);
+        assert_eq!(plan.decide_io("disk:wal"), IoFault::TornWrite { at: 3 });
+        assert_eq!(plan.decide_io("disk:wal"), IoFault::NoSpace);
         for _ in 0..20 {
-            assert_eq!(plan.decide_io("disk:wal", 100), IoFault::None);
+            assert_eq!(plan.decide_io("disk:wal"), IoFault::None);
         }
         assert_eq!(plan.io_calls("disk:wal"), 23);
-        // Exhausted script + always-failing spec: the crash-harness
-        // shape "k clean ops, then the disk dies".
-        let plan = FaultPlan::seeded(2)
-            .with_io_script("disk:snapshot", vec![IoFault::None; 2])
-            .with_io_site("disk:snapshot", IoFaultSpec::always_no_space());
-        assert_eq!(plan.decide_io("disk:snapshot", 10), IoFault::None);
-        assert_eq!(plan.decide_io("disk:snapshot", 10), IoFault::None);
-        assert_eq!(plan.decide_io("disk:snapshot", 10), IoFault::NoSpace);
-        assert_eq!(plan.decide_io("disk:snapshot", 10), IoFault::NoSpace);
+        // A new script starts from its first entry; the call counter
+        // keeps counting.
+        plan.set_io_script("disk:wal", vec![IoFault::FsyncFail]);
+        assert_eq!(plan.decide_io("disk:wal"), IoFault::FsyncFail);
+        assert_eq!(plan.decide_io("disk:wal"), IoFault::None);
+        assert_eq!(plan.io_calls("disk:wal"), 25);
     }
 
     #[test]
@@ -898,7 +737,11 @@ mod tests {
         let plan = FaultPlan::none();
         for i in 0..500 {
             assert_eq!(
-                plan.decide_io(if i % 2 == 0 { "disk:wal" } else { "disk:snapshot" }, 64),
+                plan.decide_io(if i % 2 == 0 {
+                    "disk:wal"
+                } else {
+                    "disk:snapshot"
+                }),
                 IoFault::None
             );
         }
@@ -947,22 +790,16 @@ mod tests {
     }
 
     #[test]
-    fn delay_schedules_run_before_delay_probabilities() {
-        let plan = FaultPlan::seeded(3)
-            .with_delay_schedule(
-                "rpc:tennis",
-                vec![Duration::from_millis(5), Duration::from_millis(10)],
-            )
-            .with_delay_site("rpc:tennis", DelaySpec::default());
-        assert_eq!(plan.decide_delay("rpc:tennis"), Duration::from_millis(5));
-        assert_eq!(plan.decide_delay("rpc:tennis"), Duration::from_millis(10));
+    fn delay_sites_count_calls_and_change_at_runtime() {
+        let plan = FaultPlan::seeded(3).with_delay_site("rpc:tennis", DelaySpec::default());
         for _ in 0..20 {
             assert_eq!(plan.decide_delay("rpc:tennis"), Duration::ZERO);
         }
-        assert_eq!(plan.delay_calls("rpc:tennis"), 22);
+        assert_eq!(plan.delay_calls("rpc:tennis"), 20);
         // A site can recover (or degrade) at runtime.
         plan.set_delay_site("rpc:tennis", DelaySpec::always(Duration::from_millis(1)));
         assert_eq!(plan.decide_delay("rpc:tennis"), Duration::from_millis(1));
+        assert_eq!(plan.delay_calls("rpc:tennis"), 21);
     }
 
     #[test]
@@ -978,26 +815,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "I/O fault probabilities")]
-    fn overfull_io_specs_are_rejected() {
-        let _ = FaultPlan::none().with_io_site(
-            "disk:wal",
-            IoFaultSpec {
-                torn_write: 0.8,
-                no_space: 0.5,
-                ..IoFaultSpec::default()
-            },
-        );
-    }
-
-    #[test]
     fn metrics_count_decisions_when_connected() {
         let o = obs::Obs::enabled();
         let plan = FaultPlan::seeded(3).with_site("d", FaultSpec::always_error());
         plan.set_obs(&o);
         assert_eq!(plan.decide("d"), FaultAction::Error);
         let _ = plan.decide_keyed("d", "k");
-        let _ = plan.decide_io("disk:wal", 8);
+        let _ = plan.decide_io("disk:wal");
         let _ = plan.decide_delay("d");
         let text = o.registry().expect("enabled").render_text();
         assert!(text.contains("faults_decisions_total 2"), "{text}");
@@ -1013,10 +837,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "fault probabilities")]
     fn overfull_specs_are_rejected() {
-        let _ = FaultPlan::none().with_default(FaultSpec {
-            error: 0.8,
-            hang: 0.5,
-            garbage: 0.0,
-        });
+        let _ = FaultPlan::none().with_site(
+            "d",
+            FaultSpec {
+                error: 0.8,
+                hang: 0.5,
+                garbage: 0.0,
+            },
+        );
     }
 }

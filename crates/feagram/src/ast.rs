@@ -286,17 +286,6 @@ impl Grammar {
             .find(|d| d.name == name && !matches!(d.kind, DetectorKind::Special { .. }))
     }
 
-    /// Special hooks attached to `target`.
-    pub fn special_hooks(&self, target: &str) -> Vec<(&DetectorDecl, SpecialEvent)> {
-        self.detectors
-            .iter()
-            .filter_map(|d| match &d.kind {
-                DetectorKind::Special { target: t, event } if t == target => Some((d, *event)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All atom declarations.
     pub fn atoms(&self) -> &[AtomDecl] {
         &self.atoms

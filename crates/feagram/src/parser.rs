@@ -560,7 +560,14 @@ event : netplay;
         assert!(g.detector("tennis").is_some());
         assert!(g.detector("netplay").is_some());
         assert!(g.detector("video_type").is_some());
-        assert_eq!(g.special_hooks("header").len(), 2);
+        let header_hooks = g
+            .detectors()
+            .iter()
+            .filter(
+                |d| matches!(&d.kind, DetectorKind::Special { target, .. } if target == "header"),
+            )
+            .count();
+        assert_eq!(header_hooks, 2);
         assert_eq!(g.rules_for("type").len(), 2);
     }
 

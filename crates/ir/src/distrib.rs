@@ -739,6 +739,11 @@ impl DistributedIndex {
         self.faults = Some(plan);
     }
 
+    /// Whether a fault plan is attached.
+    pub fn has_fault_plan(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// How long the central node waits for server answers before
     /// declaring the stragglers failed (default 250ms).
     pub fn set_shard_deadline(&mut self, deadline: Duration) {
@@ -2230,11 +2235,12 @@ mod tests {
     #[test]
     fn all_shards_failing_is_an_error() {
         let mut d = build(3, 60);
-        d.set_fault_plan(
-            FaultPlan::seeded(4)
-                .with_default(FaultSpec::always_error())
-                .shared(),
+        let plan = FaultPlan::seeded(4);
+        plan.set_sites(
+            (0..3).map(|g| format!("shard:{g}")),
+            FaultSpec::always_error(),
         );
+        d.set_fault_plan(plan.shared());
         match d.query_parallel("winner", 10) {
             Err(Error::AllShardsFailed(msg)) => {
                 assert!(msg.contains("injected transport error"), "{msg}");

@@ -31,9 +31,6 @@ pub struct Fragment {
     pub min_idf: f64,
     /// Total posting tuples (the fragment's evaluation cost).
     pub tuples: usize,
-    /// Largest tf of any posting in the fragment (drives the score upper
-    /// bound of the early-termination optimisation).
-    pub max_tf: i64,
 }
 
 impl Fragment {
@@ -43,7 +40,6 @@ impl Fragment {
             max_idf: 0.0,
             min_idf: f64::INFINITY,
             tuples: 0,
-            max_tf: 0,
         }
     }
 }
@@ -106,7 +102,6 @@ impl<'a> FragmentedIndex<'a> {
             current.tuples += postings.df(ord);
             current.max_idf = current.max_idf.max(idf);
             current.min_idf = current.min_idf.min(idf);
-            current.max_tf = current.max_tf.max(postings.max_tf(ord));
         }
         if current.terms > 0 || fragments.is_empty() {
             fragments.push(current);
@@ -116,15 +111,6 @@ impl<'a> FragmentedIndex<'a> {
             fragments,
             fragment_of,
         })
-    }
-
-    /// Per-fragment `(tuples, max_idf, min_idf)` — lets experiments show
-    /// the skew the paper exploits.
-    pub fn fragment_profile(&self) -> Vec<(usize, f64, f64)> {
-        self.fragments
-            .iter()
-            .map(|f| (f.tuples, f.max_idf, f.min_idf))
-            .collect()
     }
 
     /// The query's terms as `(term ordinal, fragment, idf)`, in stem
@@ -138,68 +124,6 @@ impl<'a> FragmentedIndex<'a> {
                 Some((ord, *self.fragment_of.get(ord)? as usize, postings.idf(ord)?))
             })
             .collect()
-    }
-
-    /// Evaluates `text` fragment by fragment and **stops as soon as the
-    /// top `k` can no longer change** — the paper's top-N optimisation
-    /// hook ("both database top-N optimization techniques (e.g. [DR99,
-    /// CK98]) and IR top-N optimization techniques (e.g. \[Bro95\]) can
-    /// be exploited here"), in the braking-distance style of Carey &
-    /// Kossmann: after each fragment, an upper bound on the score any
-    /// document could still gain from the remaining fragments is
-    /// compared against the current k-th score.
-    ///
-    /// Unlike [`Self::query_with_cutoff`], the result is *exactly* the
-    /// full top-k (quality 1), only cheaper.
-    pub fn query_top_k_early(&self, text: &str, k: usize) -> CutoffResult {
-        let terms = self.query_terms(text);
-        let mut acc = self.index.accumulator(None);
-        // Max score any document can still gain from fragment i onward.
-        let avg_dl = self.index.avg_doc_len().max(1.0);
-        let mut remaining_gain = vec![0.0f64; self.fragments.len() + 1];
-        for i in (0..self.fragments.len()).rev() {
-            let mut gain = 0.0;
-            for &(_, fragment, idf) in &terms {
-                if fragment == i {
-                    // tf upper bound × idf; length norm ≤ avg/min_dl is
-                    // conservatively ignored for TfIdf (norm = 1) and
-                    // bounded by avg_dl for Hiemstra.
-                    gain += acc.scorer().score(self.fragments[i].max_tf, idf, avg_dl);
-                }
-            }
-            remaining_gain[i] = remaining_gain[i + 1] + gain;
-        }
-
-        let mut used = 0usize;
-        for (i, &gain) in remaining_gain[..self.fragments.len()].iter().enumerate() {
-            // Termination check: can anything outside the current top-k
-            // still reach it?
-            if i > 0 {
-                let mut sorted: Vec<f64> = acc.scores().collect();
-                sorted.sort_by(|a, b| b.total_cmp(a));
-                if sorted.len() >= k {
-                    let kth = sorted[k - 1];
-                    let best_below = sorted.get(k).copied().unwrap_or(0.0);
-                    if kth >= best_below + gain && kth >= gain {
-                        break;
-                    }
-                }
-            }
-            used = i + 1;
-            for &(ord, fragment, _) in &terms {
-                if fragment == i {
-                    acc.add_term(ord);
-                }
-            }
-        }
-
-        let work = acc.work;
-        CutoffResult {
-            hits: acc.top_k(k),
-            quality: 1.0,
-            fragments_used: used,
-            work,
-        }
     }
 
     /// Evaluates `text` over at most `max_fragments` fragments
@@ -275,16 +199,17 @@ mod tests {
     fn fragments_are_ordered_by_descending_idf() {
         let idx = skewed_index(100);
         let f = FragmentedIndex::build(&idx, 4).unwrap();
-        let profile = f.fragment_profile();
         assert!(
-            (2..=4).contains(&profile.len()),
+            (2..=4).contains(&f.fragments.len()),
             "fragment count {}",
-            profile.len()
+            f.fragments.len()
         );
-        for w in profile.windows(2) {
+        for w in f.fragments.windows(2) {
             assert!(
-                w[0].2 >= w[1].1 - 1e-12,
-                "min idf of earlier fragment below max idf of later: {profile:?}"
+                w[0].min_idf >= w[1].max_idf - 1e-12,
+                "min idf {} of earlier fragment below max idf {} of later",
+                w[0].min_idf,
+                w[1].max_idf
             );
         }
     }
@@ -293,10 +218,9 @@ mod tests {
     fn low_idf_fragments_carry_most_tuples() {
         let idx = skewed_index(100);
         let f = FragmentedIndex::build(&idx, 4).unwrap();
-        let profile = f.fragment_profile();
         // The last fragment (lowest idf) should not be smaller than the
         // first (highest idf, rare terms).
-        assert!(profile.last().unwrap().0 >= profile.first().unwrap().0);
+        assert!(f.fragments.last().unwrap().tuples >= f.fragments[0].tuples);
     }
 
     #[test]
@@ -323,40 +247,6 @@ mod tests {
         // The rare, high-idf term is in an early fragment, so the top
         // document (the only one with "rareword") survives the cutoff.
         assert_eq!(cut.hits[0].doc, full.hits[0].doc);
-    }
-
-    #[test]
-    fn early_termination_returns_the_exact_top_k_set() {
-        let idx = skewed_index(300);
-        let (exact, _) = idx.query("rareword medium common", 10);
-        let f = FragmentedIndex::build(&idx, 8).unwrap();
-        let early = f.query_top_k_early("rareword medium common", 10);
-        assert_eq!(early.quality, 1.0);
-        // Membership is exact (internal order may differ: members'
-        // residual gains in skipped fragments are not applied).
-        let exact_set: std::collections::HashSet<_> =
-            exact.iter().map(|h| h.doc).collect();
-        let early_set: std::collections::HashSet<_> =
-            early.hits.iter().map(|h| h.doc).collect();
-        assert_eq!(exact_set, early_set);
-    }
-
-    #[test]
-    fn early_termination_saves_work_on_skewed_queries() {
-        let idx = skewed_index(500);
-        let f = FragmentedIndex::build(&idx, 16).unwrap();
-        let full = f.query_with_cutoff("rareword common", 1, 16);
-        let early = f.query_top_k_early("rareword common", 1);
-        // The single "rareword" document dominates; the common tail
-        // cannot catch up, so evaluation brakes before the last
-        // fragments.
-        assert!(
-            early.fragments_used < 16,
-            "used {} fragments",
-            early.fragments_used
-        );
-        assert!(early.work.tuples <= full.work.tuples);
-        assert_eq!(early.hits[0].doc, full.hits[0].doc);
     }
 
     #[test]

@@ -391,8 +391,8 @@ impl TextIndex {
     }
 
     /// Indexes a batch of `(url, text)` documents in order — the bulk
-    /// entry point for parallel ingestion writers, which hand a whole
-    /// merge batch over in one call and commit once at the end. Returns
+    /// entry point for populate, which hands its whole text batch over
+    /// in one call and commits once at the end. Returns
     /// the minted doc oids in input order.
     ///
     /// With a WAL attached the whole batch is logged with a **single**

@@ -324,11 +324,6 @@ impl PostingIndex {
         self.terms.get(ord).map_or(0, |t| t.count as usize)
     }
 
-    /// The largest tf among the postings of term `ord`.
-    pub(crate) fn max_tf(&self, ord: usize) -> i64 {
-        self.postings(ord).map(|(_, tf)| tf).max().unwrap_or(0)
-    }
-
     fn postings(&self, ord: usize) -> PostingIter<'_> {
         PostingIter {
             bytes: self.terms.get(ord).map_or(&[][..], |t| t.bytes.as_slice()),
@@ -405,11 +400,6 @@ impl<'a> Accumulator<'a> {
         }
     }
 
-    /// The scorer postings are added under.
-    pub(crate) fn scorer(&self) -> Scorer {
-        self.scorer
-    }
-
     /// Scores every (allowed) posting of term `ord`.
     pub(crate) fn add_term(&mut self, ord: usize) {
         self.work.matched_terms += 1;
@@ -428,11 +418,6 @@ impl<'a> Accumulator<'a> {
             }
             self.scores[d] += self.scorer.score(tf, idf, self.index.doc_len[d]);
         }
-    }
-
-    /// The scores accumulated so far, in no particular order.
-    pub(crate) fn scores(&self) -> impl Iterator<Item = f64> + '_ {
-        self.touched.iter().map(|&doc| self.scores[doc as usize])
     }
 
     /// The best `k` documents by `(score desc, url asc)`, as hits.

@@ -212,10 +212,6 @@ impl Bat {
     pub fn new_int() -> Self {
         Self::with_kind(ColumnKind::Int)
     }
-    /// Empty `oid × str` BAT.
-    pub fn new_str() -> Self {
-        Self::with_kind(ColumnKind::Str)
-    }
 
     /// The tail type.
     pub fn kind(&self) -> ColumnKind {
@@ -256,17 +252,9 @@ impl Bat {
     pub fn append_int(&mut self, head: Oid, tail: i64) -> Result<()> {
         self.append(head, Value::Int(tail))
     }
-    /// Appends a `flt` tail.
-    pub fn append_flt(&mut self, head: Oid, tail: f64) -> Result<()> {
-        self.append(head, Value::Flt(tail))
-    }
     /// Appends a `str` tail.
     pub fn append_str(&mut self, head: Oid, tail: impl Into<String>) -> Result<()> {
         self.append(head, Value::Str(tail.into()))
-    }
-    /// Appends a `bit` tail.
-    pub fn append_bit(&mut self, head: Oid, tail: bool) -> Result<()> {
-        self.append(head, Value::Bit(tail))
     }
 
     /// The association at `pos`.
@@ -416,7 +404,7 @@ mod tests {
 
     #[test]
     fn append_and_lookup() {
-        let mut b = Bat::new_str();
+        let mut b = Bat::with_kind(ColumnKind::Str);
         b.append_str(oid(1), "a").unwrap();
         b.append_str(oid(1), "b").unwrap();
         b.append_str(oid(2), "c").unwrap();
@@ -479,7 +467,7 @@ mod tests {
 
     #[test]
     fn upsert_updates_then_inserts() {
-        let mut b = Bat::new_str();
+        let mut b = Bat::with_kind(ColumnKind::Str);
         assert!(!b.upsert(oid(1), Value::from("a")).unwrap());
         assert!(b.upsert(oid(1), Value::from("b")).unwrap());
         assert_eq!(b.len(), 1);
@@ -488,7 +476,7 @@ mod tests {
 
     #[test]
     fn lookups_work_through_shared_borrow() {
-        let mut b = Bat::new_str();
+        let mut b = Bat::with_kind(ColumnKind::Str);
         b.append_str(oid(2), "x").unwrap();
         b.append_str(oid(1), "y").unwrap();
         b.append_str(oid(2), "z").unwrap();
@@ -565,7 +553,7 @@ mod tests {
 
     #[test]
     fn select_str_eq_uses_dictionary_codes() {
-        let mut b = Bat::new_str();
+        let mut b = Bat::with_kind(ColumnKind::Str);
         b.append_str(oid(1), "seles").unwrap();
         b.append_str(oid(2), "graf").unwrap();
         b.append_str(oid(3), "seles").unwrap();

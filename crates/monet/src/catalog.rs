@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn created_bat_is_rehomed_into_catalog_pool() {
-        let mut standalone = Bat::new_str();
+        let mut standalone = Bat::with_kind(ColumnKind::Str);
         standalone.append_str(Oid::from_raw(1), "moved").unwrap();
         let mut db = Db::new();
         db.pool().intern("pre-existing");

@@ -25,13 +25,13 @@
 //! # Example
 //!
 //! ```
-//! use monet::{Bat, Db, OidGen};
+//! use monet::{Bat, ColumnKind, Db, OidGen};
 //!
 //! let mut db = Db::new();
 //! let gen = OidGen::new();
 //! let (a, b) = (gen.mint(), gen.mint());
 //!
-//! let mut names = Bat::new_str();
+//! let mut names = Bat::with_kind(ColumnKind::Str);
 //! names.append_str(a, "Seles").unwrap();
 //! names.append_str(b, "Hingis").unwrap();
 //! db.create("player/name", names).unwrap();

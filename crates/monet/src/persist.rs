@@ -42,7 +42,6 @@ use crate::catalog::Db;
 use crate::crc::crc32;
 use crate::error::{Error, Result};
 use crate::oid::Oid;
-use crate::storage::{write_atomic, StorageBackend};
 use crate::value::{Column, ColumnKind, StrColumn, StrPool};
 
 const MAGIC: &[u8; 4] = b"MBAT";
@@ -267,11 +266,6 @@ impl SnapshotReader {
             eager,
         ))
     }
-}
-
-/// Writes a snapshot atomically (temp file + rename) through `backend`.
-pub fn save_atomic(db: &Db, backend: &dyn StorageBackend, path: &std::path::Path) -> Result<()> {
-    write_atomic(backend, path, &snapshot(db)?)
 }
 
 fn kind_tag(kind: ColumnKind) -> u8 {
@@ -557,7 +551,8 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::FsBackend;
+    use crate::storage::{write_atomic, FsBackend, StorageBackend};
+    use crate::Value;
 
     fn sample_db() -> Db {
         let mut db = Db::new();
@@ -577,11 +572,11 @@ mod tests {
             .unwrap();
         db.get_or_create("scores", ColumnKind::Flt)
             .unwrap()
-            .append_flt(b, 0.75)
+            .append(b, Value::Flt(0.75))
             .unwrap();
         db.get_or_create("flags", ColumnKind::Bit)
             .unwrap()
-            .append_bit(a, true)
+            .append(a, Value::Bit(true))
             .unwrap();
         db
     }
@@ -605,7 +600,7 @@ mod tests {
                 .unwrap();
             db.get_or_create("active", ColumnKind::Bit)
                 .unwrap()
-                .append_bit(o, i % 2 == 0)
+                .append(o, Value::Bit(i % 2 == 0))
                 .unwrap();
         }
         db
@@ -791,7 +786,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.mbat");
         let db = sample_db();
-        save_atomic(&db, &FsBackend, &path).unwrap();
+        write_atomic(&FsBackend, &path, &snapshot(&db).unwrap()).unwrap();
         let back = restore(&FsBackend.read(&path).unwrap()).unwrap();
         assert_eq!(back.association_count(), db.association_count());
         std::fs::remove_file(&path).ok();

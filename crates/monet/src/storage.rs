@@ -126,7 +126,7 @@ pub fn site_label(path: &Path) -> &'static str {
 /// [`IoFault::BitFlip`] flips a bit of it. [`IoFault::FsyncFail`] fails
 /// `sync`; `rename` fails on [`IoFault::NoSpace`]. Kinds that make no
 /// sense for an operation (e.g. a torn write during a read) proceed
-/// normally, so one probabilistic spec can drive every site. Metadata
+/// normally, so one script can drive every site. Metadata
 /// operations (`list`, `exists`, `create_dir_all`) are never faulted.
 #[derive(Debug)]
 pub struct FaultyBackend {
@@ -145,8 +145,8 @@ impl FaultyBackend {
         Arc::new(FaultyBackend::new(FsBackend::shared(), plan))
     }
 
-    fn decide(&self, path: &Path, len: usize) -> IoFault {
-        self.plan.decide_io(site_label(path), len)
+    fn decide(&self, path: &Path) -> IoFault {
+        self.plan.decide_io(site_label(path))
     }
 }
 
@@ -162,7 +162,7 @@ fn flip_bit(bytes: &[u8], at: usize) -> Vec<u8> {
 impl StorageBackend for FaultyBackend {
     fn read(&self, path: &Path) -> Result<Vec<u8>> {
         let bytes = self.inner.read(path)?;
-        match self.decide(path, bytes.len()) {
+        match self.decide(path) {
             IoFault::ShortRead => {
                 let keep = bytes.len() / 2;
                 Ok(bytes[..keep].to_vec())
@@ -174,7 +174,7 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        match self.decide(path, bytes.len()) {
+        match self.decide(path) {
             IoFault::TornWrite { at } => {
                 let keep = at.min(bytes.len());
                 self.inner.write(path, &bytes[..keep])?;
@@ -187,7 +187,7 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        match self.decide(path, bytes.len()) {
+        match self.decide(path) {
             IoFault::TornWrite { at } => {
                 let keep = at.min(bytes.len());
                 self.inner.append(path, &bytes[..keep])?;
@@ -200,14 +200,14 @@ impl StorageBackend for FaultyBackend {
     }
 
     fn sync(&self, path: &Path) -> Result<()> {
-        match self.decide(path, 0) {
+        match self.decide(path) {
             IoFault::FsyncFail => Err(io_err(path, "fsync", "injected fsync failure")),
             _ => self.inner.sync(path),
         }
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        match self.decide(to, 0) {
+        match self.decide(to) {
             IoFault::NoSpace => Err(io_err(to, "rename", "injected I/O error")),
             _ => self.inner.rename(from, to),
         }
@@ -286,9 +286,8 @@ mod tests {
     #[test]
     fn torn_write_persists_a_prefix_then_fails() {
         let dir = tmp_dir("torn");
-        let plan = FaultPlan::seeded(1)
-            .with_io_script("disk:snapshot", vec![IoFault::TornWrite { at: 3 }])
-            .shared();
+        let plan = FaultPlan::seeded(1).shared();
+        plan.set_io_script("disk:snapshot", vec![IoFault::TornWrite { at: 3 }]);
         let b = FaultyBackend::new(FsBackend::shared(), plan);
         let p = dir.join("x.snap");
         assert!(matches!(b.write(&p, b"abcdef"), Err(Error::Io(_))));
@@ -299,9 +298,8 @@ mod tests {
     #[test]
     fn bit_flip_corrupts_silently() {
         let dir = tmp_dir("flip");
-        let plan = FaultPlan::seeded(2)
-            .with_io_script("disk:snapshot", vec![IoFault::BitFlip { at: 1 }])
-            .shared();
+        let plan = FaultPlan::seeded(2).shared();
+        plan.set_io_script("disk:snapshot", vec![IoFault::BitFlip { at: 1 }]);
         let b = FaultyBackend::new(FsBackend::shared(), plan);
         let p = dir.join("x.snap");
         b.write(&p, b"abc").unwrap();
@@ -317,9 +315,11 @@ mod tests {
         let dir = tmp_dir("short");
         let p = dir.join("x.snap");
         std::fs::write(&p, b"0123456789").unwrap();
-        let plan = FaultPlan::seeded(3)
-            .with_io_script("disk:snapshot", vec![IoFault::ShortRead, IoFault::FsyncFail])
-            .shared();
+        let plan = FaultPlan::seeded(3).shared();
+        plan.set_io_script(
+            "disk:snapshot",
+            vec![IoFault::ShortRead, IoFault::FsyncFail],
+        );
         let b = FaultyBackend::new(FsBackend::shared(), plan);
         assert_eq!(b.read(&p).unwrap(), b"01234");
         assert!(matches!(b.sync(&p), Err(Error::Io(_))));
@@ -334,9 +334,8 @@ mod tests {
         write_atomic(fs.as_ref(), &p, b"v1").unwrap();
         assert_eq!(fs.read(&p).unwrap(), b"v1");
         // Crash during the tmp write: the old file survives untouched.
-        let plan = FaultPlan::seeded(4)
-            .with_io_script("disk:snapshot", vec![IoFault::TornWrite { at: 1 }])
-            .shared();
+        let plan = FaultPlan::seeded(4).shared();
+        plan.set_io_script("disk:snapshot", vec![IoFault::TornWrite { at: 1 }]);
         let faulty = FaultyBackend::new(Arc::clone(&fs), plan);
         assert!(write_atomic(&faulty, &p, b"v2-longer").is_err());
         assert_eq!(fs.read(&p).unwrap(), b"v1");

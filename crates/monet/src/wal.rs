@@ -514,9 +514,8 @@ mod tests {
         use crate::storage::FaultyBackend;
         use faults::{FaultPlan, IoFault};
         let dir = tmp_dir("poison");
-        let plan = FaultPlan::seeded(6)
-            .with_io_script("disk:wal", vec![IoFault::NoSpace])
-            .shared();
+        let plan = FaultPlan::seeded(6).shared();
+        plan.set_io_script("disk:wal", vec![IoFault::NoSpace]);
         let backend: Arc<dyn StorageBackend> =
             Arc::new(FaultyBackend::new(FsBackend::shared(), plan));
         let mut wal = Wal::open(backend, dir.clone()).unwrap();

@@ -186,14 +186,6 @@ impl Document {
         }
     }
 
-    /// Depth-first pre-order traversal of all nodes.
-    pub fn iter_preorder(&self) -> PreOrder<'_> {
-        PreOrder {
-            doc: self,
-            stack: vec![self.root],
-        }
-    }
-
     /// The 1-based rank of `id` among its siblings (the paper's `rank`
     /// function). The root has rank 1.
     pub fn rank(&self, id: NodeId) -> usize {
@@ -264,24 +256,6 @@ impl Document {
             .iter()
             .copied()
             .filter(move |c| self.tag(*c) == Some(tag))
-    }
-}
-
-/// Pre-order traversal iterator; see [`Document::iter_preorder`].
-pub struct PreOrder<'a> {
-    doc: &'a Document,
-    stack: Vec<NodeId>,
-}
-
-impl Iterator for PreOrder<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        for c in self.doc.children(id).iter().rev() {
-            self.stack.push(*c);
-        }
-        Some(id)
     }
 }
 
@@ -392,18 +366,6 @@ mod tests {
         let mut b = figure9();
         b.add_element(b.root(), "extra");
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn preorder_visits_every_node_once() {
-        let d = figure9();
-        let visited: Vec<_> = d.iter_preorder().collect();
-        assert_eq!(visited.len(), d.node_count());
-        let mut uniq = visited.clone();
-        uniq.sort();
-        uniq.dedup();
-        assert_eq!(uniq.len(), visited.len());
-        assert_eq!(visited[0], d.root());
     }
 
     #[test]

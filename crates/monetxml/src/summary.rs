@@ -169,18 +169,6 @@ impl PathSummary {
             .collect()
     }
 
-    /// All element paths in the summary, in creation (ordinal) order.
-    pub fn element_paths(&self) -> Vec<Path> {
-        let mut with_ord: Vec<(&SumNode, u32)> = self
-            .nodes
-            .iter()
-            .skip(1) // virtual root
-            .map(|n| (n, n.ordinal))
-            .collect();
-        with_ord.sort_by_key(|(_, o)| *o);
-        with_ord.into_iter().map(|(n, _)| n.path.clone()).collect()
-    }
-
     /// All relation names — element and attribute paths — sorted.
     pub fn all_relations(&self) -> Vec<String> {
         let mut out = Vec::new();

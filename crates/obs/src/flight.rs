@@ -5,15 +5,15 @@
 //!
 //! The ring answers the question a metrics scrape cannot: *what
 //! happened just before things went wrong*. It keeps the most recent
-//! `capacity` events; [`crate::Obs::record_event`] appends (a no-op on
+//! [`FLIGHT_CAPACITY`] events; [`crate::Obs::record_event`] appends (a no-op on
 //! a disabled handle — the detail closure never runs), and
 //! [`crate::Obs::flight_events`] snapshots the ring for an incident
 //! report.
 
 use crate::report::Json;
 
-/// Default number of events the ring retains.
-pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+/// Number of events the ring retains.
+pub(crate) const FLIGHT_CAPACITY: usize = 256;
 
 /// One recorded operational event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,30 +42,16 @@ impl FlightEvent {
 }
 
 /// The bounded ring behind [`crate::Obs`]'s flight recorder.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FlightRing {
-    capacity: usize,
     next_seq: u64,
     events: std::collections::VecDeque<FlightEvent>,
 }
 
-impl Default for FlightRing {
-    fn default() -> Self {
-        FlightRing {
-            capacity: DEFAULT_FLIGHT_CAPACITY,
-            next_seq: 0,
-            events: std::collections::VecDeque::new(),
-        }
-    }
-}
-
 impl FlightRing {
     pub(crate) fn push(&mut self, at_ns: u64, kind: &'static str, detail: String) {
-        if self.capacity == 0 {
-            return;
-        }
         self.next_seq += 1;
-        if self.events.len() == self.capacity {
+        if self.events.len() == FLIGHT_CAPACITY {
             self.events.pop_front();
         }
         self.events.push_back(FlightEvent {
@@ -76,19 +62,8 @@ impl FlightRing {
         });
     }
 
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.events.len() > capacity {
-            self.events.pop_front();
-        }
-    }
-
     pub(crate) fn snapshot(&self) -> Vec<FlightEvent> {
         self.events.iter().cloned().collect()
-    }
-
-    pub(crate) fn total_recorded(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -99,25 +74,18 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_seq_survives_eviction() {
         let mut ring = FlightRing::default();
-        ring.set_capacity(2);
-        ring.push(1, "a", "one".to_owned());
-        ring.push(2, "b", "two".to_owned());
-        ring.push(3, "c", "three".to_owned());
+        for at in 0..FLIGHT_CAPACITY as u64 {
+            ring.push(at, "a", String::new());
+        }
+        ring.push(1_000, "b", "two".to_owned());
+        ring.push(1_001, "c", "three".to_owned());
         let events = ring.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].seq, 2);
-        assert_eq!(events[1].seq, 3);
-        assert_eq!(events[1].kind, "c");
-        assert_eq!(ring.total_recorded(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_records_nothing() {
-        let mut ring = FlightRing::default();
-        ring.set_capacity(0);
-        ring.push(1, "a", "one".to_owned());
-        assert!(ring.snapshot().is_empty());
-        assert_eq!(ring.total_recorded(), 0);
+        assert_eq!(events.len(), FLIGHT_CAPACITY);
+        assert_eq!(events[0].seq, 3);
+        let last = &events[FLIGHT_CAPACITY - 1];
+        assert_eq!(last.seq, FLIGHT_CAPACITY as u64 + 2);
+        assert_eq!(last.kind, "c");
+        assert_eq!(ring.next_seq, FLIGHT_CAPACITY as u64 + 2);
     }
 
     #[test]

@@ -411,11 +411,6 @@ impl Registry {
         }
     }
 
-    /// Every registered family name, sorted.
-    pub fn family_names(&self) -> Vec<&'static str> {
-        self.lock().families.keys().copied().collect()
-    }
-
     /// Registration metadata of every family (name, help, kind, label
     /// key), sorted by name — the input to registry hygiene audits.
     pub fn family_metas(&self) -> Vec<FamilyMeta> {
@@ -622,7 +617,7 @@ mod tests {
         r.counter("a_total", "a");
         r.gauge("b_now", "b");
         r.histogram("c_seconds", "c", DEFAULT_TIME_BUCKETS);
-        let names = r.family_names();
+        let names: Vec<&str> = r.family_metas().iter().map(|m| m.name).collect();
         assert_eq!(names, vec!["a_total", "b_now", "c_seconds"]);
         let text = r.render_text();
         for n in names {

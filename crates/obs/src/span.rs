@@ -461,21 +461,6 @@ impl Obs {
         }
     }
 
-    /// Total events ever recorded (including ones the ring evicted).
-    pub fn flight_total_recorded(&self) -> u64 {
-        match self.inner.as_ref() {
-            Some(inner) => lock(&inner.flight).total_recorded(),
-            None => 0,
-        }
-    }
-
-    /// Resizes the flight-recorder ring (default 256 events).
-    pub fn set_flight_capacity(&self, cap: usize) {
-        if let Some(inner) = self.inner.as_ref() {
-            lock(&inner.flight).set_capacity(cap);
-        }
-    }
-
     /// The injected clock's current reading (0 when disabled).
     pub fn now_ns(&self) -> u64 {
         match self.inner.as_ref() {
@@ -571,6 +556,7 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::flight::FLIGHT_CAPACITY;
 
     fn manual() -> (Obs, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
@@ -741,18 +727,18 @@ mod tests {
         assert_eq!(disabled.now_ns(), 0);
 
         let (obs, clock) = manual();
-        obs.set_flight_capacity(3);
         clock.advance_ns(5);
-        for i in 0..5u32 {
+        let recorded = FLIGHT_CAPACITY + 2;
+        for i in 0..recorded {
             obs.record_event("admission", move || format!("step={i}"));
         }
         let events = obs.flight_events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), FLIGHT_CAPACITY);
         assert_eq!(events[0].detail, "step=2");
-        assert_eq!(events[2].detail, "step=4");
-        assert_eq!(events[2].seq, 5);
-        assert_eq!(events[2].at_ns, 5);
-        assert_eq!(obs.flight_total_recorded(), 5);
+        let last = &events[FLIGHT_CAPACITY - 1];
+        assert_eq!(last.detail, format!("step={}", recorded - 1));
+        assert_eq!(last.seq, recorded as u64);
+        assert_eq!(last.at_ns, 5);
     }
 
     #[test]

@@ -74,16 +74,6 @@ impl Recorder {
         self.tick
     }
 
-    /// How many samples are currently retained.
-    pub fn history_len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The newest sample, if any.
-    pub fn latest(&self) -> Option<&TickSample> {
-        self.samples.back()
-    }
-
     /// The baseline sample for a `window`-tick lookback, or `None`
     /// when the window reaches past the start of (unevicted) history —
     /// in which case deltas fall back to an implicit all-zero baseline
@@ -122,22 +112,6 @@ impl Recorder {
         } else {
             cur - base
         }
-    }
-
-    /// Counter rate per second over the last `window` ticks. `None`
-    /// when fewer than two samples span the window or the clock did
-    /// not advance (e.g. under a `NoopClock`).
-    pub fn windowed_rate(&self, key: &str, window: usize) -> Option<f64> {
-        let newest = self.samples.back()?;
-        let base = self.baseline_sample(window).or_else(|| self.samples.front())?;
-        if std::ptr::eq(newest, base) {
-            return None;
-        }
-        let elapsed_ns = newest.at_ns.saturating_sub(base.at_ns);
-        if elapsed_ns == 0 {
-            return None;
-        }
-        Some(self.counter_delta(key, window) as f64 / (elapsed_ns as f64 / 1e9))
     }
 
     /// Histogram delta over the last `window` ticks: per-bucket count
@@ -244,7 +218,7 @@ mod tests {
         rec.record(&registry_with(10, &[]), 1);
         rec.record(&registry_with(25, &[]), 2);
         rec.record(&registry_with(40, &[]), 3); // evicts the first
-        assert_eq!(rec.history_len(), 2);
+        assert_eq!(rec.samples.len(), 2);
         assert_eq!(rec.counter_delta("t_events_total", 1), 15);
         // Window 5 reaches past trimmed history: clamps to oldest (25).
         assert_eq!(rec.counter_delta("t_events_total", 5), 15);
@@ -256,24 +230,6 @@ mod tests {
         rec.record(&registry_with(100, &[]), 1);
         rec.record(&registry_with(7, &[]), 2); // "restart": counter fell
         assert_eq!(rec.counter_delta("t_events_total", 1), 7);
-    }
-
-    #[test]
-    fn windowed_rate_needs_advancing_clock() {
-        let mut rec = Recorder::new(8);
-        rec.record(&registry_with(0, &[]), 1_000_000_000);
-        rec.record(&registry_with(30, &[]), 4_000_000_000);
-        let rate = rec.windowed_rate("t_events_total", 1).unwrap();
-        assert!((rate - 10.0).abs() < 1e-9, "{rate}");
-        // Single sample: no window to rate over.
-        let mut one = Recorder::new(8);
-        one.record(&registry_with(5, &[]), 1);
-        assert!(one.windowed_rate("t_events_total", 1).is_none());
-        // Frozen clock (NoopClock): no rate.
-        let mut frozen = Recorder::new(8);
-        frozen.record(&registry_with(0, &[]), 0);
-        frozen.record(&registry_with(5, &[]), 0);
-        assert!(frozen.windowed_rate("t_events_total", 1).is_none());
     }
 
     #[test]
@@ -367,7 +323,7 @@ mod tests {
         let tick = rec.record(&reg, 2);
         assert_eq!(tick, 2);
         assert_eq!(rec.current_tick(), 2);
-        let latest = rec.latest().unwrap();
+        let latest = rec.samples.back().unwrap();
         assert_eq!(
             latest.metrics.counters.get("obs_timeseries_ticks_total"),
             Some(&2)

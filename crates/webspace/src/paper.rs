@@ -84,10 +84,13 @@ mod tests {
     #[test]
     fn multimedia_hooks_cover_all_four_kinds_used() {
         let s = ausopen_schema();
-        let hooks = s.multimedia_attrs();
-        assert!(hooks.contains(&("Article", "body", MediaType::Hypertext)));
-        assert!(hooks.contains(&("Player", "picture", MediaType::Image)));
-        assert!(hooks.contains(&("Player", "history", MediaType::Hypertext)));
-        assert!(hooks.contains(&("Profile", "video", MediaType::Video)));
+        let media = |class: &str, attr: &str| match s.class(class)?.attr(attr)?.ty {
+            AttrType::Media(mt) => Some(mt),
+            _ => None,
+        };
+        assert_eq!(media("Article", "body"), Some(MediaType::Hypertext));
+        assert_eq!(media("Player", "picture"), Some(MediaType::Image));
+        assert_eq!(media("Player", "history"), Some(MediaType::Hypertext));
+        assert_eq!(media("Profile", "video"), Some(MediaType::Video));
     }
 }

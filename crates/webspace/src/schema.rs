@@ -177,21 +177,6 @@ impl WebspaceSchema {
     pub fn associations(&self) -> &[AssociationDef] {
         &self.associations
     }
-
-    /// Attributes of multimedia type across the schema:
-    /// `(class, attribute, media type)` — the hooks handed to the
-    /// logical level for feature extraction.
-    pub fn multimedia_attrs(&self) -> Vec<(&str, &str, MediaType)> {
-        let mut out = Vec::new();
-        for class in &self.classes {
-            for attr in &class.attributes {
-                if let AttrType::Media(mt) = attr.ty {
-                    out.push((class.name.as_str(), attr.name.as_str(), mt));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -223,28 +208,5 @@ mod tests {
         s.add_class("Player", vec![]).unwrap();
         s.add_association("About", "Article", "Player").unwrap();
         assert!(s.add_association("About", "Article", "Player").is_err());
-    }
-
-    #[test]
-    fn multimedia_attrs_are_enumerated() {
-        let mut s = WebspaceSchema::new("w");
-        s.add_class(
-            "Player",
-            vec![
-                AttrDef {
-                    name: "name".into(),
-                    ty: AttrType::Varchar(50),
-                },
-                AttrDef {
-                    name: "history".into(),
-                    ty: AttrType::Media(MediaType::Hypertext),
-                },
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            s.multimedia_attrs(),
-            vec![("Player", "history", MediaType::Hypertext)]
-        );
     }
 }

@@ -57,10 +57,20 @@ bench-e2e:
 
 # The benchmark's quick pass (small library, every workload once,
 # answers checked against the oracle and `benchmark/expected/*.digest`)
-# plus the harness's own tests.
+# plus the harness's own tests. Fails when building the benchmark
+# rewrote its committed `benchmark/Cargo.lock` (say, after a workspace
+# dependency was removed): the benchmark must build from the lock file
+# as committed.
 bench-e2e-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    lock=$(sha256sum benchmark/Cargo.lock)
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --smoke
     cargo test --offline --manifest-path benchmark/Cargo.toml
+    if [ "$lock" != "$(sha256sum benchmark/Cargo.lock)" ]; then
+        echo "building the benchmark rewrote benchmark/Cargo.lock" >&2
+        exit 1
+    fi
 
 # The protocol a perf claim rests on (benchmark/README.md "Steadiness"):
 # `n` alternating pairs of 10 s dlbench runs of one workload, dlbench
@@ -157,9 +167,11 @@ loc:
 # of `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`, as
 # `loc` counts) whose name appears nowhere else outside a comment — not
 # in other library lines, `tests/`, `crates/*/tests`, `examples/` or
-# `benchmark/src` — with the number of files whose unit tests use it.
-# Names are matched as words, so a name shared with a live function
-# (`new`, `len`) never shows.
+# `benchmark/src` — with the number of files whose unit tests use it;
+# then the same for every `pub struct`, `enum`, `trait`, `type` and
+# `const`, where an `impl` header naming a struct, enum or type does not
+# count as a use. One total per kind. Names are matched as words, so a
+# name shared with a live item (`new`, `len`) never shows.
 unreached:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -175,19 +187,30 @@ unreached:
         lib[f] = lines[:cut]
         unit.append(words(lines[cut:]))
     used = sum((words(l) for l in lib.values()), Counter())
+    impls = sum((words([l for l in ls if re.match(r"\s*impl\b", l)]) for ls in lib.values()), Counter())
     for p in ("tests/**/*.rs", "crates/*/tests/**/*.rs", "examples/*.rs", "benchmark/src/*.rs"):
         for f in glob.glob(p, recursive=True):
             used += words(open(f).read().splitlines())
-    found = 0
-    for f, lines in lib.items():
-        for i, line in enumerate(lines):
-            m = re.match(r"\s*pub (?:const )?fn (\w+)", line)
-            if not m or used[m.group(1)] > words([line])[m.group(1)]:
-                continue
-            found += 1
-            tests = sum(1 for u in unit if u[m.group(1)])
-            print(f"{f}:{i + 1} {m.group(1)}  (unit tests in {tests} file(s))")
-    print(f"{found} unreached pub fn(s)")
+    kinds = ["fn", "struct", "enum", "trait", "type", "const"]
+    found = Counter()
+    for kind in kinds:
+        for f, lines in lib.items():
+            for i, line in enumerate(lines):
+                if kind == "fn":
+                    m = re.match(r"\s*pub (?:const )?fn (\w+)", line)
+                else:
+                    m = re.match(rf"\s*pub {kind} (\w+)", line)
+                if not m or m.group(1) == "fn":
+                    continue
+                name = m.group(1)
+                uses = used[name] - (impls[name] if kind in ("struct", "enum", "type") else 0)
+                if uses > words([line])[name]:
+                    continue
+                found[kind] += 1
+                tests = sum(1 for u in unit if u[name])
+                print(f"{f}:{i + 1} {kind} {name}  (unit tests in {tests} file(s))")
+    for kind in kinds:
+        print(f"{found[kind]} unreached pub {kind}(s)")
     EOF
 
 build:

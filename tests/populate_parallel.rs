@@ -1,11 +1,10 @@
-//! The parallel ingestion pipeline: `populate_with` fans media
-//! analysis over a worker pool, but a single writer merges parse trees
-//! in source order — so every store snapshot, report counter and query
-//! answer must be *identical* to the sequential run, for any worker
-//! count, healthy or degraded. Plus the epoch-keyed query cache:
-//! warm answers equal cold ones, ingestion and store-changing
-//! maintenance or refreshes invalidate them, and provably
-//! store-preserving ones retain them.
+//! Populate is deterministic: it analyses media inline, in source
+//! order, so two fresh engines fed the same pages under the same
+//! seeded fault plan leave identical reports, stores and answers.
+//! Plus the epoch-keyed query cache: warm answers equal cold ones,
+//! ingestion and store-changing maintenance or refreshes invalidate
+//! them, provably store-preserving ones retain them, and a text tier
+//! with a fault plan never serves from it.
 
 // Helpers outside `#[test]` functions unwrap too (clippy.toml only
 // exempts the tests themselves).
@@ -13,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dlsearch::{ausopen, qlang, Engine, PopulateOptions, PopulateReport, QueryOptions};
+use dlsearch::{ausopen, qlang, Engine, PopulateReport, QueryOptions};
 use faults::{FaultPlan, FaultSpec};
 use websim::{crawl, Site, SiteSpec};
 
@@ -60,87 +59,40 @@ fn observe(engine: &mut Engine, report: PopulateReport) -> (PopulateReport, Vec<
 }
 
 #[test]
-fn parallel_populate_is_byte_identical_to_sequential() {
-    let site = Arc::new(Site::generate(spec()));
-    let pages = crawl(&site);
-
-    let mut baseline = None;
-    for workers in [1usize, 2, 8] {
-        let mut engine = ausopen::engine(Arc::clone(&site)).unwrap();
-        let report = engine
-            .populate_with(&pages, PopulateOptions { workers })
-            .unwrap();
-        assert!(report.media_analyzed > 0);
-        assert_eq!(report.media_degraded, 0);
-        let observed = observe(&mut engine, report);
-        match &baseline {
-            None => baseline = Some(observed),
-            Some(base) => {
-                assert_eq!(base.0, observed.0, "report differs at workers={workers}");
-                assert_eq!(base.1, observed.1, "views snapshot differs at workers={workers}");
-                assert_eq!(base.2, observed.2, "meta snapshot differs at workers={workers}");
-                assert_eq!(base.3, observed.3, "text epoch differs at workers={workers}");
-                assert_eq!(base.4, observed.4, "query answers differ at workers={workers}");
-            }
-        }
-    }
-}
-
-#[test]
-fn degraded_populate_is_deterministic_across_worker_counts() {
+fn degraded_populate_is_deterministic() {
     let site = Arc::new(Site::generate(spec()));
     let pages = crawl(&site);
     // Keyed faults: each (detector, location) pair fails or succeeds as
-    // a pure function of the seed, never of scheduling order.
+    // a pure function of the seed.
     let plan = || {
         FaultPlan::seeded(7)
             .with_site("det:segment", FaultSpec::errors(0.4))
             .with_site("det:interview", FaultSpec::errors(0.4))
             .shared()
     };
-
-    let mut baseline = None;
-    for workers in [1usize, 2, 8] {
+    let run = || {
         let mut engine = ausopen::flaky_engine(Arc::clone(&site), plan()).unwrap();
-        let report = engine
-            .populate_with(&pages, PopulateOptions { workers })
-            .unwrap();
-        let observed = observe(&mut engine, report);
-        match &baseline {
-            None => {
-                // The plan must actually bite, or the test is vacuous.
-                assert!(
-                    observed.0.media_degraded > 0,
-                    "fault plan injected nothing: {:?}",
-                    observed.0
-                );
-                assert!(observed.0.detector_failures > 0);
-                baseline = Some(observed);
-            }
-            Some(base) => {
-                assert_eq!(base.0, observed.0, "degraded report differs at workers={workers}");
-                assert_eq!(base.2, observed.2, "degraded meta differs at workers={workers}");
-                assert_eq!(base.4, observed.4, "degraded answers differ at workers={workers}");
-            }
-        }
-    }
-}
+        let report = engine.populate(&pages).unwrap();
+        observe(&mut engine, report)
+    };
 
-#[test]
-fn populate_with_zero_workers_behaves_like_one() {
-    let site = Arc::new(Site::generate(spec()));
-    let pages = crawl(&site);
-    let mut seq = ausopen::engine(Arc::clone(&site)).unwrap();
-    let seq_report = seq.populate(&pages).unwrap();
-    let mut zero = ausopen::engine(Arc::clone(&site)).unwrap();
-    let zero_report = zero
-        .populate_with(&pages, PopulateOptions { workers: 0 })
-        .unwrap();
-    assert_eq!(seq_report, zero_report);
-    assert_eq!(
-        seq.views().snapshot().unwrap(),
-        zero.views().snapshot().unwrap()
+    let first = run();
+    // The plan must actually bite, or the test is vacuous.
+    assert!(
+        first.0.media_degraded > 0,
+        "fault plan injected nothing: {:?}",
+        first.0
     );
+    assert!(first.0.detector_failures > 0);
+    let second = run();
+    assert_eq!(first.0, second.0, "degraded report differs between runs");
+    assert_eq!(first.1, second.1, "degraded views differ between runs");
+    assert_eq!(first.2, second.2, "degraded meta differs between runs");
+    assert_eq!(
+        first.3, second.3,
+        "degraded text epoch differs between runs"
+    );
+    assert_eq!(first.4, second.4, "degraded answers differ between runs");
 }
 
 #[test]
@@ -256,6 +208,23 @@ fn fault_injected_engines_bypass_the_cache() {
     engine.query(&query).unwrap();
     engine.query(&query).unwrap();
     // Neither query touched the cache: injection draws must advance.
+    assert_eq!(engine.query_cache_stats(), (0, 0));
+}
+
+#[test]
+fn a_plan_wired_into_the_text_tier_alone_bypasses_the_cache() {
+    let site = Arc::new(Site::generate(spec()));
+    let mut engine = ausopen::engine(Arc::clone(&site)).unwrap();
+    engine.populate(&crawl(&site)).unwrap();
+    // Wired after construction, as the chaos suites do: the engine's
+    // configuration carries no plan, but every query consults this one.
+    engine
+        .text_index_mut()
+        .set_fault_plan(FaultPlan::none().shared());
+
+    let query = qlang::parse(FIGURE13).unwrap();
+    engine.query(&query).unwrap();
+    engine.query(&query).unwrap();
     assert_eq!(engine.query_cache_stats(), (0, 0));
 }
 
