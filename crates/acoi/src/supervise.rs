@@ -322,6 +322,8 @@ impl Supervisor {
 
     /// A typed health snapshot of every supervised detector, sorted by
     /// name: breaker state, consecutive failures, last error, counters.
+    /// The breaker and failure streak are also gauges; the last error
+    /// is in no metric family, so this is the only place it shows.
     pub fn detector_health(&self) -> Vec<DetectorHealth> {
         let mut health: Vec<DetectorHealth> = self
             .inner
@@ -564,18 +566,6 @@ impl Supervisor {
         names.sort();
         names
     }
-
-    /// Force-closes the breaker for `name` (e.g. after an operator fixed
-    /// the remote service).
-    pub fn reset(&self, name: &str) {
-        let mut detectors = self.inner.detectors.lock().expect("supervisor poisoned");
-        if let Some(state) = detectors.get_mut(name) {
-            state.breaker = BreakerState::Closed;
-            state.consecutive_failures = 0;
-            state.open_rejections = 0;
-            state.probe_in_flight = false;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -737,8 +727,6 @@ mod tests {
         assert!(wrapped(&[]).is_err()); // probe, fails, reopens
         assert_eq!(sup.state("dead"), Some(BreakerState::Open));
         assert_eq!(sup.stats("dead").breaker_opens, 2);
-        sup.reset("dead");
-        assert_eq!(sup.state("dead"), Some(BreakerState::Closed));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   degradation level under the caller's [`Budget`].
 //!
 //! Every level transition is logged with its trigger occupancy and kept
-//! in a bounded ring, queryable via [`AdmissionGate::status`] (or
-//! [`crate::Engine::overload_status`]) so operators can reconstruct
-//! what the ladder did during an incident.
+//! in a bounded ring, queryable via [`QueryService::status`] so
+//! operators can reconstruct what the ladder did during an incident.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -151,13 +150,8 @@ pub struct OverloadStatus {
     pub timed_out: u64,
     /// Lifetime completed queries (permits released).
     pub completed: u64,
-    /// Median of the recent-latency window, once it has any samples.
-    pub recent_p50: Option<Duration>,
     /// Recent ladder movements, oldest first (bounded ring).
     pub transitions: Vec<LevelTransition>,
-    /// Burn-rate context per SLO, filled by [`crate::Engine::overload_status`]
-    /// when a telemetry layer is attached (empty otherwise).
-    pub slo: Vec<obs::SloStatus>,
 }
 
 /// How long background work waits out a Brownout before asking for a
@@ -458,9 +452,7 @@ impl AdmissionGate {
             rejected: state.rejected,
             timed_out: state.timed_out,
             completed: state.completed,
-            recent_p50: median(&state.latencies),
             transitions: state.transitions.iter().cloned().collect(),
-            slo: Vec::new(),
         }
     }
 

@@ -27,9 +27,7 @@ use monet::wal::{Wal, WalHandle};
 use monetxml::XmlStore;
 use webspace::{AttrValue, MaterializedView, MediaType, Retriever, WebspaceIndex, WebspaceSchema};
 
-use crate::admission::{
-    AdmissionConfig, AdmissionGate, OverloadLevel, OverloadStatus, QueryOutcome,
-};
+use crate::admission::{AdmissionConfig, AdmissionGate, OverloadLevel, QueryOutcome};
 use crate::error::{Error, PartialProgress, Result};
 use crate::maintenance::{MaintenanceJob, MaintenanceKind};
 use crate::persist::{
@@ -160,10 +158,6 @@ pub struct Engine {
     /// The last control-plane decision executed against this engine
     /// (action + reason), surfaced by EXPLAIN ANALYZE.
     last_control_decision: Option<String>,
-    /// The SLO engine, when a telemetry layer is attached
-    /// ([`crate::Telemetry::attach`]); [`Engine::overload_status`]
-    /// folds its burn-rate context into the gate snapshot.
-    slo: Option<Arc<Mutex<obs::SloEngine>>>,
 }
 
 /// Engine-level metric handles, registered once in
@@ -447,7 +441,6 @@ impl Engine {
             last_populate_timings: StageTimings::default(),
             maintenance_inflight: Arc::new(Mutex::new(HashSet::new())),
             last_control_decision: None,
-            slo: None,
         })
     }
 
@@ -825,17 +818,21 @@ impl Engine {
         Ok(report)
     }
 
-    /// Assembles the control plane's observation of the text tier:
-    /// server/replica counts, per-shard document loads, the observed
-    /// p99 critical path and any servers declared permanently lost at
-    /// `loss_threshold` consecutive failures. Cheap — the control loop
+    /// Assembles the control policy's observation of the text tier:
+    /// server/replica counts, per-shard document loads, the caller's
+    /// windowed `shard_p99` and any servers declared permanently lost at
+    /// `loss_threshold` consecutive failures. Cheap — the operator loop
     /// calls this under a brief engine borrow every tick.
-    pub fn control_view(&self, loss_threshold: u32) -> ir::ClusterView {
+    pub fn control_view(
+        &self,
+        loss_threshold: u32,
+        shard_p99: std::time::Duration,
+    ) -> ir::ClusterView {
         ir::ClusterView {
             servers: self.text.servers(),
             replication: self.text.replication(),
             docs_per_shard: self.text.shard_sizes(),
-            shard_p99: self.text.observed_shard_p99(),
+            shard_p99,
             lost_servers: self.text.lost_servers(loss_threshold),
         }
     }
@@ -875,24 +872,6 @@ impl Engine {
     /// The admission gate (shared; clones point at the same gate).
     pub fn admission_gate(&self) -> Arc<AdmissionGate> {
         Arc::clone(&self.admission)
-    }
-
-    /// Current overload state: ladder rung, gate occupancy, lifetime
-    /// admission counters, the recent transition log — and, when a
-    /// telemetry layer is attached, per-SLO burn-rate context from the
-    /// latest evaluation.
-    pub fn overload_status(&self) -> OverloadStatus {
-        let mut status = self.admission.status();
-        if let Some(slo) = &self.slo {
-            status.slo = slo.lock().unwrap_or_else(|e| e.into_inner()).statuses();
-        }
-        status
-    }
-
-    /// Wires in the SLO engine evaluated by the telemetry layer, so
-    /// [`Engine::overload_status`] can report burn-rate context.
-    pub fn set_slo_engine(&mut self, slo: Arc<Mutex<obs::SloEngine>>) {
-        self.slo = Some(slo);
     }
 
     /// Turns observability on: every layer below — conceptual joins,
@@ -939,7 +918,7 @@ impl Engine {
     }
 
     /// Re-stamps every scrape-time gauge from live state, without
-    /// rendering anything. The telemetry recorder calls this right
+    /// rendering anything. The operator loop calls this right
     /// before snapshotting the registry so its samples carry current
     /// gauge values, exactly as a text scrape would.
     pub fn refresh_scrape_gauges(&self) {
@@ -1127,7 +1106,11 @@ impl Engine {
         let mut merge_ms = 0.0f64;
         for (location, initial) in media_jobs {
             let mut fde = Fde::new(&self.grammar, &self.registry);
-            let tree = match fde.parse(initial.clone()) {
+            let parsed = fde.parse(initial.clone());
+            // A rejected analysis ran its detectors too: count them on
+            // every outcome.
+            report.detector_calls += fde.stats().detector_calls;
+            let tree = match parsed {
                 Ok(tree) => tree,
                 Err(e @ (acoi::Error::Reject { .. } | acoi::Error::DetectorFailed { .. })) => {
                     report.media_rejected += 1;
@@ -1136,7 +1119,6 @@ impl Engine {
                 }
                 Err(e) => return Err(Error::Acoi(e)),
             };
-            report.detector_calls += fde.stats().detector_calls;
             let merge_t = std::time::Instant::now();
             // Unavailable detectors don't abort the parse — they leave
             // rejected-with-cause holes. Count and log every one so a
@@ -1386,8 +1368,9 @@ impl Engine {
         // A text tier with a fault plan must run the real evaluation on
         // every query (the injection draws advance per call), so it
         // bypasses the answer cache, however the plan was wired in.
-        let cacheable =
-            !self.text.has_fault_plan() && budget.is_unlimited() && level < OverloadLevel::Brownout;
+        let cacheable = self.text.fault_plan().is_none()
+            && budget.is_unlimited()
+            && level < OverloadLevel::Brownout;
         let slot = cacheable.then(|| (cache_key(q), self.store_epochs()));
         let cached = slot
             .as_ref()

@@ -46,8 +46,8 @@ pub enum Error {
     Persist(monet::Error),
     /// Recovery failed: no valid checkpoint generation could be loaded.
     Recovery(String),
-    /// The telemetry layer could not write an incident report.
-    Telemetry(String),
+    /// The operator loop could not write an incident report.
+    Incident(String),
     /// The admission gate turned the query away: every execution slot
     /// and queue position is taken (or the ladder is shedding this
     /// priority class). Not a failure of the query itself — retrying
@@ -106,7 +106,7 @@ impl fmt::Display for Error {
             Error::Config(m) => write!(f, "configuration error: {m}"),
             Error::Persist(e) => write!(f, "durable storage: {e}"),
             Error::Recovery(m) => write!(f, "recovery failed: {m}"),
-            Error::Telemetry(m) => write!(f, "telemetry: {m}"),
+            Error::Incident(m) => write!(f, "incident report: {m}"),
             Error::Overloaded { retry_after_hint } => write!(
                 f,
                 "overloaded: admission refused, retry after ~{}ms",

@@ -54,27 +54,25 @@
 
 pub mod admission;
 pub mod ausopen;
-pub mod control;
 pub mod engine;
 pub mod error;
 pub mod maintenance;
+pub mod operator;
 pub mod persist;
 pub mod qlang;
 pub mod query;
 pub mod shots;
-pub mod telemetry;
 
 pub use admission::{
     AdmissionConfig, AdmissionGate, LevelTransition, OverloadLevel, OverloadStatus, Permit,
     Priority, QueryOutcome, QueryService,
 };
-pub use control::{ControlOutcome, ControlPlane};
 pub use engine::{
     Engine, EngineConfig, PopulateReport, QueryOptions, StageTimings, TextQueryStatus,
 };
 pub use error::{Error, PartialProgress, Result};
 pub use maintenance::{MaintenanceJob, MaintenanceKind};
+pub use operator::{standard_slos, ControlOutcome, Operator, OperatorTick};
 pub use persist::RecoveryReport;
 pub use query::{EngineHit, EngineQuery, MediaPredicate, TextPredicate};
 pub use shots::{video_shots, ShotMeta};
-pub use telemetry::{standard_slos, Telemetry, TelemetryConfig, TelemetryTick};

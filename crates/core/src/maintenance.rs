@@ -74,8 +74,9 @@ impl MaintenanceKind {
 
 /// Objects re-parsed per Batch admission. Each chunk holds one gate
 /// permit, so this is the unit of interference maintenance can cause
-/// before the ladder gets a chance to push back again.
-const ADMIT_CHUNK: usize = 4;
+/// before the ladder gets a chance to push back again. The operator's
+/// re-replication rebuilds this many copies per admission too.
+pub(crate) const ADMIT_CHUNK: usize = 4;
 
 /// Marks a detector busy in the engine's in-flight set for the life of
 /// one maintenance job. Acquired as the *first* step of a begin —

@@ -8,7 +8,7 @@
 //! the observed p99 critical path, declared-lost servers) once per
 //! **tick** and emits at most one [`ControlDecision`]. Ticks, not wall
 //! clocks, drive it, so tests replay the exact same decision sequence
-//! every run; the executing layer (in `dlsearch::control`) owns the
+//! every run; the executing layer (`dlsearch::Operator`) owns the
 //! side effects, the admission gating and the fault consultation.
 //!
 //! Decision priority, most to least urgent:
@@ -81,12 +81,11 @@ pub struct ClusterView {
     pub replication: usize,
     /// Documents held by each shard, in shard order.
     pub docs_per_shard: Vec<usize>,
-    /// The p99 of recent parallel-query critical paths (zero when no
-    /// parallel query ran yet). With a telemetry layer attached the
-    /// control plane overrides the instantaneous ring value with the
-    /// windowed p99 reconstructed from `ir_critical_path_seconds`
-    /// bucket deltas, so one slow outlier ages out of the trigger on a
-    /// predictable horizon.
+    /// The p99 of recent parallel-query critical paths, reconstructed
+    /// by the operator loop from `ir_critical_path_seconds` bucket
+    /// deltas over its window, so one slow outlier ages out of the
+    /// trigger on a predictable horizon. Zero when the window holds no
+    /// parallel query, or with observability off.
     pub shard_p99: Duration,
     /// Virtual servers whose every hosted copy has exceeded the
     /// consecutive-failure threshold.
@@ -167,11 +166,6 @@ impl ControlPolicy {
     /// The configured thresholds.
     pub fn config(&self) -> &ControlConfig {
         &self.cfg
-    }
-
-    /// Ticks observed so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
     }
 
     /// Advances the tick counter. Call exactly once per control-loop

@@ -129,10 +129,6 @@ pub const WAL_OP_LAYOUT: u8 = 1;
 /// decision is on the durable record.
 pub const WAL_OP_CONTROL: u8 = 2;
 
-/// How many recent query critical paths feed
-/// [`DistributedIndex::observed_shard_p99`].
-const SLOW_RING: usize = 64;
-
 /// Snapshot envelope magic for one shard of a consistent cut.
 const SHARD_MAGIC: &[u8; 4] = b"DSHD";
 /// Envelope format version.
@@ -164,9 +160,6 @@ pub struct DistributedIndex {
     placement: Placement,
     /// Epoch stamped on the primaries by the last layout cutover.
     last_cutover_epoch: u64,
-    /// Ring of the most recent query critical paths (slowest
-    /// shard per query), feeding the control plane's p99 trigger.
-    recent_slow: std::collections::VecDeque<Duration>,
 }
 
 /// Where every copy lives and how its reads have gone, indexed
@@ -218,8 +211,8 @@ struct IrMetrics {
     hits: obs::Counter,
     shard_seconds: obs::Histogram,
     /// Per-query critical path (slowest shard in a parallel merge).
-    /// The telemetry recorder reconstructs windowed p99 from this
-    /// family's bucket deltas to drive the control policy.
+    /// The operator loop reconstructs windowed p99 from this family's
+    /// bucket deltas to drive the control policy.
     critical_path_seconds: obs::Histogram,
     failovers: obs::Counter,
     replicas_healthy: obs::Gauge,
@@ -487,7 +480,6 @@ impl DistributedIndex {
             metrics: None,
             wal: None,
             last_cutover_epoch: 0,
-            recent_slow: std::collections::VecDeque::new(),
         }
     }
 
@@ -589,26 +581,10 @@ impl DistributedIndex {
             .collect()
     }
 
-    /// The 99th percentile of the last `SLOW_RING` (64) query critical
-    /// paths (slowest shard per query) — the control plane's latency
-    /// trigger. Zero until a query has run.
-    pub fn observed_shard_p99(&self) -> Duration {
-        if self.recent_slow.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut paths: Vec<Duration> = self.recent_slow.iter().copied().collect();
-        paths.sort_unstable();
-        paths[(paths.len() - 1) * 99 / 100]
-    }
-
-    /// Records one query's critical path into the p99 ring
-    /// and the `ir_critical_path_seconds` histogram (from which the
-    /// telemetry layer reconstructs windowed p99).
-    fn note_critical_path(&mut self, path: Duration) {
-        if self.recent_slow.len() == SLOW_RING {
-            self.recent_slow.pop_front();
-        }
-        self.recent_slow.push_back(path);
+    /// Records one query's critical path (slowest shard) into the
+    /// `ir_critical_path_seconds` histogram, from which the operator
+    /// loop reconstructs the windowed p99 of its latency trigger.
+    fn note_critical_path(&self, path: Duration) {
         if let Some(m) = &self.metrics {
             m.critical_path_seconds.observe(path.as_secs_f64());
         }
@@ -739,9 +715,9 @@ impl DistributedIndex {
         self.faults = Some(plan);
     }
 
-    /// Whether a fault plan is attached.
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
+    /// The attached fault plan, if any.
+    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
+        self.faults.as_ref()
     }
 
     /// How long the central node waits for server answers before

@@ -44,8 +44,6 @@
 
 pub mod doc;
 pub mod error;
-#[cfg(test)]
-pub(crate) mod testutil;
 pub mod parse;
 pub mod path;
 pub mod query;
@@ -61,3 +59,6 @@ pub use path::{Path, Step};
 pub use ser::to_xml;
 pub use store::XmlStore;
 pub use summary::PathSummary;
+
+#[cfg(test)]
+pub(crate) mod testutil;

@@ -19,7 +19,7 @@
 //!   [`TraceNode`] tree — the engine's EXPLAIN-ANALYZE output.
 //! * **Slow-query log** — a bounded ring keeping the slowest N traces
 //!   over a threshold ([`Obs::offer_slow`] / [`Obs::slow_queries`]).
-//! * **Telemetry history** — [`timeseries::Recorder`] samples the
+//! * **History** — [`timeseries::Recorder`] samples the
 //!   registry on a tick into a bounded ring and serves windowed
 //!   aggregates: reset-aware counter deltas, rates, and p50/p99
 //!   reconstructed from histogram-bucket deltas.

@@ -3,7 +3,7 @@
 //! Each [`SloSpec`] names an objective (a target good-fraction such as
 //! 99.9% availability) and a signal — either an error-ratio over
 //! counter families or a latency threshold over a histogram family.
-//! On every telemetry tick the [`SloEngine`] computes the bad
+//! On every tick the [`SloEngine`] computes the bad
 //! fraction over a **fast** and a **slow** window from the
 //! [`Recorder`]'s history, converts each to a *burn rate* (bad
 //! fraction divided by the error budget `1 − objective`; burn 1.0
@@ -12,11 +12,11 @@
 //! `page_burn` (the fast window reacts, the slow window confirms it
 //! is not a blip), **Warn** analogously at `warn_burn`, else **Ok**.
 //!
-//! State changes are appended to a bounded transition ring, exported
-//! as metric families (`obs_slo_state{slo=…}`, burn gauges in
-//! permille) and recorded in the flight recorder under kind `"slo"`.
+//! State changes are returned by [`SloEngine::evaluate`], counted
+//! (`obs_slo_transitions_total{slo=…}`) and recorded in the flight
+//! recorder under kind `"slo"`; states and burn rates are exported as
+//! gauges (`obs_slo_state{slo=…}`, burn in permille).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::span::Obs;
@@ -134,16 +134,12 @@ pub struct SloTransition {
     pub slow_burn: f64,
 }
 
-/// How many transitions the ring retains.
-const TRANSITION_CAPACITY: usize = 64;
-
 /// Evaluates a set of SLOs against recorder history.
 #[derive(Debug)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
     states: Vec<AlertState>,
     statuses: Vec<SloStatus>,
-    transitions: VecDeque<SloTransition>,
     next_seq: u64,
 }
 
@@ -164,24 +160,13 @@ impl SloEngine {
             specs,
             states,
             statuses,
-            transitions: VecDeque::new(),
             next_seq: 0,
         }
-    }
-
-    /// The configured specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
     }
 
     /// The statuses from the most recent [`SloEngine::evaluate`].
     pub fn statuses(&self) -> Vec<SloStatus> {
         self.statuses.clone()
-    }
-
-    /// Recorded transitions, oldest first (bounded ring).
-    pub fn transitions(&self) -> Vec<SloTransition> {
-        self.transitions.iter().cloned().collect()
     }
 
     /// Evaluates every SLO against the recorder's current history,
@@ -215,10 +200,6 @@ impl SloEngine {
                     fast_burn,
                     slow_burn,
                 };
-                if self.transitions.len() == TRANSITION_CAPACITY {
-                    self.transitions.pop_front();
-                }
-                self.transitions.push_back(t.clone());
                 if let Some(reg) = obs.registry() {
                     reg.labeled_counter(
                         "obs_slo_transitions_total",
@@ -372,12 +353,12 @@ mod tests {
         assert!(events.iter().any(|e| e.kind == "slo" && e.detail.contains("ok->page")),
             "{events:?}");
         // Long healthy stretch: windows drain, state returns to Ok.
+        let mut transitions = Vec::new();
         for i in 0..8 {
             push(&reg, &mut rec, 500, 0, 2 + i);
-            engine.evaluate(&rec, &obs);
+            transitions.extend(engine.evaluate(&rec, &obs));
         }
         assert_eq!(engine.statuses()[0].state, AlertState::Ok);
-        let transitions = engine.transitions();
         assert_eq!(transitions.last().unwrap().to, AlertState::Ok);
         // Exported metric families reflect the final state.
         let text = obs.registry().unwrap().render_text();

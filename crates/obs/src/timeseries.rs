@@ -1,4 +1,4 @@
-//! Telemetry history: a ring-buffer recorder that samples the shared
+//! History: a ring-buffer recorder that samples the shared
 //! [`Registry`] on a tick and serves **windowed** aggregates.
 //!
 //! A metrics scrape answers "what is the counter now"; operations
@@ -10,8 +10,8 @@
 //! a negative rate), delta rates per second, and windowed quantiles
 //! rebuilt from histogram-bucket deltas.
 //!
-//! The recorder is driven by the same caller loop that drives
-//! `ControlPlane::tick`; it holds no background thread and costs
+//! The recorder is driven by the caller's loop (the engine's operator
+//! tick); it holds no background thread and costs
 //! nothing unless [`Recorder::record`] is called.
 
 use std::collections::VecDeque;
@@ -54,7 +54,7 @@ impl Recorder {
     /// sample always contains its own tick). Returns the tick number.
     pub fn record(&mut self, registry: &Registry, at_ns: u64) -> u64 {
         registry
-            .counter("obs_timeseries_ticks_total", "Telemetry recorder ticks taken")
+            .counter("obs_timeseries_ticks_total", "History recorder ticks taken")
             .inc();
         self.tick += 1;
         if self.samples.len() == self.capacity {

@@ -13,6 +13,7 @@ verify:
     just examples-golden
     just bench-e2e-smoke
     just loc
+    just unreached
 
 # The examples print deterministic output: a fresh run of the flagship
 # scenario (healthy and with `FAULTS=1`) and of the maintenance
@@ -148,42 +149,72 @@ bench-pairs workload rev n:
     EOF
 
 # Size of the Rust code under `crates/`: non-blank, non-comment lines of
-# every `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`),
-# as a subtotal per crate and a total — plus the two crates the query
-# path lives in, `core + ir`, on a line of their own. A PR that claims
-# "less code" quotes the total and the `core + ir` line at its parent
-# and at its head.
+# the library part of every `crates/*/src/*.rs`, as a subtotal per crate
+# and a total — plus the two crates the query path lives in, `core + ir`,
+# on a line of their own. The library part of a file ends at its first
+# `#[cfg(test)]` that opens a `mod … {` block or names a module file
+# (`#[cfg(test)] mod testutil;`); a file that such a line names is
+# test-only and not counted at all. A `#[cfg(test)]` on any other item
+# cuts nothing. A PR that claims "less code" quotes the total and the
+# `core + ir` line at its parent and at its head.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
-    awk 'FNR == 1 { counting = 1; split(FILENAME, part, "/"); crate = part[2] }
-         /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-         counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines[crate]++; total++ }
-         END { for (c in lines) printf "%6d crates/%s\n", lines[c], c | "sort -k2"; close("sort -k2")
-               printf "%6d total\n%6d core + ir\n", total, lines["core"] + lines["ir"] }' \
-        crates/*/src/*.rs
+    python3 - <<'EOF'
+    import collections, glob, os, re
+    CFG, MOD = re.compile(r"\s*#\[cfg\(test\)\]\s*(.*)"), re.compile(r"(?:pub(?:\(\w+\))?\s+)?mod\s+(\w+)\s*([{;])")
+    def test_mods(lines):
+        for i, line in enumerate(lines):
+            m = CFG.match(line)
+            after = m and (m.group(1) or (lines[i + 1].strip() if i + 1 < len(lines) else ""))
+            if after and MOD.match(after):
+                yield i, MOD.match(after)
+    files = {f: open(f).read().splitlines() for f in sorted(glob.glob("crates/*/src/*.rs"))}
+    test_only = {os.path.join(os.path.dirname(f), m.group(1) + ".rs")
+                 for f, lines in files.items() for _, m in test_mods(lines) if m.group(2) == ";"}
+    lines_of = collections.Counter()
+    for f, lines in files.items():
+        if f in test_only:
+            continue
+        cut = next((i for i, _ in test_mods(lines)), len(lines))
+        lines_of[f.split("/")[1]] += sum(1 for l in lines[:cut] if l.strip() and not l.lstrip().startswith("//"))
+    for crate in sorted(lines_of):
+        print(f"{lines_of[crate]:6d} crates/{crate}")
+    print(f"{sum(lines_of.values()):6d} total\n{lines_of['core'] + lines_of['ir']:6d} core + ir")
+    EOF
 
-# Report only, not part of `verify`: every `pub fn` in the library part
-# of `crates/*/src/*.rs` (up to each file's first `#[cfg(test)]`, as
-# `loc` counts) whose name appears nowhere else outside a comment — not
-# in other library lines, `tests/`, `crates/*/tests`, `examples/` or
-# `benchmark/src` — with the number of files whose unit tests use it;
-# then the same for every `pub struct`, `enum`, `trait`, `type` and
-# `const`, where an `impl` header naming a struct, enum or type does not
-# count as a use. One total per kind. Names are matched as words, so a
-# name shared with a live item (`new`, `len`) never shows.
+# Every `pub fn` in the library part of `crates/*/src/*.rs` (cut as
+# `loc` cuts; test-only files count as unit tests) whose name appears
+# nowhere else outside a comment — not in other library lines,
+# `tests/`, `crates/*/tests`, `examples/` or `benchmark/src` — with the
+# number of files whose unit tests use it; then the same for every
+# `pub struct`, `enum`, `trait`, `type` and `const`, where an `impl`
+# header naming a struct, enum or type does not count as a use. One
+# total per kind. Names are matched as words, so a name shared with a
+# live item (`new`, `len`) never shows. Fails when an item found is not
+# on `unreached.allow` (one `<file> <kind> <name> — <reason>` line per
+# item kept on purpose), or when a listed item is no longer found.
 unreached:
     #!/usr/bin/env bash
     set -euo pipefail
     python3 - <<'EOF'
-    import glob, re
+    import glob, os, re, sys
     from collections import Counter
+    CFG, MOD = re.compile(r"\s*#\[cfg\(test\)\]\s*(.*)"), re.compile(r"(?:pub(?:\(\w+\))?\s+)?mod\s+(\w+)\s*([{;])")
+    def test_mods(lines):
+        for i, line in enumerate(lines):
+            m = CFG.match(line)
+            after = m and (m.group(1) or (lines[i + 1].strip() if i + 1 < len(lines) else ""))
+            if after and MOD.match(after):
+                yield i, MOD.match(after)
     def words(lines):
         return Counter(re.findall(r"\w+", "\n".join(l for l in lines if not l.lstrip().startswith("//"))))
+    files = {f: open(f).read().splitlines() for f in sorted(glob.glob("crates/*/src/*.rs"))}
+    test_only = {os.path.join(os.path.dirname(f), m.group(1) + ".rs")
+                 for f, lines in files.items() for _, m in test_mods(lines) if m.group(2) == ";"}
     lib, unit = {}, []
-    for f in sorted(glob.glob("crates/*/src/*.rs")):
-        lines = open(f).read().splitlines()
-        cut = next((i for i, l in enumerate(lines) if re.match(r"\s*#\[cfg\(test\)\]", l)), len(lines))
+    for f, lines in files.items():
+        cut = 0 if f in test_only else next((i for i, _ in test_mods(lines)), len(lines))
         lib[f] = lines[:cut]
         unit.append(words(lines[cut:]))
     used = sum((words(l) for l in lib.values()), Counter())
@@ -192,7 +223,7 @@ unreached:
         for f in glob.glob(p, recursive=True):
             used += words(open(f).read().splitlines())
     kinds = ["fn", "struct", "enum", "trait", "type", "const"]
-    found = Counter()
+    found, seen = Counter(), set()
     for kind in kinds:
         for f, lines in lib.items():
             for i, line in enumerate(lines):
@@ -207,10 +238,17 @@ unreached:
                 if uses > words([line])[name]:
                     continue
                 found[kind] += 1
+                seen.add(f"{f} {kind} {name}")
                 tests = sum(1 for u in unit if u[name])
                 print(f"{f}:{i + 1} {kind} {name}  (unit tests in {tests} file(s))")
     for kind in kinds:
         print(f"{found[kind]} unreached pub {kind}(s)")
+    allowed = {" ".join(l.split()[:3]) for l in open("unreached.allow") if l.strip() and not l.startswith("#")}
+    bad = [f"not on unreached.allow: {item}" for item in sorted(seen - allowed)]
+    bad += [f"on unreached.allow but reached (delete its line): {item}" for item in sorted(allowed - seen)]
+    for line in bad:
+        print(line, file=sys.stderr)
+    sys.exit(1 if bad else 0)
     EOF
 
 build:

@@ -1,12 +1,12 @@
 //! The self-healing distribution control plane, end to end: the
-//! tick-driven policy splitting a hot cluster (rate-limited by its
+//! operator tick's policy splitting a hot cluster (rate-limited by its
 //! cooldown), a permanently lost server being declared and healed by
 //! background re-replication, reads rotating over the replicas, and the
 //! chaos sweeps that prove every one of those transitions is atomic.
 //!
 //! The invariants, in order of appearance:
 //!
-//! * a shard-load threshold breach makes the control plane rebalance
+//! * a shard-load threshold breach makes the operator rebalance
 //!   onto more servers — answers byte-identical across the cutover —
 //!   and the cooldown keeps it from thrashing;
 //! * a server whose every hosted copy fails `loss_threshold`
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dlsearch::{
-    ausopen, qlang, ControlOutcome, ControlPlane, Engine, EngineConfig, QueryOptions,
+    ausopen, qlang, standard_slos, ControlOutcome, Engine, EngineConfig, Operator, QueryOptions,
     QueryService,
 };
 use faults::{FaultAction, FaultPlan, FaultSpec};
@@ -69,6 +69,17 @@ fn metric_value(text: &str, prefix: &str) -> f64 {
         .unwrap_or_else(|| panic!("metric `{prefix}` missing from scrape:\n{text}"))
 }
 
+/// An operator that runs only the control policy: no SLOs to evaluate,
+/// no incident directory.
+fn control_only(config: ControlConfig) -> Operator {
+    Operator::new(config, Vec::new(), None)
+}
+
+/// One operator tick, reduced to what its control half did.
+fn control_tick(operator: &mut Operator, svc: &QueryService) -> ControlOutcome {
+    operator.tick(svc).expect("operator tick").control
+}
+
 const TEXT_QUERY: &str = r#"
     FROM Player
     TEXT history CONTAINS "Winner"
@@ -89,19 +100,16 @@ fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
     assert!(!before.is_empty(), "the probe query must have an answer");
 
     let svc = QueryService::new(engine);
-    let mut plane = ControlPlane::new(
-        ControlConfig {
-            split_docs_per_shard: 1, // every shard is "hot"
-            merge_docs_per_shard: 0,
-            cooldown_ticks: 3,
-            max_servers: 4,
-            ..ControlConfig::default()
-        },
-        None,
-    );
+    let mut plane = control_only(ControlConfig {
+        split_docs_per_shard: 1, // every shard is "hot"
+        merge_docs_per_shard: 0,
+        cooldown_ticks: 3,
+        max_servers: 4,
+        ..ControlConfig::default()
+    });
 
     // Tick 1: split 2 → 3.
-    let outcome = plane.tick(&svc).unwrap();
+    let outcome = control_tick(&mut plane, &svc);
     match &outcome {
         ControlOutcome::Acted(d) => assert!(d.starts_with("split"), "{d}"),
         other => panic!("expected a split, got {other:?}"),
@@ -112,7 +120,7 @@ fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
     // Ticks 2–3: still hot, but inside the cooldown window.
     for tick in 2..=3 {
         assert_eq!(
-            plane.tick(&svc).unwrap(),
+            control_tick(&mut plane, &svc),
             ControlOutcome::Idle,
             "tick {tick} falls in the cooldown"
         );
@@ -120,13 +128,13 @@ fn a_hot_shard_triggers_a_rebalance_once_per_cooldown() {
     }
 
     // Tick 4: cooldown elapsed, split 3 → 4.
-    assert!(matches!(plane.tick(&svc).unwrap(), ControlOutcome::Acted(_)));
+    assert!(matches!(control_tick(&mut plane, &svc), ControlOutcome::Acted(_)));
     assert_eq!(svc.engine().text_index().servers(), 4);
     assert_eq!(svc.engine().query(&q).unwrap(), before);
 
     // At max_servers the policy stops growing no matter how hot.
     for _ in 0..5 {
-        plane.tick(&svc).unwrap();
+        control_tick(&mut plane, &svc);
     }
     assert_eq!(svc.engine().text_index().servers(), 4);
 
@@ -173,9 +181,7 @@ fn a_lost_server_is_declared_and_rereplicated_to_full_health() {
     });
 
     let svc = QueryService::new(engine);
-    let mut plane = ControlPlane::new(ControlConfig::default(), None);
-    plane.set_obs(&o);
-    let outcome = plane.tick(&svc).unwrap();
+    let outcome = control_tick(&mut control_only(ControlConfig::default()), &svc);
     match &outcome {
         ControlOutcome::Acted(d) => {
             assert!(d.starts_with("rereplicate"), "{d}");
@@ -237,10 +243,11 @@ fn killing_rereplication_at_any_site_aborts_byte_identically() {
         let layout_before = engine.text_index().layout().to_vec();
         let content_before = engine.text_index_mut().content_snapshot_shards().unwrap();
 
+        // The operator consults the plan the text tier carries.
         let svc = QueryService::new(engine);
-        let mut plane = ControlPlane::new(ControlConfig::default(), Some(Arc::clone(&plan)));
+        let mut plane = control_only(ControlConfig::default());
 
-        match plane.tick(&svc).unwrap() {
+        match control_tick(&mut plane, &svc) {
             ControlOutcome::Aborted(d) => {
                 assert!(d.starts_with("rereplicate"), "site {site_label}: {d}")
             }
@@ -260,7 +267,7 @@ fn killing_rereplication_at_any_site_aborts_byte_identically() {
         }
 
         // The script is spent: the retry heals completely.
-        match plane.tick(&svc).unwrap() {
+        match control_tick(&mut plane, &svc) {
             ControlOutcome::Acted(d) => {
                 assert!(d.contains("rebuilt"), "site {site_label}: {d}")
             }
@@ -294,18 +301,15 @@ fn repeated_policy_rebalances_replay_into_one_consistent_layout() {
     let clean = ranking(&engine.text_index_mut().query_serial("winner", 10).hits);
 
     let svc = QueryService::new(engine);
-    let mut plane = ControlPlane::new(
-        ControlConfig {
-            split_docs_per_shard: 1,
-            merge_docs_per_shard: 0,
-            cooldown_ticks: 0,
-            max_servers: 3,
-            ..ControlConfig::default()
-        },
-        None,
-    );
-    assert!(matches!(plane.tick(&svc).unwrap(), ControlOutcome::Acted(_)));
-    assert!(matches!(plane.tick(&svc).unwrap(), ControlOutcome::Acted(_)));
+    let mut plane = control_only(ControlConfig {
+        split_docs_per_shard: 1,
+        merge_docs_per_shard: 0,
+        cooldown_ticks: 0,
+        max_servers: 3,
+        ..ControlConfig::default()
+    });
+    assert!(matches!(control_tick(&mut plane, &svc), ControlOutcome::Acted(_)));
+    assert!(matches!(control_tick(&mut plane, &svc), ControlOutcome::Acted(_)));
     let final_layout = svc.engine().text_index().layout().to_vec();
     assert_eq!(svc.engine().text_index().servers(), 3);
     drop(svc); // crash: both cutovers live only in the WAL
@@ -413,24 +417,25 @@ fn reads_split_evenly_over_both_copies_of_a_two_by_one_cluster() {
     assert_eq!(after.2 - before.2, 0.0, "failovers");
 }
 
-/// With a telemetry layer attached the control plane swaps the
-/// instantaneous shard p99 for the recorder's windowed one — and every
-/// *other* trigger keeps working: the document-threshold split fires
-/// exactly as without telemetry (an empty latency window must never
-/// veto or distort a doc-driven decision), answers unchanged.
+/// The policy's latency signal is the recorder's windowed shard p99 —
+/// and every *other* trigger keeps working beside it: with
+/// observability on and SLOs evaluated, the document-threshold split
+/// fires while the window holds no parallel query (an empty latency
+/// window must never veto or distort a doc-driven decision), answers
+/// unchanged.
 #[test]
-fn doc_threshold_splits_survive_the_windowed_p99_override() {
+fn doc_threshold_splits_survive_an_empty_p99_window() {
     let site = Arc::new(Site::generate(spec()));
     let mut engine = Engine::new(config(&site, 2, 0)).unwrap();
-    let o = obs::Obs::enabled();
-    engine.set_obs(&o);
     engine.populate(&crawl(&site)).unwrap();
     let q = qlang::parse(TEXT_QUERY).unwrap();
     let before = engine.query(&q).unwrap();
+    // Observed from here on: the probe query above left no critical
+    // path in the registry.
+    engine.set_obs(&obs::Obs::enabled());
 
     let svc = QueryService::new(engine);
-    let mut telemetry = dlsearch::Telemetry::new(&o, dlsearch::TelemetryConfig::default());
-    let mut plane = ControlPlane::new(
+    let mut operator = Operator::new(
         ControlConfig {
             split_docs_per_shard: 1, // every shard is "hot" by size
             merge_docs_per_shard: 0,
@@ -438,19 +443,22 @@ fn doc_threshold_splits_survive_the_windowed_p99_override() {
             max_servers: 3,
             ..ControlConfig::default()
         },
+        standard_slos(),
         None,
     );
-    plane.set_telemetry(&telemetry);
 
-    // The recorder holds samples but no parallel-query latency yet: the
-    // windowed p99 is None, the instantaneous view stands, and the
-    // doc-threshold trigger decides.
-    telemetry.tick(&svc).unwrap();
-    telemetry.tick(&svc).unwrap();
-    match plane.tick(&svc).unwrap() {
-        ControlOutcome::Acted(d) => assert!(d.starts_with("split"), "{d}"),
+    // The recorder samples the registry but holds no parallel-query
+    // latency: the windowed p99 reads zero, and the doc-threshold
+    // trigger decides.
+    match control_tick(&mut operator, &svc) {
+        ControlOutcome::Acted(d) => {
+            assert!(d.starts_with("split"), "{d}");
+            assert!(d.contains("docs"), "the reason must cite the document load: {d}");
+        }
         other => panic!("expected the doc-threshold split, got {other:?}"),
     }
+    let report = operator.incident_report(&svc, "probe").render();
+    assert!(report.contains("\"shard_p99_us\": 0,"), "{report}");
     assert_eq!(svc.engine().text_index().servers(), 3);
     svc.engine().invalidate_query_cache();
     assert_eq!(svc.engine().query(&q).unwrap(), before);

@@ -351,7 +351,7 @@ fn slow_ring_tie_eviction_is_stable_by_arrival() {
 /// ending in a unit).
 #[test]
 fn registry_hygiene_help_and_naming_convention() {
-    use dlsearch::{QueryService, Telemetry, TelemetryConfig};
+    use dlsearch::{standard_slos, Operator, QueryService};
 
     let site = site();
     let mut engine = Engine::new(sharded_config(&site, 3)).unwrap();
@@ -363,10 +363,15 @@ fn registry_hygiene_help_and_naming_convention() {
     let query = qlang::parse(FIGURE13).unwrap();
     engine.query(&query).unwrap();
     engine.query(&query).unwrap();
-    // Register the telemetry-layer families too.
+    // Register the operator loop's families too (the default policy
+    // merges this small cluster, so the control families register).
     let svc = QueryService::new(engine);
-    let mut telemetry = Telemetry::new(&o, TelemetryConfig::default());
-    telemetry.tick(&svc).unwrap();
+    let mut operator = Operator::new(ir::ControlConfig::default(), standard_slos(), None);
+    let control = operator.tick(&svc).unwrap().control;
+    assert!(
+        matches!(&control, dlsearch::ControlOutcome::Acted(d) if d.starts_with("merge")),
+        "{control:?}"
+    );
 
     let metas = o.registry().unwrap().family_metas();
     assert!(metas.len() >= 30, "expected a broad registry, got {}", metas.len());

@@ -255,3 +255,53 @@ fn store_epochs_advance_with_ingestion() {
         assert!(engine.meta().store().epoch() > meta1);
     }
 }
+
+/// An analysis that ends in a rejection still ran its detectors: the
+/// populate report and `engine_detector_calls_total` count every
+/// detector execution, whatever the outcome of the parse. The MIME
+/// sniff of the first media object answers "not media", so its start
+/// symbol cannot be proven and that analysis is rejected.
+#[test]
+fn rejected_analyses_count_their_detector_calls() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let site = Arc::new(Site::generate(spec()));
+    let linked = Arc::new(ausopen::detectors(Arc::clone(&site)));
+    let executed = Arc::new(AtomicUsize::new(0));
+    let rejected = Arc::new(AtomicBool::new(false));
+    let mut registry = acoi::DetectorRegistry::new();
+    for name in ["header", "segment", "tennis", "interview"] {
+        let (linked, executed, rejected) =
+            (Arc::clone(&linked), Arc::clone(&executed), Arc::clone(&rejected));
+        let counted: acoi::DetectorFn = Box::new(move |inputs| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            if name == "header" && !rejected.swap(true, Ordering::Relaxed) {
+                return Err(acoi::DetectorError::Reject("not a media object".into()));
+            }
+            linked
+                .run(name, inputs)
+                .map_err(|e| acoi::DetectorError::Unavailable(e.to_string()))
+        });
+        registry.register(name, acoi::Version::new(1, 0, 0), counted);
+    }
+    let mut engine = Engine::new(dlsearch::EngineConfig {
+        registry,
+        ..ausopen::config(Arc::clone(&site))
+    })
+    .unwrap();
+    let o = obs::Obs::enabled();
+    engine.set_obs(&o);
+
+    let report = engine.populate(&crawl(&site)).unwrap();
+    assert_eq!(report.media_rejected, 1, "{report:?}");
+    assert!(report.media_analyzed > 0, "{report:?}");
+    let executed = executed.load(Ordering::Relaxed);
+    assert_eq!(report.detector_calls, executed, "{report:?}");
+    let text = engine.metrics_text();
+    let counted = text
+        .lines()
+        .find_map(|l| l.strip_prefix("engine_detector_calls_total "))
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .unwrap_or_else(|| panic!("engine_detector_calls_total missing:\n{text}"));
+    assert_eq!(counted, executed);
+}

@@ -1,15 +1,15 @@
-//! The telemetry layer end to end: history, burn rates, incidents.
+//! The operator loop's history half end to end: burn rates, incidents
+//! and the windowed shard p99.
 //!
-//! * Ticking the telemetry loop — sampling the registry, evaluating
-//!   SLO burn rates, even dumping an incident report — never changes
-//!   an answer: hits and store digests stay byte-identical to a plain
-//!   engine.
+//! * Ticking the operator — sampling the registry, evaluating SLO burn
+//!   rates, even dumping an incident report — never changes an answer:
+//!   hits and store digests stay byte-identical to a plain engine.
 //! * A fault-injected latency storm drives the fast-window burn over
 //!   the page threshold within a handful of ticks; the Page transition
-//!   writes a self-contained incident file, lands in the flight
-//!   recorder, and surfaces in `overload_status().slo`.
-//! * The control plane consumes the *windowed* shard p99 from the
-//!   recorder: a slow shard observed over recent ticks triggers a
+//!   writes a self-contained incident file that carries the paging
+//!   state, and lands in the flight recorder.
+//! * The control policy reads the *windowed* shard p99 from the
+//!   recorder: a slow shard observed over recent queries triggers a
 //!   split with answers unchanged across the cutover.
 
 use std::path::PathBuf;
@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dlsearch::{
-    ausopen, qlang, ControlOutcome, ControlPlane, Engine, EngineConfig, QueryService, Telemetry,
-    TelemetryConfig,
+    ausopen, qlang, standard_slos, ControlOutcome, Engine, EngineConfig, Operator, QueryService,
 };
 use faults::{DelaySpec, FaultPlan};
 use ir::ControlConfig;
@@ -52,6 +51,30 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// A policy that decides nothing on these small clusters, for the
+/// tests that exercise only the history half of the tick: the default
+/// `ControlConfig` merges any cluster whose shards all hold under 1 000
+/// documents, and every shard here does.
+fn hands_off() -> ControlConfig {
+    ControlConfig {
+        split_docs_per_shard: usize::MAX,
+        merge_docs_per_shard: 0,
+        slow_shard: Duration::MAX,
+        ..ControlConfig::default()
+    }
+}
+
+/// The integer after `"key": ` in a rendered incident report.
+fn report_int(body: &str, key: &str) -> i64 {
+    let pattern = format!("\"{key}\": ");
+    let at = body.find(&pattern).unwrap_or_else(|| panic!("`{key}` missing:\n{body}"));
+    let digits: String = body[at + pattern.len()..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().expect("an integer")
+}
+
 /// An aggressive latency objective that a 25ms delay storm violates
 /// immediately: 90% of `engine.query` spans under 5ms, paging at a
 /// burn of 2.
@@ -70,12 +93,12 @@ fn storm_slo() -> SloSpec {
     }
 }
 
-/// Telemetry is strictly read-only: an engine ticked through the full
-/// loop — recorder samples, SLO evaluation, a forced incident dump —
-/// answers byte-identically to a plain engine, query for query, and
-/// the store digests match at the end.
+/// The history half of the tick is strictly read-only: an engine
+/// ticked through the loop — recorder samples, SLO evaluation, a
+/// forced incident dump — answers byte-identically to a plain engine,
+/// query for query, and the store digests match at the end.
 #[test]
-fn telemetry_ticking_is_byte_identical_to_plain() {
+fn operator_ticking_is_byte_identical_to_plain() {
     let site = site();
     let pages = crawl(&site);
 
@@ -88,34 +111,27 @@ fn telemetry_ticking_is_byte_identical_to_plain() {
     observed.populate(&pages).unwrap();
     let svc = QueryService::new(observed);
     let dir = tmp("identity");
-    let mut telemetry = Telemetry::new(
-        &o,
-        TelemetryConfig {
-            incident_dir: Some(dir.clone()),
-            ..TelemetryConfig::default()
-        },
-    );
-    telemetry.attach(&svc);
+    let mut operator = Operator::new(hands_off(), standard_slos(), Some(dir.clone()));
 
     let q = qlang::parse(TEXT_QUERY).unwrap();
     for round in 0..4 {
         let expected = plain.query(&q).unwrap();
         let got = svc.engine().query(&q).unwrap();
         assert_eq!(got, expected, "round {round}");
-        telemetry.tick(&svc).unwrap();
+        assert_eq!(operator.tick(&svc).unwrap().control, ControlOutcome::Idle);
         plain.invalidate_query_cache();
         svc.engine().invalidate_query_cache();
     }
     // Even a forced dump (report assembly reads every subsystem) must
     // not perturb the store.
-    let report = telemetry.incident_report(&svc, "manual");
+    let report = operator.incident_report(&svc, "manual");
     assert!(report.render().contains("\"kind\": \"incident\""));
-    telemetry.dump_incident(&svc, "manual").unwrap();
+    operator.dump_incident(&svc, "manual").unwrap();
 
     assert_eq!(
         svc.engine().state_digest().unwrap(),
         plain.state_digest().unwrap(),
-        "telemetry must never write into the store"
+        "the operator's history half must never write into the store"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -123,8 +139,8 @@ fn telemetry_ticking_is_byte_identical_to_plain() {
 /// A latency storm (every shard call stalled 25ms by the fault plan)
 /// violates the aggressive latency SLO; the fast-window burn pages
 /// within a handful of ticks, the Page writes an incident file whose
-/// JSON names the trigger, the flight recorder holds the transition,
-/// and the gate's status surfaces the paging SLO.
+/// JSON names the trigger and the paging state, and the flight
+/// recorder holds the transition.
 #[test]
 fn a_latency_storm_pages_and_dumps_an_incident() {
     let site = site();
@@ -140,27 +156,22 @@ fn a_latency_storm_pages_and_dumps_an_incident() {
 
     let svc = QueryService::new(engine);
     let dir = tmp("storm");
-    let mut telemetry = Telemetry::new(
-        &o,
-        TelemetryConfig {
-            slos: vec![storm_slo()],
-            incident_dir: Some(dir.clone()),
-            ..TelemetryConfig::default()
-        },
-    );
-    telemetry.attach(&svc);
+    let mut operator = Operator::new(hands_off(), vec![storm_slo()], Some(dir.clone()));
 
     let q = qlang::parse(TEXT_QUERY).unwrap();
     let mut paged_at = None;
     for tick in 1..=10u64 {
         svc.engine().query(&q).unwrap();
         svc.engine().invalidate_query_cache();
-        let round = telemetry.tick(&svc).unwrap();
-        if round
+        let round = operator.tick(&svc).unwrap();
+        assert_eq!(round.tick, tick);
+        assert_eq!(round.control, ControlOutcome::Idle);
+        if let Some(page) = round
             .transitions
             .iter()
-            .any(|t| t.slo == "query-latency-storm" && t.to == AlertState::Page)
+            .find(|t| t.slo == "query-latency-storm" && t.to == AlertState::Page)
         {
+            assert!(page.fast_burn >= 2.0, "fast burn {} must be page-level", page.fast_burn);
             assert_eq!(round.incidents.len(), 1, "the Page must dump exactly once");
             paged_at = Some((tick, round.incidents[0].clone()));
             break;
@@ -175,32 +186,28 @@ fn a_latency_storm_pages_and_dumps_an_incident() {
     assert!(body.contains("\"schema_version\""));
     assert!(body.contains("\"cluster\""));
     assert!(body.contains("obs_slo_state"), "report embeds the metrics dump");
+    // The report's SLO section carries the paging state.
+    assert!(
+        body.contains("\"name\": \"query-latency-storm\",\n      \"state\": \"page\""),
+        "{body}"
+    );
 
-    // The transition is on the flight recorder…
+    // The transition is on the flight recorder.
     assert!(
         o.flight_events()
             .iter()
             .any(|e| e.kind == "slo" && e.detail.contains("query-latency-storm")),
         "flight ring must hold the SLO transition"
     );
-    // …and on the operator-facing overload status.
-    let status = svc.engine().overload_status();
-    let slo = status
-        .slo
-        .iter()
-        .find(|s| s.name == "query-latency-storm")
-        .expect("attached telemetry must surface SLO state");
-    assert_eq!(slo.state, AlertState::Page);
-    assert!(slo.fast_burn >= 2.0, "fast burn {} must be page-level", slo.fast_burn);
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The closed loop: the control plane reads the *windowed* shard p99
-/// (reconstructed from `ir_critical_path_seconds` bucket deltas in the
-/// recorder) instead of the instantaneous ring. A shard held slow over
-/// several ticks triggers a latency split, and the cutover keeps the
-/// answers byte-identical.
+/// The closed loop: the control policy reads the *windowed* shard p99,
+/// reconstructed from `ir_critical_path_seconds` bucket deltas in the
+/// recorder — its one latency signal. A shard held slow over several
+/// queries triggers a latency split on the next tick, and the cutover
+/// keeps the answers byte-identical.
 #[test]
 fn windowed_shard_p99_drives_a_latency_split() {
     let site = site();
@@ -219,8 +226,7 @@ fn windowed_shard_p99_drives_a_latency_split() {
     engine.text_index_mut().set_fault_plan(plan.shared());
 
     let svc = QueryService::new(engine);
-    let mut telemetry = Telemetry::new(&o, TelemetryConfig::default());
-    let mut plane = ControlPlane::new(
+    let mut operator = Operator::new(
         ControlConfig {
             split_docs_per_shard: usize::MAX, // only latency can trigger
             merge_docs_per_shard: 0,
@@ -229,30 +235,27 @@ fn windowed_shard_p99_drives_a_latency_split() {
             max_servers: 3,
             ..ControlConfig::default()
         },
+        standard_slos(),
         None,
     );
-    plane.set_obs(&o);
-    plane.set_telemetry(&telemetry);
 
     // Build the slow-shard history: a few observed-slow parallel
-    // queries, each followed by a telemetry sample.
+    // queries ahead of the tick that samples them.
     for _ in 0..3 {
         svc.engine().query(&q).unwrap();
         svc.engine().invalidate_query_cache();
-        telemetry.tick(&svc).unwrap();
     }
-    let p99 = telemetry
-        .windowed_shard_p99()
-        .expect("the window holds parallel queries");
-    assert!(p99 >= Duration::from_millis(10), "windowed p99 {p99:?} must see the 25ms stall");
-
-    match plane.tick(&svc).unwrap() {
+    match operator.tick(&svc).unwrap().control {
         ControlOutcome::Acted(d) => {
             assert!(d.starts_with("split"), "{d}");
             assert!(d.contains("p99"), "the reason must cite latency: {d}");
         }
         other => panic!("expected a latency split, got {other:?}"),
     }
+    // The window still holds the three slow queries; the report shows
+    // the p99 the policy read.
+    let p99_us = report_int(&operator.incident_report(&svc, "probe").render(), "shard_p99_us");
+    assert!(p99_us >= 10_000, "windowed p99 {p99_us}us must see the 25ms stall");
     assert_eq!(svc.engine().text_index().servers(), 3);
     svc.engine().invalidate_query_cache();
     assert_eq!(svc.engine().query(&q).unwrap(), before, "cutover must not change answers");
